@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import math
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -38,6 +39,7 @@ from .perturb import apply_operator
 from .pipeline import (
     PipelineConfig,
     graph_to_obj,
+    pool_from_obj,
     run_pipeline,
     stage_build,
     stage_ground,
@@ -144,7 +146,6 @@ def _pipeline_config(args) -> PipelineConfig:
         selection=selection,
         generator=generator,
         embed=embed,
-        dpo=DpoConfig(beta=args.beta),
         workers=args.workers,
         strict=args.strict,
         strict_order=args.strict_order,
@@ -207,13 +208,17 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ground(args) -> int:
+def _run_item_stage(args, stage, verb: str) -> int:
     cfg = _pipeline_config(args)
     items = _read_jsonl(args.input)
-    out = _map_stage(items, lambda item: stage_ground(item, cfg), args.strict)
+    out = _map_stage(items, lambda item: stage(item, cfg), args.strict)
     _write_jsonl(args.output, out)
-    print(f"grounded {len(out)}/{len(items)} instance(s) -> {args.output}")
+    print(f"{verb} {len(out)}/{len(items)} instance(s) -> {args.output}")
     return EXIT_OK
+
+
+def _cmd_ground(args) -> int:
+    return _run_item_stage(args, stage_ground, "grounded")
 
 
 def _cmd_perturb(args) -> int:
@@ -221,34 +226,23 @@ def _cmd_perturb(args) -> int:
         return _cmd_perturb_single(args)
     if not args.input or not args.output:
         raise ConfigError("stage mode requires --input and --output")
-    cfg = _pipeline_config(args)
-    items = _read_jsonl(args.input)
-    out = _map_stage(items, lambda item: stage_perturb(item, cfg), args.strict)
-    _write_jsonl(args.output, out)
-    print(f"perturbed {len(out)}/{len(items)} instance(s) -> {args.output}")
-    return EXIT_OK
+    return _run_item_stage(args, stage_perturb, "perturbed")
 
 
 def _cmd_perturb_single(args) -> int:
     if not args.graph:
         raise ConfigError("--op mode requires --graph")
     try:
-        graph_text = Path(args.graph).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(None, f"cannot read graph: {exc}") from exc
-    graph = parse_scene_graph(graph_text)
+        graph = parse_scene_graph(Path(args.graph).read_text(encoding="utf-8"))
+    except (OSError, SceneAlignError) as exc:
+        raise CorpusError(None, f"bad --graph file: {exc}") from exc
     pool = ResidualPool()
     if args.pool:
-        pool_obj = json.loads(Path(args.pool).read_text(encoding="utf-8"))
-        pool = ResidualPool(
-            entities=tuple(pool_obj.get("entity", [])),
-            attributes=tuple(tuple(a) for a in pool_obj.get("attribute pairs", [])),
-            relations=tuple(tuple(r) for r in pool_obj.get("relationships", [])),
-        )
-    element = json.loads(args.element) if args.element else None
-    if isinstance(element, list):
-        element = tuple(element)
-    import random as _random
+        try:
+            pool = pool_from_obj(json.loads(Path(args.pool).read_text(encoding="utf-8")))
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise CorpusError(None, f"bad --pool file: {exc}") from exc
+    element = _parse_element(args.element) if args.element else None
 
     result, op = apply_operator(
         graph,
@@ -258,31 +252,31 @@ def _cmd_perturb_single(args) -> int:
         index=args.index,
         replacement=args.replacement,
         element=element,
-        rng=_random.Random(args.seed),
+        rng=random.Random(args.seed),
     )
     print(json.dumps({"graph": graph_to_obj(result), "trace": [op.to_dict()]}, ensure_ascii=False))
     return EXIT_OK
 
 
+def _parse_element(text: str):
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"--element is not JSON: {exc}") from exc
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list) and len(value) in (2, 3) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise ConfigError("--element must be an entity name or a 2- or 3-item list of strings")
+
+
 def _cmd_select(args) -> int:
-    cfg = _pipeline_config(args)
-    items = _read_jsonl(args.input)
-    out = _map_stage(items, lambda item: stage_select(item, cfg), args.strict)
-    _write_jsonl(args.output, out)
-    print(f"selected for {len(out)}/{len(items)} instance(s) -> {args.output}")
-    return EXIT_OK
+    return _run_item_stage(args, stage_select, "selected for")
 
 
 def _cmd_build(args) -> int:
-    items = _read_jsonl(args.input)
-    records: list[PreferenceRecord] = []
-    for item in items:
-        try:
-            records.extend(stage_build(item))
-        except SceneAlignError as exc:
-            if args.strict:
-                raise
-            logger.warning("instance %r skipped: %s", item.get("id"), exc)
+    built = _map_stage(_read_jsonl(args.input), stage_build, args.strict)
+    records = [record for item_records in built for record in item_records]
     export_jsonl(records, args.output)
     print(f"built {len(records)} record(s) -> {args.output}")
     return EXIT_OK
@@ -376,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p, output_required=output_required)
         p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
         p.add_argument("--report", default=None, help="run report path")
-        p.add_argument("--beta", type=float, default=0.1)
         p.add_argument("--workers", type=int, default=0, help="worker pool width (0 = CPUs)")
         p.add_argument("--strict-order", action="store_true",
                        help="generate rationales for all candidates before filtering")
@@ -398,16 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ground.set_defaults(func=_cmd_ground)
 
     p_perturb = sub.add_parser("perturb", help="sample negative candidates")
-    _add_common_flags(p_perturb, output_required=False)
-    p_perturb.add_argument("--graphs", default=None, help=argparse.SUPPRESS)
-    p_perturb.add_argument("--report", default=None, help=argparse.SUPPRESS)
-    p_perturb.add_argument("--beta", type=float, default=0.1, help=argparse.SUPPRESS)
-    p_perturb.add_argument("--workers", type=int, default=0, help=argparse.SUPPRESS)
-    p_perturb.add_argument("--strict-order", action="store_true", help=argparse.SUPPRESS)
-    _add_perturb_flags(p_perturb)
-    _add_selection_flags(p_perturb)
-    _add_generator_flags(p_perturb)
-    _add_embed_flags(p_perturb)
+    full(p_perturb, output_required=False)
     p_perturb.add_argument("--op", choices=["swap", "replace", "shorten", "overthink"],
                            help="apply a single operator to --graph instead of running the stage")
     p_perturb.add_argument("--graph", default=None, help="scene graph JSON file for --op mode")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Protocol, Sequence, Union
@@ -24,7 +25,7 @@ from .errors import (
     OutOfVocabulary,
 )
 from .generate import Instance
-from .perturb import NegativeCandidate
+from .perturb import NegativeCandidate, to_jsonable
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
 
@@ -62,12 +63,7 @@ class DpoConfig:
 
 
 class LogProbProvider(Protocol):
-    """Scores a response under some policy given the record's prompt.
-
-    Implementations that are not safe for concurrent use should set a
-    ``concurrent_safe = False`` attribute; the evaluator then scores
-    records serially (which is also the default execution mode).
-    """
+    """Scores a response under some policy given the record's prompt."""
 
     def log_prob(self, context: str, response: str) -> float: ...
 
@@ -102,7 +98,7 @@ def build_preference_records(
             "diversity_rank": rank,
         }
         if cand.duplicated:
-            meta["duplicated"] = [list(d) if isinstance(d, tuple) else d for d in cand.duplicated]
+            meta["duplicated"] = [to_jsonable(d) for d in cand.duplicated]
         records.append(
             PreferenceRecord(
                 id=f"{inst.id}#{rank}",
@@ -147,12 +143,8 @@ def record_from_json(line: str) -> PreferenceRecord:
 
 def export_jsonl(records: Sequence[PreferenceRecord], sink: Union[str, Path, IO[str]]) -> int:
     """Write one JSON object per record; returns the line count."""
-    if hasattr(sink, "write"):
-        for record in records:
-            sink.write(record_to_json(record) + "\n")
-        return len(records)
-    path = Path(sink)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    stream = nullcontext(sink) if hasattr(sink, "write") else Path(sink).open("w", encoding="utf-8", newline="\n")
+    with stream as fh:
         for record in records:
             fh.write(record_to_json(record) + "\n")
     return len(records)

@@ -10,22 +10,17 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import requests
 
-from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError, RequestTimeout
+from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError
+from .transport import post_json
 
 logger = logging.getLogger(__name__)
 
-API_KEY_ENV = "SCENEALIGN_API_KEY"
-
-_RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 _HTTP_BATCH = 16
 
 
@@ -92,42 +87,11 @@ def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
     return vec / norm
 
 
-def _post_with_retry(payload: dict, cfg: EmbedConfig) -> dict:
-    headers = {}
-    key = os.environ.get(API_KEY_ENV)
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    last_status: int | None = None
-    last_detail = "no attempts made"
-    timed_out = False
-    for attempt in range(cfg.max_retries):
-        if attempt:
-            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout)
-        except requests.Timeout:
-            timed_out = True
-            last_detail = "request timed out"
-            continue
-        except requests.RequestException as exc:
-            last_detail = str(exc)
-            continue
-        if resp.status_code == 200:
-            return resp.json()
-        last_status = resp.status_code
-        last_detail = resp.text[:200]
-        if resp.status_code not in _RETRYABLE_STATUSES:
-            raise RemoteError(last_status, last_detail)
-    if timed_out and last_status is None:
-        raise RequestTimeout(f"no response after {cfg.max_retries} attempts")
-    raise RemoteError(last_status, last_detail)
-
-
 def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]:
     payload: dict = {"input": list(texts)}
     if cfg.model:
         payload["model"] = cfg.model
-    body = _post_with_retry(payload, cfg)
+    body = post_json(payload, cfg)
     try:
         rows = body["data"]
         vectors = [row["embedding"] for row in rows]

@@ -13,27 +13,16 @@ import hashlib
 import json
 import logging
 import os
-import time
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
-from .errors import (
-    ConfigError,
-    MissingAnswer,
-    RemoteError,
-    RequestTimeout,
-    UnparseableResponse,
-)
+from .errors import ConfigError, MissingAnswer, RemoteError, UnparseableResponse
 from .rationale import Rationale
 from .scene_graph import SceneGraph, parse_scene_graph, serialize_scene_graph
+from .transport import post_json
 
 logger = logging.getLogger(__name__)
-
-API_KEY_ENV = "SCENEALIGN_API_KEY"
-
-_RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 SCENE_GRAPH_PROMPT_HEADER = """\
 You are given an image and its associated question.
@@ -110,7 +99,6 @@ class GeneratorConfig:
     temperature: float = 0.0
     timeout: float = 60.0
     max_retries: int = 3
-    max_in_flight: int = 4
     backoff_base: float = 0.5
     cache_dir: str | None = None
     strict: bool = False
@@ -234,10 +222,10 @@ def _generate_template(prompt: str) -> Rationale:
 # http chat generator
 
 
-def _cache_path(cache_dir: str, prompt: str, cfg: GeneratorConfig) -> Path:
+def _cache_path(cache_dir: str, prompt: str, cfg: GeneratorConfig, attachment: str | None) -> Path:
     key = hashlib.sha256(
         json.dumps(
-            {"prompt": prompt, "model": cfg.model, "temperature": cfg.temperature},
+            {"prompt": prompt, "model": cfg.model, "temperature": cfg.temperature, "image": attachment},
             sort_keys=True,
             ensure_ascii=False,
         ).encode("utf-8")
@@ -246,10 +234,6 @@ def _cache_path(cache_dir: str, prompt: str, cfg: GeneratorConfig) -> Path:
 
 
 def _chat_request(prompt: str, cfg: GeneratorConfig, attachment: str | None) -> str:
-    headers = {}
-    key = os.environ.get(API_KEY_ENV)
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
     content: object = prompt
     if attachment is not None:
         content = [
@@ -261,45 +245,42 @@ def _chat_request(prompt: str, cfg: GeneratorConfig, attachment: str | None) -> 
         "temperature": cfg.temperature,
         "messages": [{"role": "user", "content": content}],
     }
-    last_status: int | None = None
-    last_detail = "no attempts made"
-    timed_out = False
-    for attempt in range(cfg.max_retries):
-        if attempt:
-            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout)
-        except requests.Timeout:
-            timed_out = True
-            last_detail = "request timed out"
-            continue
-        except requests.RequestException as exc:
-            last_detail = str(exc)
-            continue
-        if resp.status_code == 200:
-            try:
-                return resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise RemoteError(200, f"unexpected response shape: {exc}") from exc
-        last_status = resp.status_code
-        last_detail = resp.text[:200]
-        if resp.status_code not in _RETRYABLE_STATUSES:
-            raise RemoteError(last_status, last_detail)
-    if timed_out and last_status is None:
-        raise RequestTimeout(f"no response after {cfg.max_retries} attempts")
-    raise RemoteError(last_status, last_detail)
+    body = post_json(payload, cfg)
+    try:
+        reply = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise RemoteError(200, f"unexpected response shape: {exc}") from exc
+    if not isinstance(reply, str):
+        raise RemoteError(200, f"message content is {type(reply).__name__}, not a string")
+    return reply
+
+
+def _read_cache(path: Path) -> str | None:
+    try:
+        entry = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except ValueError:  # torn or not UTF-8
+        entry = None
+    if isinstance(entry, dict) and isinstance(entry.get("content"), str):
+        return entry["content"]
+    logger.warning("cache entry %s is not a JSON object with string content; requesting again", path.name)
+    return None
 
 
 def _chat_completion(prompt: str, cfg: GeneratorConfig, attachment: str | None) -> str:
-    if cfg.cache_dir:
-        path = _cache_path(cfg.cache_dir, prompt, cfg)
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))["content"]
+    if not cfg.cache_dir:
+        return _chat_request(prompt, cfg, attachment)
+    path = _cache_path(cfg.cache_dir, prompt, cfg, attachment)
+    content = _read_cache(path)
+    if content is None:
         content = _chat_request(prompt, cfg, attachment)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"content": content}, ensure_ascii=False), encoding="utf-8")
-        return content
-    return _chat_request(prompt, cfg, attachment)
+        # a private temp name per writer, then an atomic rename: readers never see a torn entry
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps({"content": content}, ensure_ascii=False), encoding="utf-8")
+        os.replace(tmp, path)
+    return content
 
 
 def generate_rationale(

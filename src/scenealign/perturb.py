@@ -24,7 +24,7 @@ from .errors import (
     WouldEmpty,
 )
 from .grounding import GroundedSubgraph, ResidualPool
-from .scene_graph import ElementKind, ElementRef, SceneGraph
+from .scene_graph import ElementKind, ElementRef, SceneGraph, referenced_entities
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +56,8 @@ class PerturbationOp:
         return {
             "tag": self.tag,
             "kind": self.kind,
-            "target": _jsonable(self.target),
-            "payload": _jsonable(self.payload),
+            "target": to_jsonable(self.target),
+            "payload": to_jsonable(self.payload),
         }
 
 
@@ -73,6 +73,14 @@ class EditTrace:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "ops": [op.to_dict() for op in self.ops]}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "EditTrace":
+        ops = tuple(
+            PerturbationOp(op["tag"], op["kind"], from_jsonable(op["target"]), from_jsonable(op["payload"]))
+            for op in obj["ops"]
+        )
+        return cls(ops, obj["seed"])
 
 
 @dataclass
@@ -91,10 +99,14 @@ class NegativeCandidate:
         return "+".join(op.tag for op in self.trace.ops)
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def to_jsonable(value):
+    """An element as JSON holds it: attribute and relation tuples become lists."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def from_jsonable(value):
+    """Inverse of :func:`to_jsonable`."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _subgraph(sg: Union[GroundedSubgraph, SceneGraph]) -> SceneGraph:
@@ -379,19 +391,13 @@ def recompose(
     by a surviving remainder element is re-added even when an edit deleted it
     from the subgraph, so remainder elements are never dropped.
     """
-    if isinstance(remainder, SceneGraph):
-        rem_ents: Sequence[str] = remainder.entities
-        rem_attrs: Sequence = remainder.attributes
-        rem_rels: Sequence = remainder.relations
-    else:
-        rem_ents, rem_attrs, rem_rels = remainder.entities, remainder.attributes, remainder.relations
     # overlap between the two sides is expected union behavior, so dedup
     # silently here instead of letting from_parts warn about it
-    entities = list(_ordered_union(perturbed.entities, rem_ents))
-    attrs = _ordered_union(perturbed.attributes, rem_attrs)
-    rels = _ordered_union(perturbed.relations, rem_rels)
+    entities = list(_ordered_union(perturbed.entities, remainder.entities))
+    attrs = _ordered_union(perturbed.attributes, remainder.attributes)
+    rels = _ordered_union(perturbed.relations, remainder.relations)
     known = set(entities)
-    for name in _closure_entities(attrs, rels):
+    for name in referenced_entities(attrs, rels):
         if name not in known:
             entities.append(name)
             known.add(name)
@@ -406,14 +412,6 @@ def _ordered_union(first: Sequence, second: Sequence) -> tuple:
             seen.add(item)
             out.append(item)
     return tuple(out)
-
-
-def _closure_entities(attrs: Sequence, rels: Sequence):
-    for entity, _ in attrs:
-        yield entity
-    for subj, _, obj in rels:
-        yield subj
-        yield obj
 
 
 def apply_operator(
@@ -443,6 +441,8 @@ def apply_operator(
             if not kinds:
                 raise NoApplicableOperator("no replaceable element with pool support")
             kind = rng.choice(kinds)
+        if index is not None:
+            _check_ref(sg, ElementRef(ElementKind("relation" if kind == "predicate" else kind), index))
         if kind == "entity":
             idx = index if index is not None else rng.randrange(len(sg.entities))
             return _replace_entity(sg, idx, pool, rng, replacement)

@@ -15,11 +15,11 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .dpo import DpoConfig, PreferenceRecord, build_preference_records, export_jsonl
+from .dpo import PreferenceRecord, build_preference_records, export_jsonl
 from .embed import EmbedConfig, embed_texts
 from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError
 from .generate import (
@@ -38,7 +38,7 @@ from .grounding import (
     extract_grounded_subgraph,
     residual_pool,
 )
-from .perturb import EditTrace, NegativeCandidate, PerturbationOp, generate_negatives
+from .perturb import EditTrace, NegativeCandidate, from_jsonable, generate_negatives, to_jsonable
 from .rationale import Rationale
 from .scene_graph import (
     ATTRIBUTE_KEY,
@@ -46,7 +46,6 @@ from .scene_graph import (
     RELATION_KEY,
     SceneGraph,
     parse_scene_graph,
-    serialize_scene_graph,
 )
 from .selection import SelectionConfig, filter_with_shortfall, select_diverse
 
@@ -68,7 +67,6 @@ class PipelineConfig:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     embed: EmbedConfig = field(default_factory=EmbedConfig)
-    dpo: DpoConfig = field(default_factory=DpoConfig)
     workers: int = 0  # 0 means one per logical CPU
     strict: bool = False
     strict_order: bool = False  # rationales for all candidates before filtering
@@ -102,7 +100,7 @@ def instance_seed(global_seed: int, instance_id: str) -> int:
 # work item (de)serialization helpers
 
 
-def graph_to_obj(g: SceneGraph) -> dict:
+def graph_to_obj(g: SceneGraph | ResidualPool) -> dict:
     return {
         ENTITY_KEY: list(g.entities),
         ATTRIBUTE_KEY: [list(a) for a in g.attributes],
@@ -114,19 +112,12 @@ def graph_from_obj(obj: dict) -> SceneGraph:
     return SceneGraph.from_parts(obj[ENTITY_KEY], obj[ATTRIBUTE_KEY], obj[RELATION_KEY])
 
 
-def _pool_to_obj(pool: ResidualPool) -> dict:
-    return {
-        ENTITY_KEY: list(pool.entities),
-        ATTRIBUTE_KEY: [list(a) for a in pool.attributes],
-        RELATION_KEY: [list(r) for r in pool.relations],
-    }
-
-
-def _pool_from_obj(obj: dict) -> ResidualPool:
+def pool_from_obj(obj: dict) -> ResidualPool:
+    """Decode a pool; a missing element set is empty."""
     return ResidualPool(
-        entities=tuple(obj[ENTITY_KEY]),
-        attributes=tuple(tuple(a) for a in obj[ATTRIBUTE_KEY]),
-        relations=tuple(tuple(r) for r in obj[RELATION_KEY]),
+        entities=tuple(obj.get(ENTITY_KEY, [])),
+        attributes=tuple(tuple(a) for a in obj.get(ATTRIBUTE_KEY, [])),
+        relations=tuple(tuple(r) for r in obj.get(RELATION_KEY, [])),
     )
 
 
@@ -139,31 +130,10 @@ def _instance_from_obj(obj: dict) -> Instance:
     )
 
 
-def _element_from_json(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
-def _element_to_json(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _trace_from_obj(obj: dict) -> EditTrace:
-    ops = tuple(
-        PerturbationOp(
-            tag=op["tag"],
-            kind=op["kind"],
-            target=_element_from_json(op["target"]),
-            payload=_element_from_json(op["payload"]),
-        )
-        for op in obj["ops"]
-    )
-    return EditTrace(ops, obj["seed"])
-
-
 def _candidate_to_obj(cand: NegativeCandidate, *, with_selection: bool = False) -> dict:
     out: dict = {"graph": graph_to_obj(cand.graph), "trace": cand.trace.to_dict()}
     if cand.duplicated:
-        out["duplicated"] = [_element_to_json(e) for e in cand.duplicated]
+        out["duplicated"] = [to_jsonable(e) for e in cand.duplicated]
     if with_selection:
         out["jaccard"] = cand.jaccard
         out["rationale"] = cand.rationale.raw_text
@@ -173,8 +143,8 @@ def _candidate_to_obj(cand: NegativeCandidate, *, with_selection: bool = False) 
 def _candidate_from_obj(obj: dict) -> NegativeCandidate:
     cand = NegativeCandidate(
         graph=graph_from_obj(obj["graph"]),
-        trace=_trace_from_obj(obj["trace"]),
-        duplicated=tuple(_element_from_json(e) for e in obj.get("duplicated", [])),
+        trace=EditTrace.from_dict(obj["trace"]),
+        duplicated=tuple(from_jsonable(e) for e in obj.get("duplicated", [])),
     )
     if "jaccard" in obj:
         cand.jaccard = obj["jaccard"]
@@ -322,7 +292,7 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     out = dict(item)
     out["positive_rationale"] = tau_pos.raw_text
     out["grounded"] = graph_to_obj(grounded.graph)
-    out["pool"] = _pool_to_obj(pool)
+    out["pool"] = graph_to_obj(pool)
     return out
 
 
@@ -330,7 +300,7 @@ def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
     """Sample negative candidates with the instance-specific seed."""
     sg_pos = graph_from_obj(item["scene_graph"])
     grounded = graph_from_obj(item["grounded"])
-    pool = _pool_from_obj(item["pool"])
+    pool = pool_from_obj(item["pool"])
     seed = instance_seed(cfg.seed, item["id"])
     candidates = generate_negatives(
         sg_pos,
@@ -442,18 +412,7 @@ class RunReport:
     instances: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "instances_total": self.instances_total,
-            "instances_processed": self.instances_processed,
-            "records_written": self.records_written,
-            "stage_counts": self.stage_counts,
-            "drops": self.drops,
-            "line_drops": self.line_drops,
-            "relaxed_instances": self.relaxed_instances,
-            "shortfall_instances": self.shortfall_instances,
-            "duration_seconds": self.duration_seconds,
-            "instances": self.instances,
-        }
+        return asdict(self)
 
     def save(self, path: str) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

@@ -76,7 +76,7 @@ class SceneGraph:
 
         known = set(ents)
         appended: list[str] = []
-        for name in _referenced_entities(attrs, rels):
+        for name in referenced_entities(attrs, rels):
             if name in known:
                 continue
             if on_dangling != "add":
@@ -93,7 +93,7 @@ class SceneGraph:
         _clean_rows(self.attributes, 2, ATTRIBUTE_KEY, strict=True)
         _clean_rows(self.relations, 3, RELATION_KEY, strict=True)
         known = set(self.entities)
-        for name in _referenced_entities(self.attributes, self.relations):
+        for name in referenced_entities(self.attributes, self.relations):
             if name not in known:
                 raise DanglingReference(name)
 
@@ -208,7 +208,8 @@ def _clean_rows(rows: Iterable, arity: int, key: str, strict: bool) -> list[tupl
     return out
 
 
-def _referenced_entities(attrs: Iterable[Attribute], rels: Iterable[Relation]) -> Iterator[str]:
+def referenced_entities(attrs: Iterable[Attribute], rels: Iterable[Relation]) -> Iterator[str]:
+    """Entity names the attributes and relations point at, in order, with repeats."""
     for entity, _ in attrs:
         yield entity
     for subject, _, obj in rels:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .embed import Embedding, distance_matrix
 from .errors import ConfigError
 from .perturb import NegativeCandidate
-from .scene_graph import SceneGraph, jaccard_counts, jaccard_overlap
+from .scene_graph import SceneGraph, jaccard_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +71,8 @@ def filter_by_overlap(
     hi = _band_fraction(cfg.gamma_upper)
     kept = []
     for idx, cand in enumerate(candidates):
-        cand.jaccard = jaccard_overlap(cand.graph, sg_pos)
-        inter, union = jaccard_counts(cand.graph, sg_pos)
-        value = Fraction(1) if union == 0 else Fraction(inter, union)
+        value = jaccard_fraction(cand.graph, sg_pos)
+        cand.jaccard = float(value)
         if cfg.keep_predicate_only and cand.trace.predicate_only:
             kept.append(idx)
         elif lo <= value <= hi:

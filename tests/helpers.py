@@ -153,7 +153,8 @@ class MockApi:
     """In-process HTTP endpoint for exercising remote providers offline.
 
     ``handler`` is called with the parsed JSON payload and must return
-    ``(status, body_object)``; every request is recorded for inspection.
+    ``(status, body)``: ``bytes`` are sent as they are, anything else as
+    JSON.  Every request is recorded for inspection.
     """
 
     def __init__(self):
@@ -173,7 +174,7 @@ class MockApi:
                     }
                 )
                 status, body = outer.handler(payload)
-                data = json.dumps(body).encode("utf-8")
+                data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -221,6 +221,50 @@ class TestPerturbSingleOp:
         assert main(["perturb", "--input", "unused", "--op", "swap"]) == 1
 
 
+class TestPerturbSingleOpBadInput:
+    """Bad ``--op`` input ends with an exit code and a message, never a traceback."""
+
+    def test_malformed_pool_file_is_a_corpus_error(self, tmp_path, sub_graph_file, capsys):
+        pool = tmp_path / "pool.json"
+        pool.write_text('{"entity": ["car"', encoding="utf-8")
+        argv = ["perturb", "--input", "unused", "--op", "overthink", "--graph", str(sub_graph_file)]
+        assert main(argv + ["--pool", str(pool)]) == 2
+        assert "corpus error" in capsys.readouterr().err
+
+    def test_malformed_graph_file_is_a_corpus_error(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"entity": ["man"], "relationships": []}', encoding="utf-8")
+        assert main(["perturb", "--input", "unused", "--op", "swap", "--graph", str(graph)]) == 2
+        assert "corpus error" in capsys.readouterr().err
+
+    def test_malformed_element_is_a_config_error(self, sub_graph_file, pool_file, capsys):
+        code = main(
+            [
+                "perturb", "--input", "unused",
+                "--op", "overthink",
+                "--graph", str(sub_graph_file),
+                "--pool", str(pool_file),
+                "--element", '["building", "behind"',
+            ]
+        )
+        assert code == 1
+        assert "--element" in capsys.readouterr().err
+
+    def test_out_of_range_index_is_an_error(self, sub_graph_file, pool_file, capsys):
+        code = main(
+            [
+                "perturb", "--input", "unused",
+                "--op", "replace",
+                "--graph", str(sub_graph_file),
+                "--pool", str(pool_file),
+                "--kind", "entity",
+                "--index", "9",
+            ]
+        )
+        assert code == 1
+        assert "index 9 out of range" in capsys.readouterr().err
+
+
 class TestDpoCheck:
     def test_builtin_demo_passes(self, capsys):
         code = main(["dpo-check", "--trials", "5"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -235,3 +236,87 @@ class TestHttpChatGenerator:
         content = mock_api.requests[0]["payload"]["messages"][0]["content"]
         assert content[1]["image_url"]["url"] == case_instance.image_ref
         assert content[0]["text"].endswith("Scene Graph:")
+
+
+class TestResponseCache:
+    @staticmethod
+    def _cfg(api, cache_dir):
+        return GeneratorConfig(
+            kind="http-chat", endpoint=f"{api.url}/chat", model="reasoner-1", backoff_base=0.0, cache_dir=str(cache_dir)
+        )
+
+    @staticmethod
+    def _reply(text):
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b'{"content": "1. Torn', b"\xff\xfe\x00", b"[1, 2]", b'{"content": 7}', b""],
+        ids=["torn", "not-utf8", "not-object", "non-string-content", "empty"],
+    )
+    def test_unreadable_entry_is_a_miss_and_is_overwritten(self, mock_api, tmp_path, garbage):
+        cfg = self._cfg(mock_api, tmp_path)
+        mock_api.handler = lambda p: self._reply("1. Fresh step.")
+        generate_rationale("same prompt", cfg)
+        (entry,) = tmp_path.iterdir()
+        entry.write_bytes(garbage)
+        mock_api.requests.clear()
+
+        r = generate_rationale("same prompt", cfg)
+        assert r.steps == ("Fresh step.",)
+        assert len(mock_api.requests) == 1
+        assert json.loads(entry.read_text(encoding="utf-8")) == {"content": "1. Fresh step."}
+        assert list(tmp_path.iterdir()) == [entry]  # no temp file left behind
+
+    def test_cache_key_includes_the_image(self, mock_api, tmp_path, case_instance):
+        graphs = {
+            "images/a.jpg": {"entity": ["cat"], "attribute pairs": [], "relationships": []},
+            "images/b.jpg": {"entity": ["dog"], "attribute pairs": [], "relationships": []},
+        }
+
+        def handler(payload):
+            url = payload["messages"][0]["content"][1]["image_url"]["url"]
+            return self._reply(json.dumps(graphs[url]))
+
+        mock_api.handler = handler
+        cfg = self._cfg(mock_api, tmp_path)
+        out = {
+            image: generate_scene_graph_json(dataclasses.replace(case_instance, image_ref=image), cfg)
+            for image in graphs
+        }
+        assert len(mock_api.requests) == 2
+        assert {image: json.loads(text) for image, text in out.items()} == graphs
+
+
+def test_concurrent_cache_writers_and_readers_never_see_a_torn_entry(mock_api, tmp_path):
+    import sys
+    import threading
+
+    mock_api.handler = lambda p: (200, {"choices": [{"message": {"content": "1. Shared step."}}]})
+    cfg = GeneratorConfig(
+        kind="http-chat", endpoint=f"{mock_api.url}/chat", model="m", backoff_base=0.0, cache_dir=str(tmp_path)
+    )
+    errors: list[Exception] = []
+    results: list[tuple] = []
+
+    def worker():
+        try:
+            for _ in range(10):
+                results.append(generate_rationale("one prompt for all threads", cfg).steps)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [("Shared step.",)] * 80
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
