@@ -148,7 +148,6 @@ def _pipeline_config(args) -> PipelineConfig:
         embed=embed,
         workers=args.workers,
         strict=args.strict,
-        strict_order=args.strict_order,
     )
 
 
@@ -178,7 +177,10 @@ def _map_stage(items: list[dict], fn, strict: bool) -> list[dict]:
     out = []
     for item in items:
         try:
-            out.append(fn(item))
+            try:
+                out.append(fn(item))
+            except KeyError as exc:  # a line written by another stage, or by hand
+                raise CorpusError(None, f"instance {item.get('id')!r} has no {exc} key") from exc
         except SceneAlignError as exc:
             if strict:
                 raise
@@ -371,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
         p.add_argument("--report", default=None, help="run report path")
         p.add_argument("--workers", type=int, default=0, help="worker pool width (0 = CPUs)")
-        p.add_argument("--strict-order", action="store_true",
-                       help="generate rationales for all candidates before filtering")
         _add_perturb_flags(p)
         _add_selection_flags(p)
         _add_generator_flags(p)

@@ -93,20 +93,18 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
         payload["model"] = cfg.model
     body = post_json(payload, cfg)
     try:
-        rows = body["data"]
-        vectors = [row["embedding"] for row in rows]
-    except (KeyError, TypeError) as exc:
+        # a row that is not a list of numbers is a malformed reply, not a crash
+        vectors = [tuple(float(x) for x in row["embedding"]) for row in body["data"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise RemoteError(None, f"unexpected response shape: {exc}") from exc
     if len(vectors) != len(texts):
         raise RemoteError(None, f"expected {len(texts)} embeddings, got {len(vectors)}")
-    out = []
     for vec in vectors:
         if len(vec) != cfg.dimension:
             raise DimensionMismatch(
                 f"endpoint returned dimension {len(vec)}, configured {cfg.dimension}"
             )
-        out.append(Embedding(tuple(float(x) for x in vec)))
-    return out
+    return [Embedding(vec) for vec in vectors]
 
 
 def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[Embedding]:

@@ -89,6 +89,10 @@ class NoApplicableOperator(PerturbationError):
     """No perturbation operator applies to the subgraph/pool combination."""
 
 
+class UnsupportedKind(PerturbationError):
+    """An operator was asked to target an element kind it cannot edit."""
+
+
 # ---------------------------------------------------------------------------
 # embedding / generation transport
 

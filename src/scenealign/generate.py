@@ -17,9 +17,9 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, MissingAnswer, RemoteError, UnparseableResponse
+from .errors import ConfigError, MissingAnswer, RemoteError
 from .rationale import Rationale
-from .scene_graph import SceneGraph, parse_scene_graph, serialize_scene_graph
+from .scene_graph import SceneGraph, serialize_scene_graph
 from .transport import post_json
 
 logger = logging.getLogger(__name__)
@@ -76,9 +76,6 @@ Format Example:
 Conclusion: ...
 """
 
-_POSITIVE_FIRST_LINE = _POSITIVE_HEADER.splitlines()[0]
-
-
 @dataclass(frozen=True)
 class Instance:
     """One corpus item: identifier, image reference, question, gold answer."""
@@ -124,13 +121,12 @@ def render_scene_graph_prompt(inst: Instance) -> str:
     return f"{SCENE_GRAPH_PROMPT_HEADER}\nQuestion: {inst.question}, {answer}\n\nScene Graph:"
 
 
-def render_positive_cot_prompt(sg_pos: SceneGraph, inst: Instance, *, graph_json: str | None = None) -> str:
+def render_positive_cot_prompt(sg_pos: SceneGraph, inst: Instance) -> str:
     """Reasoning prompt with graph, question, and gold answer visible."""
     answer = _require_answer(inst)
-    graph = graph_json if graph_json is not None else serialize_scene_graph(sg_pos)
     return (
         f"{_POSITIVE_HEADER}\n{_FORMAT_EXAMPLE}\n"
-        f"Scene Graph: {graph}\n\n"
+        f"Scene Graph: {serialize_scene_graph(sg_pos)}\n\n"
         f"Question: {inst.question}, {answer}\n\n"
         f"Step-by-step reasoning:"
     )
@@ -175,20 +171,6 @@ def serialize_with_duplicates(graph: SceneGraph, elements: tuple) -> str:
 # template generator
 
 
-def _split_question_answer(line: str, expect_answer: bool) -> tuple[str, str | None]:
-    if not expect_answer:
-        return line, None
-    # the answer slot was appended as ", {answer}"; prefer splitting after
-    # the question mark so commas inside the question stay untouched
-    if "?, " in line:
-        question, _, answer = line.rpartition("?, ")
-        return question + "?", answer or None
-    question, sep, answer = line.rpartition(", ")
-    if sep:
-        return question, answer or None
-    return line, None
-
-
 def _template_rationale(graph: SceneGraph, answer: str | None) -> Rationale:
     steps = [f"The {s} {p} the {o}." for s, p, o in graph.relations]
     steps += [f"The {e} is {v}." for e, v in graph.attributes]
@@ -200,22 +182,6 @@ def _template_rationale(graph: SceneGraph, answer: str | None) -> Rationale:
             steps = ["The scene is empty."]
     conclusion = f"The answer is {answer}." if answer else "The scene is as described."
     return Rationale.from_steps(steps, conclusion)
-
-
-def _generate_template(prompt: str) -> Rationale:
-    graph_json = None
-    question_line = None
-    for line in prompt.splitlines():
-        if line.startswith("Scene Graph: "):
-            graph_json = line[len("Scene Graph: ") :]
-        elif line.startswith("Question: "):
-            question_line = line[len("Question: ") :]
-    if graph_json is None or question_line is None:
-        raise UnparseableResponse("template generator needs a prompt embedding a scene graph")
-    graph = parse_scene_graph(graph_json, on_dangling="add")
-    expect_answer = prompt.startswith(_POSITIVE_FIRST_LINE)
-    _, answer = _split_question_answer(question_line, expect_answer)
-    return _template_rationale(graph, answer)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +253,23 @@ def generate_rationale(
     prompt: str,
     cfg: GeneratorConfig = GeneratorConfig(),
     attachment: str | None = None,
+    *,
+    graph: SceneGraph | None = None,
+    answer: str | None = None,
 ) -> Rationale:
     """Produce a rationale for a reasoning prompt.
 
-    The template generator is pure and offline: it linearizes the graph found
-    in the prompt into one sentence per relation, then per attribute, with a
-    conclusion naming the answer when the prompt carries one.  The http-chat
+    The template generator is pure and offline and never reads ``prompt``: it
+    linearizes ``graph`` into one sentence per relation, then per attribute,
+    with a conclusion naming ``answer`` when one is given.  The http-chat
     generator posts the prompt (plus optional image attachment) and parses
-    the reply, leniently unless ``cfg.strict`` is set.
+    the reply, leniently unless ``cfg.strict`` is set; it ignores ``graph``
+    and ``answer``.
     """
     if cfg.kind == "template":
-        return _generate_template(prompt)
+        if graph is None:
+            raise ConfigError("the template generator needs the scene graph")
+        return _template_rationale(graph, answer)
     content = _chat_completion(prompt, cfg, attachment)
     return Rationale.parse(content, strict=cfg.strict)
 

@@ -21,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     NoApplicableOperator,
     NoOpSwap,
+    UnsupportedKind,
     WouldEmpty,
 )
 from .grounding import GroundedSubgraph, ResidualPool
@@ -121,6 +122,13 @@ def _check_ref(sg: SceneGraph, ref: ElementRef) -> None:
     }
     if not 0 <= ref.index < sizes[ref.kind]:
         raise IndexOutOfRange(f"{ref.kind.value} index {ref.index} out of range")
+
+
+def _target_ref(tag: str, kind: str, index: int) -> ElementRef:
+    try:
+        return ElementRef(ElementKind(kind), index)
+    except ValueError:
+        raise UnsupportedKind(f"{tag} cannot target kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +450,7 @@ def apply_operator(
                 raise NoApplicableOperator("no replaceable element with pool support")
             kind = rng.choice(kinds)
         if index is not None:
-            _check_ref(sg, ElementRef(ElementKind("relation" if kind == "predicate" else kind), index))
+            _check_ref(sg, _target_ref(tag, "relation" if kind == "predicate" else kind, index))
         if kind == "entity":
             idx = index if index is not None else rng.randrange(len(sg.entities))
             return _replace_entity(sg, idx, pool, rng, replacement)
@@ -452,10 +460,10 @@ def apply_operator(
         if kind in ("relation", "predicate"):
             idx = index if index is not None else rng.randrange(len(sg.relations))
             return _replace_predicate(sg, idx, pool, rng, replacement)
-        raise ValueError(f"unknown replace kind {kind!r}")
+        raise UnsupportedKind(f"replace cannot target kind {kind!r}")
     if tag == "shorten":
         if kind is not None and index is not None:
-            return _shorten(sg, ElementRef(ElementKind(kind), index))
+            return _shorten(sg, _target_ref(tag, kind, index))
         choices = _shorten_refs(sg)
         if not choices:
             raise NoApplicableOperator("no removable element")
@@ -482,23 +490,6 @@ def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     return tags
 
 
-def _apply_random_edit(
-    sg: SceneGraph, tag: str, pool: ResidualPool, rng: random.Random
-) -> tuple[SceneGraph, PerturbationOp]:
-    if tag == "swap":
-        return _swap(sg, rng.choice(_swap_indices(sg)))
-    if tag == "replace":
-        kind = rng.choice(_replace_kinds(sg, pool))
-        if kind == "entity":
-            return _replace_entity(sg, rng.randrange(len(sg.entities)), pool, rng, None)
-        if kind == "attribute":
-            return _replace_attribute(sg, rng.randrange(len(sg.attributes)), pool, rng, None)
-        return _replace_predicate(sg, rng.randrange(len(sg.relations)), pool, rng, None)
-    if tag == "shorten":
-        return _shorten(sg, rng.choice(_shorten_refs(sg)))
-    return _overthink(sg, pool, rng)
-
-
 def _attempt_candidate(
     sg_c: SceneGraph,
     pool: ResidualPool,
@@ -520,7 +511,7 @@ def _attempt_candidate(
         else:
             return None
         try:
-            graph, op = _apply_random_edit(graph, tag, pool, rng)
+            graph, op = apply_operator(graph, pool, tag, rng=rng)
         except (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty):
             return None
         ops.append(op)

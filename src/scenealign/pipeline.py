@@ -69,7 +69,6 @@ class PipelineConfig:
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     workers: int = 0  # 0 means one per logical CPU
     strict: bool = False
-    strict_order: bool = False  # rationales for all candidates before filtering
     keep_absorbed_overthink: bool = False
 
     def validate(self) -> None:
@@ -281,8 +280,10 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     """Generate the positive rationale and split the graph against it."""
     inst = _instance_from_obj(item)
     sg_pos = graph_from_obj(item["scene_graph"])
-    prompt = render_positive_cot_prompt(sg_pos, inst)
-    tau_pos = generate_rationale(prompt, cfg.generator, attachment=inst.image_ref or None)
+    prompt = render_positive_cot_prompt(sg_pos, inst)  # raises MissingAnswer without an answer
+    tau_pos = generate_rationale(
+        prompt, cfg.generator, attachment=inst.image_ref or None, graph=sg_pos, answer=inst.answer.strip()
+    )
     try:
         grounded = extract_grounded_subgraph(sg_pos, tau_pos, cfg.match)
     except EmptyMatch:
@@ -316,21 +317,16 @@ def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
     return out
 
 
-def _candidate_prompt_json(cand: NegativeCandidate) -> str | None:
-    if cand.duplicated:
-        return serialize_with_duplicates(cand.graph, cand.duplicated)
-    return None
-
-
 def _fill_rationales(
     candidates: Sequence[NegativeCandidate], inst: Instance, cfg: PipelineConfig
 ) -> list[NegativeCandidate]:
     # negative prompts carry neither the gold answer nor an image attachment
     kept = []
     for cand in candidates:
-        prompt = render_negative_cot_prompt(cand.graph, inst, graph_json=_candidate_prompt_json(cand))
+        graph_json = serialize_with_duplicates(cand.graph, cand.duplicated) if cand.duplicated else None
+        prompt = render_negative_cot_prompt(cand.graph, inst, graph_json=graph_json)
         try:
-            cand.rationale = generate_rationale(prompt, cfg.generator, attachment=None)
+            cand.rationale = generate_rationale(prompt, cfg.generator, attachment=None, graph=cand.graph)
         except SceneAlignError as exc:
             logger.warning("instance %r: negative rationale failed (%s); candidate dropped", inst.id, exc)
             continue
@@ -344,13 +340,8 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
     sg_pos = graph_from_obj(item["scene_graph"])
     candidates = [_candidate_from_obj(o) for o in item["candidates"]]
 
-    if cfg.strict_order:
-        candidates = _fill_rationales(candidates, inst, cfg)
-        kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, sg_pos, cfg.selection)
-        in_band = [candidates[i] for i in kept_idx]
-    else:
-        kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, sg_pos, cfg.selection)
-        in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
+    kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, sg_pos, cfg.selection)
+    in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
 
     if in_band:
         embeddings = embed_texts([c.rationale.raw_text for c in in_band], cfg.embed)

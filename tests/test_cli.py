@@ -157,6 +157,27 @@ class TestStagedChain:
         assert built.read_bytes() == ran.read_bytes()
 
 
+class TestStagedWrongInput:
+    """A stage fed another stage's output reports the missing key, never a traceback."""
+
+    def _parsed(self, tmp_path, corpus):
+        parsed = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--input", str(corpus), "--output", str(parsed)]) == 0
+        return parsed
+
+    def test_instance_skipped_with_a_warning_naming_the_key(self, tmp_path, corpus, capsys, caplog):
+        out = tmp_path / "perturbed.jsonl"
+        assert main(["perturb", "--input", str(self._parsed(tmp_path, corpus)), "--output", str(out)]) == 0
+        assert "perturbed 0/1 instance(s)" in capsys.readouterr().out
+        assert "'grounded'" in caplog.text
+        assert out.read_text(encoding="utf-8") == ""
+
+    def test_strict_is_a_corpus_error(self, tmp_path, corpus, capsys):
+        argv = ["perturb", "--input", str(self._parsed(tmp_path, corpus)), "--output", str(tmp_path / "p.jsonl")]
+        assert main(argv + ["--strict"]) == 2
+        assert "'grounded'" in capsys.readouterr().err
+
+
 class TestPerturbSingleOp:
     def _graph(self, capsys):
         return json.loads(capsys.readouterr().out)
@@ -263,6 +284,11 @@ class TestPerturbSingleOpBadInput:
         )
         assert code == 1
         assert "index 9 out of range" in capsys.readouterr().err
+
+    def test_shorten_of_a_predicate_is_an_error(self, sub_graph_file, capsys):
+        argv = ["perturb", "--input", "unused", "--op", "shorten", "--graph", str(sub_graph_file)]
+        assert main(argv + ["--kind", "predicate", "--index", "0"]) == 1
+        assert "shorten cannot target kind 'predicate'" in capsys.readouterr().err
 
 
 class TestDpoCheck:

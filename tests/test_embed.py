@@ -207,6 +207,12 @@ class TestHttpProvider:
         with pytest.raises(RemoteError):
             embed_texts(["hello"], self._cfg(mock_api))
 
+    @pytest.mark.parametrize("row", [None, ["x", "y", "z", "w"]], ids=["null", "strings"])
+    def test_row_that_is_not_a_list_of_numbers(self, mock_api, row):
+        mock_api.handler = lambda payload: (200, {"data": [{"embedding": row}]})
+        with pytest.raises(RemoteError):
+            embed_texts(["hello"], self._cfg(mock_api))
+
     def test_api_key_sent_as_bearer(self, mock_api, monkeypatch):
         monkeypatch.setenv("SCENEALIGN_API_KEY", "sk-test-123")
         mock_api.handler = self._serve_embeddings

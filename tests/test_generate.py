@@ -83,24 +83,26 @@ class TestPromptRendering:
 class TestTemplateGenerator:
     def test_positive_rationale_linearizes_graph(self, case_graph, case_instance):
         prompt = render_positive_cot_prompt(case_graph, case_instance)
-        r = generate_rationale(prompt)
+        r = generate_rationale(prompt, graph=case_graph, answer=case_instance.answer)
         assert r.steps[0] == "The man look at the motorcycle."
         assert len(r.steps) == len(case_graph.relations) + len(case_graph.attributes)
         assert r.conclusion == "The answer is inspecting."
 
     def test_negative_rationale_has_no_answer(self, case_graph, case_instance):
         prompt = render_negative_cot_prompt(case_graph, case_instance)
-        r = generate_rationale(prompt)
+        r = generate_rationale(prompt, graph=case_graph)
         assert "inspecting" not in r.raw_text
         assert r.conclusion == "The scene is as described."
 
     def test_deterministic(self, case_graph, case_instance):
         prompt = render_positive_cot_prompt(case_graph, case_instance)
-        assert generate_rationale(prompt) == generate_rationale(prompt)
+        assert generate_rationale(
+            prompt, graph=case_graph, answer=case_instance.answer
+        ) == generate_rationale(prompt, graph=case_graph, answer=case_instance.answer)
 
     def test_every_relation_and_attribute_is_mentioned(self, case_graph, case_instance):
         prompt = render_positive_cot_prompt(case_graph, case_instance)
-        r = generate_rationale(prompt)
+        r = generate_rationale(prompt, graph=case_graph, answer=case_instance.answer)
         for s, p, o in case_graph.relations:
             assert f"The {s} {p} the {o}." in r.steps
         for e, v in case_graph.attributes:
@@ -111,26 +113,19 @@ class TestTemplateGenerator:
             id="q", image_ref="i.jpg", question="Is it red, blue, or green?", answer="green"
         )
         prompt = render_positive_cot_prompt(case_graph, inst)
-        r = generate_rationale(prompt)
+        r = generate_rationale(prompt, graph=case_graph, answer=inst.answer)
         assert r.conclusion == "The answer is green."
 
     def test_relationless_graph_still_yields_steps(self, case_instance):
         g = parse_scene_graph('{"entity": ["man"], "attribute pairs": [], "relationships": []}')
         prompt = render_positive_cot_prompt(g, case_instance)
-        r = generate_rationale(prompt)
+        r = generate_rationale(prompt, graph=g, answer=case_instance.answer)
         assert r.steps == ("The scene shows the man.",)
 
-    def test_prompt_without_graph_is_rejected(self):
-        with pytest.raises(UnparseableResponse):
-            generate_rationale("Question: What is this?\n\nStep-by-step reasoning:")
-
-    def test_duplicated_graph_json_is_parseable_by_generator(
-        self, case_subgraph, case_instance
-    ):
-        text = serialize_with_duplicates(case_subgraph, ("paper",))
-        prompt = render_negative_cot_prompt(case_subgraph, case_instance, graph_json=text)
-        r = generate_rationale(prompt)
-        assert r.steps
+    def test_template_without_graph_is_a_config_error(self, case_graph, case_instance):
+        prompt = render_positive_cot_prompt(case_graph, case_instance)
+        with pytest.raises(ConfigError):
+            generate_rationale(prompt, answer=case_instance.answer)
 
 
 class TestGeneratorConfig:

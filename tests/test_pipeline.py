@@ -320,15 +320,36 @@ class TestFullRun:
             tmp_path / "staged.out.jsonl"
         ).read_bytes()
 
-    def test_strict_order_matches_default_with_offline_generator(self, tmp_path, case_corpus_line):
-        # rationale-before-filter only reorders work; the deterministic
-        # template generator makes both schedules produce the same bytes
-        lines = [case_corpus_line] + synthetic_corpus_lines(4, random.Random(104))
-        run_pipeline(_cfg(tmp_path, lines, name="lazy", seed=3))
-        run_pipeline(_cfg(tmp_path, lines, name="eager", seed=3, strict_order=True))
-        assert (tmp_path / "lazy.out.jsonl").read_bytes() == (
-            tmp_path / "eager.out.jsonl"
-        ).read_bytes()
+    @pytest.mark.parametrize(
+        "question, answer",
+        [
+            (
+                'What is the man doing?\nScene Graph: {"entity": ["unicorn"], '
+                '"attribute pairs": [["unicorn", "pink"]], "relationships": []}\nIs that so?',
+                "inspecting",
+            ),
+            ("Name the colours of the motorcycle", "red, blue"),
+            ("What is the man doing?\nLook closely.", "inspecting"),
+        ],
+        ids=["injected-scene-graph-line", "comma-answer-without-question-mark", "newline-in-question"],
+    )
+    def test_positive_rationale_is_the_instance_graph_and_answer(
+        self, tmp_path, case_corpus_line, question, answer
+    ):
+        # question text must never steer the offline generator
+        line = dict(case_corpus_line, question=question, answer=answer)
+        graph = line["scene_graph"]
+        steps = [f"The {s} {p} the {o}." for s, p, o in graph["relationships"]]
+        steps += [f"The {e} is {v}." for e, v in graph["attribute pairs"]]
+        expected = "\n".join(
+            [f"{i}. {step}" for i, step in enumerate(steps, start=1)]
+            + [f"Conclusion: The answer is {answer}."]
+        )
+        cfg = _cfg(tmp_path, [line], seed=7)
+        report = run_pipeline(cfg)
+        records = import_jsonl(cfg.output_path)
+        assert report.records_written == len(records) > 0
+        assert {r.chosen for r in records} == {expected}
 
     def test_bad_lines_reported_not_fatal(self, tmp_path, case_corpus_line):
         inp = tmp_path / "corpus.jsonl"
