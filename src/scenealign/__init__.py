@@ -19,13 +19,7 @@ from .generate import (
     render_positive_cot_prompt,
     render_scene_graph_prompt,
 )
-from .grounding import (
-    GroundedSubgraph,
-    MatchConfig,
-    ResidualPool,
-    extract_grounded_subgraph,
-    residual_pool,
-)
+from .grounding import GroundedSubgraph, ResidualPool, extract_grounded_subgraph, residual_pool
 from .perturb import (
     EditTrace,
     NegativeCandidate,
@@ -63,7 +57,6 @@ __all__ = [
     "GeneratorConfig",
     "GroundedSubgraph",
     "Instance",
-    "MatchConfig",
     "NegativeCandidate",
     "PerturbationOp",
     "PipelineConfig",

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dpo import (
     DpoConfig,
     PreferenceRecord,
@@ -151,7 +152,8 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str) -> list[tuple[int, object]]:
+    """The non-blank lines of a JSONL file as (line number, value) pairs."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -161,30 +163,36 @@ def _read_jsonl(path: str) -> list[dict]:
         if not line.strip():
             continue
         try:
-            out.append(json.loads(line))
+            out.append((line_no, json.loads(line)))
         except ValueError as exc:
             raise CorpusError(line_no, f"invalid JSON: {exc}") from exc
     return out
 
 
 def _write_jsonl(path: str, objs: list[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for obj in objs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _map_stage(items: list[dict], fn, strict: bool) -> list[dict]:
+def _map_stage(items: list[tuple[int, object]], fn, strict: bool) -> list:
     out = []
-    for item in items:
+    for line_no, item in items:
         try:
+            if not isinstance(item, dict):
+                raise CorpusError(None, f"expected a work item object, got {type(item).__name__}")
             try:
                 out.append(fn(item))
             except KeyError as exc:  # a line written by another stage, or by hand
                 raise CorpusError(None, f"instance {item.get('id')!r} has no {exc} key") from exc
+        except CorpusError as exc:
+            if strict:
+                raise CorpusError(line_no, exc.reason) from exc
+            logger.warning("line %d skipped: %s", line_no, exc.reason)
         except SceneAlignError as exc:
             if strict:
                 raise
-            logger.warning("instance %r skipped: %s", item.get("id"), exc)
+            logger.warning("line %d skipped: %s", line_no, exc)
     return out
 
 
@@ -242,7 +250,7 @@ def _cmd_perturb_single(args) -> int:
     if args.pool:
         try:
             pool = pool_from_obj(json.loads(Path(args.pool).read_text(encoding="utf-8")))
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, TypeError, AttributeError, SceneAlignError) as exc:
             raise CorpusError(None, f"bad --pool file: {exc}") from exc
     element = _parse_element(args.element) if args.element else None
 

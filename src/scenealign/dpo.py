@@ -18,6 +18,7 @@ from typing import IO, Protocol, Sequence, Union
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     ConfigError,
     MissingRationale,
@@ -25,7 +26,7 @@ from .errors import (
     OutOfVocabulary,
 )
 from .generate import Instance
-from .perturb import NegativeCandidate, to_jsonable
+from .perturb import NegativeCandidate
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
 
@@ -97,8 +98,6 @@ def build_preference_records(
             "jaccard": cand.jaccard,
             "diversity_rank": rank,
         }
-        if cand.duplicated:
-            meta["duplicated"] = [to_jsonable(d) for d in cand.duplicated]
         records.append(
             PreferenceRecord(
                 id=f"{inst.id}#{rank}",
@@ -142,8 +141,12 @@ def record_from_json(line: str) -> PreferenceRecord:
 
 
 def export_jsonl(records: Sequence[PreferenceRecord], sink: Union[str, Path, IO[str]]) -> int:
-    """Write one JSON object per record; returns the line count."""
-    stream = nullcontext(sink) if hasattr(sink, "write") else Path(sink).open("w", encoding="utf-8", newline="\n")
+    """Write one JSON object per record; returns the line count.
+
+    A path is replaced atomically: a failure mid-way leaves any earlier file
+    there untouched.
+    """
+    stream = nullcontext(sink) if hasattr(sink, "write") else atomic_open(sink)
     with stream as fh:
         for record in records:
             fh.write(record_to_json(record) + "\n")

@@ -22,6 +22,8 @@ from .transport import post_json
 logger = logging.getLogger(__name__)
 
 _HTTP_BATCH = 16
+_MAX_IN_FLIGHT = 4  # concurrent requests per batch on the http provider
+_NGRAM_LENGTHS = range(3, 6)  # character n-grams the offline provider hashes
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,10 @@ class EmbedConfig:
 
     provider: str = "hashed-ngram"  # or "http"
     dimension: int = 256
-    ngram_min: int = 3
-    ngram_max: int = 5
     endpoint: str | None = None
     model: str | None = None
     timeout: float = 30.0
     max_retries: int = 3
-    max_in_flight: int = 4
     backoff_base: float = 0.5
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class EmbedConfig:
             raise ConfigError(f"unknown embedding provider {self.provider!r}")
         if self.dimension < 2:
             raise ConfigError("embedding dimension must be at least 2")
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ConfigError(f"invalid n-gram range ({self.ngram_min}, {self.ngram_max})")
         if self.provider == "http" and not self.endpoint:
             raise ConfigError("http embedding provider requires an endpoint")
 
@@ -70,7 +67,7 @@ def _stable_hash(data: str) -> int:
 def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
     folded = text.casefold()
     grams: list[str] = []
-    for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+    for n in _NGRAM_LENGTHS:
         grams.extend(folded[i : i + n] for i in range(len(folded) - n + 1))
     if not grams:
         grams = [folded]  # text shorter than the smallest n-gram
@@ -121,7 +118,7 @@ def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[
     chunks = [texts[i : i + _HTTP_BATCH] for i in range(0, len(texts), _HTTP_BATCH)]
     if len(chunks) <= 1:
         return _http_embed_batch(texts, cfg) if texts else []
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+    with ThreadPoolExecutor(max_workers=_MAX_IN_FLIGHT) as pool:
         results = list(pool.map(lambda chunk: _http_embed_batch(chunk, cfg), chunks))
     return [emb for chunk in results for emb in chunk]
 

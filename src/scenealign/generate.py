@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_open
 from .errors import ConfigError, MissingAnswer, RemoteError
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
@@ -132,39 +131,21 @@ def render_positive_cot_prompt(sg_pos: SceneGraph, inst: Instance) -> str:
     )
 
 
-def render_negative_cot_prompt(sg_neg: SceneGraph, inst: Instance, *, graph_json: str | None = None) -> str:
+def render_negative_cot_prompt(sg_neg: SceneGraph, inst: Instance) -> str:
     """Reasoning prompt with graph and question only.
 
     The gold answer and the image are structurally absent: the template has
     no slot for either, and that absence is asserted on every render.
     """
-    graph = graph_json if graph_json is not None else serialize_scene_graph(sg_neg)
     prompt = (
         f"{_NEGATIVE_HEADER}\n{_FORMAT_EXAMPLE}\n"
-        f"Scene Graph: {graph}\n\n"
+        f"Scene Graph: {serialize_scene_graph(sg_neg)}\n\n"
         f"Question: {inst.question}\n\n"
         f"Step-by-step reasoning:"
     )
     # the question line must end the instance content; nothing may follow it
     assert f"Question: {inst.question}\n\nStep-by-step reasoning:" in prompt
     return prompt
-
-
-def serialize_with_duplicates(graph: SceneGraph, elements: tuple) -> str:
-    """Graph JSON with the given elements listed twice, for prompt emphasis.
-
-    Used by the overthink variant whose addition the remainder absorbed; the
-    output is prompt text only and deliberately not a valid element set.
-    """
-    obj = json.loads(serialize_scene_graph(graph))
-    for element in elements:
-        if isinstance(element, str):
-            obj["entity"].append(element)
-        elif len(element) == 2:
-            obj["attribute pairs"].append(list(element))
-        else:
-            obj["relationships"].append(list(element))
-    return json.dumps(obj, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +223,8 @@ def _chat_completion(prompt: str, cfg: GeneratorConfig, attachment: str | None) 
     if content is None:
         content = _chat_request(prompt, cfg, attachment)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # a private temp name per writer, then an atomic rename: readers never see a torn entry
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps({"content": content}, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        with atomic_open(path) as fh:
+            fh.write(json.dumps({"content": content}, ensure_ascii=False))
     return content
 
 

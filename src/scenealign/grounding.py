@@ -20,27 +20,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class MatchConfig:
-    """Controls how graph elements are matched against rationale text.
-
-    ``attribute_window`` is ``"step"`` (value must appear in a segment where
-    the owning entity matched) or ``"any"`` (value may appear anywhere).  With
-    ``relation_requires_predicate`` off, a relation whose endpoints are both
-    kept survives if its predicate matches anywhere or its endpoints co-occur
-    in one segment.
-    """
-
-    case_fold: bool = True
-    token_boundary: bool = True
-    relation_requires_predicate: bool = False
-    attribute_window: str = "step"
-
-    def __post_init__(self):
-        if self.attribute_window not in ("step", "any"):
-            raise ValueError(f"unknown attribute_window {self.attribute_window!r}")
-
-
-@dataclass(frozen=True)
 class GroundingEvidence:
     """Which rationale segment matched one element of the parent graph."""
 
@@ -98,17 +77,14 @@ def _ordered_unique(items) -> tuple:
     return tuple(out)
 
 
-def _phrase_pattern(phrase: str, cfg: MatchConfig) -> re.Pattern:
-    # whitespace-insensitive within the phrase; optional word-boundary guards
+def _phrase_pattern(phrase: str) -> re.Pattern:
+    # case-insensitive whole tokens, whitespace-insensitive within the phrase
     body = r"\s+".join(re.escape(tok) for tok in phrase.split())
-    if cfg.token_boundary:
-        body = rf"(?<!\w){body}(?!\w)"
-    flags = re.IGNORECASE if cfg.case_fold else 0
-    return re.compile(body, flags)
+    return re.compile(rf"(?<!\w){body}(?!\w)", re.IGNORECASE)
 
 
-def _first_match_per_segment(phrase: str, segments: tuple[str, ...], cfg: MatchConfig) -> dict[int, tuple[int, int]]:
-    pattern = _phrase_pattern(phrase, cfg)
+def _first_match_per_segment(phrase: str, segments: tuple[str, ...]) -> dict[int, tuple[int, int]]:
+    pattern = _phrase_pattern(phrase)
     hits: dict[int, tuple[int, int]] = {}
     for idx, segment in enumerate(segments):
         m = pattern.search(segment)
@@ -117,24 +93,21 @@ def _first_match_per_segment(phrase: str, segments: tuple[str, ...], cfg: MatchC
     return hits
 
 
-def extract_grounded_subgraph(
-    sg_pos: SceneGraph,
-    rationale: Rationale,
-    cfg: MatchConfig = MatchConfig(),
-) -> GroundedSubgraph:
+def extract_grounded_subgraph(sg_pos: SceneGraph, rationale: Rationale) -> GroundedSubgraph:
     """Select the elements of ``sg_pos`` the rationale lexically mentions.
 
-    Entities are kept when their name matches any segment.  Attributes need a
-    kept entity plus a value match inside the configured window.  Relations
-    need both endpoints kept plus predicate or co-occurrence evidence.  The
-    result preserves the parent's element order.  Raises :class:`EmptyMatch`
-    when not a single entity matches.
+    Matching is case-insensitive and on whole tokens only.  Entities are kept
+    when their name matches any segment.  Attributes need a kept entity plus
+    a value match in a segment where that entity matched.  Relations need
+    both endpoints kept plus a predicate match anywhere, or both endpoints
+    matching in one segment.  The result preserves the parent's element
+    order.  Raises :class:`EmptyMatch` when not a single entity matches.
     """
     segments = rationale.segments()
 
     entity_hits: dict[str, dict[int, tuple[int, int]]] = {}
     for name in sg_pos.entities:
-        hits = _first_match_per_segment(name, segments, cfg)
+        hits = _first_match_per_segment(name, segments)
         if hits:
             entity_hits[name] = hits
     if not entity_hits:
@@ -152,9 +125,8 @@ def extract_grounded_subgraph(
         hits = entity_hits.get(entity)
         if not hits:
             continue
-        window = sorted(hits) if cfg.attribute_window == "step" else range(len(segments))
-        pattern = _phrase_pattern(value, cfg)
-        for step in window:
+        pattern = _phrase_pattern(value)
+        for step in sorted(hits):
             m = pattern.search(segments[step])
             if m:
                 kept_attrs.append((entity, value))
@@ -168,7 +140,7 @@ def extract_grounded_subgraph(
         if not s_hits or not o_hits:
             continue
         pred_hit = None
-        pattern = _phrase_pattern(pred, cfg)
+        pattern = _phrase_pattern(pred)
         for step in range(len(segments)):
             m = pattern.search(segments[step])
             if m:
@@ -178,23 +150,15 @@ def extract_grounded_subgraph(
             kept_rels.append((subj, pred, obj))
             evidence.append(GroundingEvidence(ElementRef(ElementKind.RELATION, idx), *pred_hit))
             continue
-        if cfg.relation_requires_predicate:
-            continue
         shared = sorted(set(s_hits) & set(o_hits))
         if shared:
             step = shared[0]
             kept_rels.append((subj, pred, obj))
             evidence.append(GroundingEvidence(ElementRef(ElementKind.RELATION, idx), step, s_hits[step]))
 
-    # closure: an entity demanded by a kept attribute/relation stays kept even
-    # if its own name never matched (cannot occur under the default config)
-    needed = set(entity_hits)
-    for entity, _ in kept_attrs:
-        needed.add(entity)
-    for subj, _, obj in kept_rels:
-        needed.add(subj)
-        needed.add(obj)
-    kept_entities = tuple(e for e in sg_pos.entities if e in needed)
+    # every kept attribute and relation has matched endpoints, so the kept
+    # entities are exactly the matched ones
+    kept_entities = tuple(e for e in sg_pos.entities if e in entity_hits)
 
     graph = SceneGraph.from_parts(kept_entities, kept_attrs, kept_rels)
     return GroundedSubgraph(graph, tuple(evidence))

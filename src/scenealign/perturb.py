@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedKind,
     WouldEmpty,
 )
-from .grounding import GroundedSubgraph, ResidualPool
+from .grounding import ResidualPool
 from .scene_graph import ElementKind, ElementRef, SceneGraph, referenced_entities
 
 logger = logging.getLogger(__name__)
@@ -67,11 +67,6 @@ class EditTrace:
     ops: tuple[PerturbationOp, ...]
     seed: int
 
-    @property
-    def predicate_only(self) -> bool:
-        """True when every edit was a predicate replacement (overlap-invisible)."""
-        return bool(self.ops) and all(op.kind == "predicate" for op in self.ops)
-
     def to_dict(self) -> dict:
         return {"seed": self.seed, "ops": [op.to_dict() for op in self.ops]}
 
@@ -93,7 +88,6 @@ class NegativeCandidate:
     jaccard: float | None = None
     rationale: object = None  # Rationale, filled by the generation stage
     embedding: object = None  # Embedding, filled by the selection stage
-    duplicated: tuple = ()  # pool elements to duplicate in the prompt only
 
     @property
     def operator(self) -> str:
@@ -108,10 +102,6 @@ def to_jsonable(value):
 def from_jsonable(value):
     """Inverse of :func:`to_jsonable`."""
     return tuple(value) if isinstance(value, list) else value
-
-
-def _subgraph(sg: Union[GroundedSubgraph, SceneGraph]) -> SceneGraph:
-    return sg.graph if isinstance(sg, GroundedSubgraph) else sg
 
 
 def _check_ref(sg: SceneGraph, ref: ElementRef) -> None:
@@ -149,9 +139,9 @@ def _swap(sg: SceneGraph, rel_index: int) -> tuple[SceneGraph, PerturbationOp]:
     return out, PerturbationOp("swap", "relation", (subj, pred, obj), swapped)
 
 
-def swap(sg_c: Union[GroundedSubgraph, SceneGraph], rel_index: int) -> SceneGraph:
+def swap(sg: SceneGraph, rel_index: int) -> SceneGraph:
     """Exchange subject and object of the relation at ``rel_index``."""
-    return _swap(_subgraph(sg_c), rel_index)[0]
+    return _swap(sg, rel_index)[0]
 
 
 def _swap_indices(sg: SceneGraph) -> list[int]:
@@ -229,7 +219,7 @@ def _replace_predicate(
 
 
 def replace(
-    sg_c: Union[GroundedSubgraph, SceneGraph],
+    sg: SceneGraph,
     target: ElementRef,
     pool: ResidualPool,
     rng: random.Random | None = None,
@@ -242,7 +232,6 @@ def replace(
     replacement swaps the value; relation targets get a new predicate drawn
     from residual relations.  ``replacement`` pins the payload (no sampling).
     """
-    sg = _subgraph(sg_c)
     _check_ref(sg, target)
     rng = rng if rng is not None else random.Random(0)
     if target.kind is ElementKind.ENTITY:
@@ -300,9 +289,9 @@ def _shorten(sg: SceneGraph, ref: ElementRef) -> tuple[SceneGraph, PerturbationO
     )
 
 
-def shorten(sg_c: Union[GroundedSubgraph, SceneGraph], target: ElementRef) -> SceneGraph:
+def shorten(sg: SceneGraph, target: ElementRef) -> SceneGraph:
     """Remove one element; removing an entity cascades to everything incident."""
-    return _shorten(_subgraph(sg_c), target)[0]
+    return _shorten(sg, target)[0]
 
 
 def _shorten_refs(sg: SceneGraph) -> list[ElementRef]:
@@ -375,7 +364,7 @@ def _overthink(
 
 
 def overthink(
-    sg_c: Union[GroundedSubgraph, SceneGraph],
+    sg: SceneGraph,
     pool: ResidualPool,
     rng: random.Random | None = None,
     *,
@@ -383,7 +372,7 @@ def overthink(
 ) -> SceneGraph:
     """Add one residual-pool element, pulling in any entities it requires."""
     rng = rng if rng is not None else random.Random(0)
-    return _overthink(_subgraph(sg_c), pool, rng, element)[0]
+    return _overthink(sg, pool, rng, element)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +412,7 @@ def _ordered_union(first: Sequence, second: Sequence) -> tuple:
 
 
 def apply_operator(
-    sg_c: Union[GroundedSubgraph, SceneGraph],
+    sg: SceneGraph,
     pool: ResidualPool,
     tag: str,
     *,
@@ -434,7 +423,6 @@ def apply_operator(
     rng: random.Random | None = None,
 ) -> tuple[SceneGraph, PerturbationOp]:
     """Apply one named operator, sampling any targeting left unspecified."""
-    sg = _subgraph(sg_c)
     rng = rng if rng is not None else random.Random(0)
     if tag == "swap":
         if index is None:
@@ -490,28 +478,14 @@ def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     return tags
 
 
-def _attempt_candidate(
-    sg_c: SceneGraph,
-    pool: ResidualPool,
-    lo: int,
-    hi: int,
-    rng: random.Random,
-    forced_tag: str | None,
-):
-    graph = sg_c
+def _attempt_candidate(graph: SceneGraph, pool: ResidualPool, lo: int, hi: int, rng: random.Random):
     ops: list[PerturbationOp] = []
     for _ in range(rng.randint(lo, hi)):
         tags = _applicable_tags(graph, pool)
-        if forced_tag is not None:
-            if forced_tag not in tags:
-                return None
-            tag = forced_tag
-        elif tags:
-            tag = rng.choice(tags)
-        else:
+        if not tags:
             return None
         try:
-            graph, op = apply_operator(graph, pool, tag, rng=rng)
+            graph, op = apply_operator(graph, pool, rng.choice(tags), rng=rng)
         except (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty):
             return None
         ops.append(op)
@@ -520,37 +494,26 @@ def _attempt_candidate(
 
 def generate_negatives(
     sg_pos: SceneGraph,
-    sg_c: Union[GroundedSubgraph, SceneGraph],
+    sg_c: SceneGraph,
     pool: ResidualPool,
     k: int = 8,
     edit_range: tuple[int, int] = (1, 3),
     rng: random.Random | int = 0,
-    *,
-    op_cycle: Sequence[str] | None = None,
-    keep_absorbed_overthink: bool = False,
 ) -> list[NegativeCandidate]:
     """Sample up to ``k`` distinct recomposed negatives from the subgraph.
 
     Each candidate applies between ``edit_range[0]`` and ``edit_range[1]``
     edits, choosing uniformly among the operators applicable at each step,
     then reattaches the residual remainder.  Candidates equal to the positive
-    graph or to an earlier candidate are rejected and resampled; after
-    ``k * 32`` attempts the survivors are returned with a shortfall warning.
-
-    ``op_cycle`` forces candidate ``i`` to use tag ``op_cycle[i % len]`` for
-    all of its edits.  ``keep_absorbed_overthink`` keeps pure-overthink
-    candidates whose addition the remainder absorbs (graph equals the
-    positive); the added elements are recorded for prompt-side duplication.
+    graph or to an earlier candidate are rejected and resampled, so an
+    addition the remainder absorbs never survives; after ``k * 32`` attempts
+    the survivors are returned with a shortfall warning.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     lo, hi = edit_range
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid edit range {edit_range!r}")
-    if op_cycle is not None:
-        unknown = [t for t in op_cycle if t not in OPERATOR_TAGS]
-        if unknown:
-            raise ValueError(f"unknown operator tag(s) {unknown}")
 
     if isinstance(rng, int):
         seed = rng
@@ -558,42 +521,25 @@ def generate_negatives(
     else:
         seed = -1  # unknown; caller supplied a live generator
 
-    graph_c = _subgraph(sg_c)
-    if not _applicable_tags(graph_c, pool):
+    if not _applicable_tags(sg_c, pool):
         raise NoApplicableOperator("no operator applies to this subgraph/pool")
 
-    pos_sig = sg_pos.signature()
-    seen: set = {(pos_sig, frozenset())}
+    seen = {sg_pos.signature()}
     out: list[NegativeCandidate] = []
     max_attempts = k * _ATTEMPTS_PER_CANDIDATE
     attempts = 0
     while len(out) < k and attempts < max_attempts:
         attempts += 1
-        forced = op_cycle[len(out) % len(op_cycle)] if op_cycle else None
-        result = _attempt_candidate(graph_c, pool, lo, hi, rng, forced)
+        result = _attempt_candidate(sg_c, pool, lo, hi, rng)
         if result is None:
             continue
         edited, ops = result
         recomposed = recompose(edited, pool)
         sig = recomposed.signature()
-        duplicated: tuple = ()
-        if sig == pos_sig:
-            # the remainder absorbed the edits; only pure overthink sequences
-            # may survive, and only when prompt-side duplication is enabled
-            if not (keep_absorbed_overthink and ops and all(op.tag == "overthink" for op in ops)):
-                continue
-            duplicated = tuple(op.payload for op in ops)
-        key = (sig, frozenset(duplicated))
-        if key in seen:
+        if sig in seen:
             continue
-        seen.add(key)
-        out.append(
-            NegativeCandidate(
-                graph=recomposed,
-                trace=EditTrace(ops, seed),
-                duplicated=duplicated,
-            )
-        )
+        seen.add(sig)
+        out.append(NegativeCandidate(graph=recomposed, trace=EditTrace(ops, seed)))
     if len(out) < k:
         logger.warning("generated %d/%d distinct negatives after %d attempts", len(out), k, attempts)
     return out

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .atomic import atomic_open
 from .dpo import PreferenceRecord, build_preference_records, export_jsonl
 from .embed import EmbedConfig, embed_texts
 from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError
@@ -29,22 +30,17 @@ from .generate import (
     generate_scene_graph_json,
     render_negative_cot_prompt,
     render_positive_cot_prompt,
-    serialize_with_duplicates,
 )
-from .grounding import (
-    GroundedSubgraph,
-    MatchConfig,
-    ResidualPool,
-    extract_grounded_subgraph,
-    residual_pool,
-)
-from .perturb import EditTrace, NegativeCandidate, from_jsonable, generate_negatives, to_jsonable
+from .grounding import GroundedSubgraph, ResidualPool, extract_grounded_subgraph, residual_pool
+from .perturb import EditTrace, NegativeCandidate, generate_negatives
 from .rationale import Rationale
 from .scene_graph import (
     ATTRIBUTE_KEY,
     ENTITY_KEY,
     RELATION_KEY,
     SceneGraph,
+    _clean_names,
+    _clean_rows,
     parse_scene_graph,
 )
 from .selection import SelectionConfig, filter_with_shortfall, select_diverse
@@ -63,13 +59,11 @@ class PipelineConfig:
     seed: int = 0
     candidates: int = 8
     edit_range: tuple[int, int] = (1, 3)
-    match: MatchConfig = field(default_factory=MatchConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     workers: int = 0  # 0 means one per logical CPU
     strict: bool = False
-    keep_absorbed_overthink: bool = False
 
     def validate(self) -> None:
         paths = [self.input_path, self.output_path]
@@ -112,44 +106,59 @@ def graph_from_obj(obj: dict) -> SceneGraph:
 
 
 def pool_from_obj(obj: dict) -> ResidualPool:
-    """Decode a pool; a missing element set is empty."""
+    """Decode a pool whose rows follow the graph schema; a missing set is empty."""
     return ResidualPool(
-        entities=tuple(obj.get(ENTITY_KEY, [])),
-        attributes=tuple(tuple(a) for a in obj.get(ATTRIBUTE_KEY, [])),
-        relations=tuple(tuple(r) for r in obj.get(RELATION_KEY, [])),
+        entities=tuple(_clean_names(obj.get(ENTITY_KEY, []), ENTITY_KEY, strict=False)),
+        attributes=tuple(_clean_rows(obj.get(ATTRIBUTE_KEY, []), 2, ATTRIBUTE_KEY, strict=False)),
+        relations=tuple(_clean_rows(obj.get(RELATION_KEY, []), 3, RELATION_KEY, strict=False)),
     )
 
 
 def _instance_from_obj(obj: dict) -> Instance:
-    return Instance(
+    inst = Instance(
         id=obj["id"],
         image_ref=obj.get("image", "") or "",
         question=obj["question"],
         answer=obj.get("answer"),
     )
+    fields = (inst.id, inst.image_ref, inst.question, "" if inst.answer is None else inst.answer)
+    if not all(isinstance(value, str) for value in fields):
+        raise CorpusError(None, f"instance {inst.id!r}: 'id', 'image', 'question' and 'answer' must be strings")
+    return inst
 
 
 def _candidate_to_obj(cand: NegativeCandidate, *, with_selection: bool = False) -> dict:
     out: dict = {"graph": graph_to_obj(cand.graph), "trace": cand.trace.to_dict()}
-    if cand.duplicated:
-        out["duplicated"] = [to_jsonable(e) for e in cand.duplicated]
     if with_selection:
         out["jaccard"] = cand.jaccard
         out["rationale"] = cand.rationale.raw_text
     return out
 
 
+def _decoded(item: dict, key: str, decode):
+    """``decode(item[key])``; a missing key stays a ``KeyError`` for the caller.
+
+    Decoders only turn JSON values into typed objects, so any of these
+    exceptions from one means the value has the wrong shape: a CorpusError.
+    """
+    value = item[key]
+    try:
+        return decode(value)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, SceneAlignError) as exc:
+        raise CorpusError(None, f"instance {item.get('id')!r}: malformed {key!r}: {exc}") from exc
+
+
 def _candidate_from_obj(obj: dict) -> NegativeCandidate:
-    cand = NegativeCandidate(
-        graph=graph_from_obj(obj["graph"]),
-        trace=EditTrace.from_dict(obj["trace"]),
-        duplicated=tuple(from_jsonable(e) for e in obj.get("duplicated", [])),
-    )
+    cand = NegativeCandidate(graph=graph_from_obj(obj["graph"]), trace=EditTrace.from_dict(obj["trace"]))
     if "jaccard" in obj:
         cand.jaccard = obj["jaccard"]
     if "rationale" in obj:
         cand.rationale = Rationale.parse(obj["rationale"])
     return cand
+
+
+def _candidates_from_obj(objs: list) -> list[NegativeCandidate]:
+    return [_candidate_from_obj(obj) for obj in objs]
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +288,13 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
 def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     """Generate the positive rationale and split the graph against it."""
     inst = _instance_from_obj(item)
-    sg_pos = graph_from_obj(item["scene_graph"])
+    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
     prompt = render_positive_cot_prompt(sg_pos, inst)  # raises MissingAnswer without an answer
     tau_pos = generate_rationale(
         prompt, cfg.generator, attachment=inst.image_ref or None, graph=sg_pos, answer=inst.answer.strip()
     )
     try:
-        grounded = extract_grounded_subgraph(sg_pos, tau_pos, cfg.match)
+        grounded = extract_grounded_subgraph(sg_pos, tau_pos)
     except EmptyMatch:
         logger.warning("instance %r: rationale matched nothing; grounding to the full graph", inst.id)
         grounded = GroundedSubgraph(sg_pos)
@@ -299,18 +308,12 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
 
 def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
     """Sample negative candidates with the instance-specific seed."""
-    sg_pos = graph_from_obj(item["scene_graph"])
-    grounded = graph_from_obj(item["grounded"])
-    pool = pool_from_obj(item["pool"])
+    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
+    grounded = _decoded(item, "grounded", graph_from_obj)
+    pool = _decoded(item, "pool", pool_from_obj)
     seed = instance_seed(cfg.seed, item["id"])
     candidates = generate_negatives(
-        sg_pos,
-        grounded,
-        pool,
-        k=cfg.candidates,
-        edit_range=cfg.edit_range,
-        rng=seed,
-        keep_absorbed_overthink=cfg.keep_absorbed_overthink,
+        sg_pos, grounded, pool, k=cfg.candidates, edit_range=cfg.edit_range, rng=seed
     )
     out = dict(item)
     out["candidates"] = [_candidate_to_obj(c) for c in candidates]
@@ -323,8 +326,7 @@ def _fill_rationales(
     # negative prompts carry neither the gold answer nor an image attachment
     kept = []
     for cand in candidates:
-        graph_json = serialize_with_duplicates(cand.graph, cand.duplicated) if cand.duplicated else None
-        prompt = render_negative_cot_prompt(cand.graph, inst, graph_json=graph_json)
+        prompt = render_negative_cot_prompt(cand.graph, inst)
         try:
             cand.rationale = generate_rationale(prompt, cfg.generator, attachment=None, graph=cand.graph)
         except SceneAlignError as exc:
@@ -337,8 +339,8 @@ def _fill_rationales(
 def stage_select(item: dict, cfg: PipelineConfig) -> dict:
     """Band-filter candidates, generate their rationales, pick a diverse subset."""
     inst = _instance_from_obj(item)
-    sg_pos = graph_from_obj(item["scene_graph"])
-    candidates = [_candidate_from_obj(o) for o in item["candidates"]]
+    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
+    candidates = _decoded(item, "candidates", _candidates_from_obj)
 
     kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, sg_pos, cfg.selection)
     in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
@@ -347,7 +349,7 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
         embeddings = embed_texts([c.rationale.raw_text for c in in_band], cfg.embed)
         for cand, emb in zip(in_band, embeddings):
             cand.embedding = emb
-        chosen = select_diverse(embeddings, cfg.selection.m, cfg.selection)
+        chosen = select_diverse(embeddings, cfg.selection.m)
         selected = [in_band[i] for i in chosen]
     else:
         selected = []
@@ -370,9 +372,9 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
 def stage_build(item: dict) -> list[PreferenceRecord]:
     """Turn one selected work item into preference records."""
     inst = _instance_from_obj(item)
-    sg_pos = graph_from_obj(item["scene_graph"])
-    tau_pos = Rationale.parse(item["positive_rationale"])
-    negatives = [_candidate_from_obj(o) for o in item["selected"]]
+    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
+    tau_pos = _decoded(item, "positive_rationale", Rationale.parse)
+    negatives = _decoded(item, "selected", _candidates_from_obj)
     return build_preference_records(inst, sg_pos, tau_pos, negatives)
 
 
@@ -406,7 +408,8 @@ class RunReport:
         return asdict(self)
 
     def save(self, path: str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _process_item(item: dict, cfg: PipelineConfig) -> InstanceOutcome:

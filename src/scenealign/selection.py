@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 # symmetric widening applied per relaxation step when the band starves
 _RELAX_STEP = 0.05
 
+# largest input solved exactly by subset enumeration; above it, greedy
+_EXACT_THRESHOLD = 15
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -32,9 +35,7 @@ class SelectionConfig:
     gamma_lower: float = 0.3
     gamma_upper: float = 0.7
     m: int = 3
-    exact_threshold: int = 15
     on_shortfall: str = "emit-fewer"  # or "relax-bounds"
-    keep_predicate_only: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.gamma_lower <= self.gamma_upper <= 1.0:
@@ -43,8 +44,6 @@ class SelectionConfig:
             )
         if self.m < 1:
             raise ConfigError("m must be at least 1")
-        if self.exact_threshold < 1:
-            raise ConfigError("exact_threshold must be at least 1")
         if self.on_shortfall not in ("emit-fewer", "relax-bounds"):
             raise ConfigError(f"unknown shortfall policy {self.on_shortfall!r}")
 
@@ -64,8 +63,9 @@ def filter_by_overlap(
 
     Comparisons run on the exact rational Jaccard value, so boundary hits are
     retained without floating-point drift.  Also annotates each candidate's
-    ``jaccard`` field.  Predicate-only candidates sit at J = 1.0 and are kept
-    regardless of the upper bound when ``keep_predicate_only`` is set.
+    ``jaccard`` field.  A predicate replacement leaves the element universe
+    unchanged, so a candidate whose only edits are predicate replacements
+    sits at J = 1 and is always dropped by any upper bound below 1.
     """
     lo = _band_fraction(cfg.gamma_lower)
     hi = _band_fraction(cfg.gamma_upper)
@@ -73,9 +73,7 @@ def filter_by_overlap(
     for idx, cand in enumerate(candidates):
         value = jaccard_fraction(cand.graph, sg_pos)
         cand.jaccard = float(value)
-        if cfg.keep_predicate_only and cand.trace.predicate_only:
-            kept.append(idx)
-        elif lo <= value <= hi:
+        if lo <= value <= hi:
             kept.append(idx)
     return kept
 
@@ -156,14 +154,10 @@ def _greedy_max_min(dist, n: int, m: int) -> list[int]:
     return sorted(selected)
 
 
-def select_diverse(
-    embeddings: Sequence[Embedding],
-    m: int,
-    cfg: SelectionConfig = SelectionConfig(),
-) -> list[int]:
+def select_diverse(embeddings: Sequence[Embedding], m: int) -> list[int]:
     """Pick ``m`` indices maximizing the minimal pairwise distance.
 
-    Small inputs (up to ``cfg.exact_threshold``) are solved exactly by subset
+    Small inputs (up to 15 points) are solved exactly by subset
     enumeration with lexicographic tie-breaking; larger inputs fall back to
     greedy farthest-point insertion seeded with the farthest pair.  Indices
     come back in ascending order.
@@ -177,6 +171,6 @@ def select_diverse(
         # every singleton has an empty pairwise set; lexicographic tie-break
         return [0]
     dist = distance_matrix(embeddings)
-    if n <= cfg.exact_threshold:
+    if n <= _EXACT_THRESHOLD:
         return _exact_max_min(dist, n, m)
     return _greedy_max_min(dist, n, m)

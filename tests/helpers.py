@@ -14,11 +14,19 @@ import math
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
 from scenealign.scene_graph import SceneGraph
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden(name: str) -> str:
+    """Text of a golden file under ``tests/golden``."""
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 NOUNS = [
     "man", "woman", "child", "dog", "cat", "bird", "tree", "bench", "car",

@@ -55,7 +55,7 @@ from scenealign.scene_graph import (
     jaccard_overlap,
 )
 from scenealign.selection import filter_by_overlap, select_diverse
-from tests.test_generate import _golden
+from tests.helpers import _golden
 
 from .helpers import (
     brute_force_max_min,

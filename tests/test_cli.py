@@ -177,6 +177,46 @@ class TestStagedWrongInput:
         assert main(argv + ["--strict"]) == 2
         assert "'grounded'" in capsys.readouterr().err
 
+    _GRAPH = {"entity": ["man"], "attribute pairs": [], "relationships": []}
+    WRONG_TYPES = [
+        ("perturb", [1, 2], "line 1"),
+        ("perturb", {"id": "a", "scene_graph": 5, "grounded": {}, "pool": {}}, "'scene_graph'"),
+        (
+            "perturb",
+            {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity=3), "pool": {}},
+            "'grounded'",
+        ),
+        (
+            "build",
+            {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH,
+             "positive_rationale": 7, "selected": []},
+            "'positive_rationale'",
+        ),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": [1]}}, "'pool'"),
+        ("ground", {"id": "a", "question": "Who?", "answer": 5, "scene_graph": _GRAPH}, "'answer'"),
+    ]
+    WRONG_TYPE_IDS = [
+        "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer"
+    ]
+
+    @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_value_of_the_wrong_type_is_skipped(self, tmp_path, caplog, command, line, names):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_corpus(src, [line])
+        assert main([command, "--input", str(src), "--output", str(out)]) == 0
+        assert names in caplog.text
+        assert out.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_value_of_the_wrong_type_under_strict_is_a_corpus_error(self, tmp_path, capsys, command, line, names):
+        src = tmp_path / "in.jsonl"
+        _write_corpus(src, [line])
+        argv = [command, "--input", str(src), "--output", str(tmp_path / "out.jsonl"), "--strict"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "corpus error: corpus line 1:" in err
+        assert names in err
+
 
 class TestPerturbSingleOp:
     def _graph(self, capsys):

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from scenealign import dpo
 from scenealign.dpo import (
     DpoConfig,
     PreferenceRecord,
@@ -113,24 +114,6 @@ class TestRecordBuilding:
         assert records[0].id == "case-1#1"
         assert any("equals the positive" in rec.message for rec in caplog.records)
 
-    def test_duplicated_elements_recorded_in_meta(
-        self, case_instance, case_graph, case_subgraph, case_pool, case_rationale
-    ):
-        negatives = generate_negatives(
-            case_graph,
-            case_subgraph,
-            case_pool,
-            k=1,
-            edit_range=(1, 1),
-            rng=0,
-            op_cycle=["overthink"],
-            keep_absorbed_overthink=True,
-        )
-        negatives[0].rationale = Rationale.from_steps(["Repeated detail."], "Wrong.")
-        records = build_preference_records(case_instance, case_graph, case_rationale, negatives)
-        assert "duplicated" in records[0].meta
-        assert records[0].meta["duplicated"]
-
 
 class TestJsonl:
     def test_line_shape(self):
@@ -165,6 +148,24 @@ class TestJsonl:
         export_jsonl(records, buf)
         buf.seek(0)
         assert import_jsonl(buf) == records
+
+    def test_failed_export_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        path.write_text("earlier dataset\n", encoding="utf-8")
+        records = [_record(f"r{i}") for i in range(3)]
+        calls = []
+
+        def failing(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise RuntimeError("disk full")
+            return record_to_json(record)
+
+        monkeypatch.setattr(dpo, "record_to_json", failing)
+        with pytest.raises(RuntimeError):
+            export_jsonl(records, path)
+        assert path.read_bytes() == b"earlier dataset\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     def test_blank_lines_ignored_on_import(self, tmp_path):
         path = tmp_path / "pairs.jsonl"

@@ -27,12 +27,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EmbedConfig(dimension=1)
 
-    def test_bad_ngram_range(self):
-        with pytest.raises(ConfigError):
-            EmbedConfig(ngram_min=4, ngram_max=3)
-        with pytest.raises(ConfigError):
-            EmbedConfig(ngram_min=0)
-
     def test_http_requires_endpoint(self):
         with pytest.raises(ConfigError):
             EmbedConfig(provider="http")

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,16 +12,11 @@ from scenealign.generate import (
     render_negative_cot_prompt,
     render_positive_cot_prompt,
     render_scene_graph_prompt,
-    serialize_with_duplicates,
 )
 from scenealign.perturb import recompose, swap
 from scenealign.scene_graph import parse_scene_graph, serialize_scene_graph
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def _golden(name: str) -> str:
-    return (GOLDEN / name).read_text(encoding="utf-8")
+from .helpers import _golden
 
 
 class TestPromptRendering:
@@ -66,18 +60,6 @@ class TestPromptRendering:
             render_positive_cot_prompt(case_graph, inst)
         # the negative prompt never needs one
         render_negative_cot_prompt(case_graph, inst)
-
-    def test_graph_json_override(self, case_graph, case_instance):
-        rendered = render_negative_cot_prompt(
-            case_graph, case_instance, graph_json='{"entity": []}'
-        )
-        assert 'Scene Graph: {"entity": []}' in rendered
-
-    def test_duplicated_elements_serialization(self, case_subgraph):
-        text = serialize_with_duplicates(case_subgraph, (("motorcycle", "silver"), "paper"))
-        obj = json.loads(text)
-        assert obj["attribute pairs"].count(["motorcycle", "silver"]) == 2
-        assert obj["entity"].count("paper") == 2
 
 
 class TestTemplateGenerator:

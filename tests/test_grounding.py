@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from scenealign.errors import EmptyMatch, NotASubgraph
-from scenealign.grounding import (
-    GroundedSubgraph,
-    MatchConfig,
-    extract_grounded_subgraph,
-    residual_pool,
-)
+from scenealign.grounding import GroundedSubgraph, extract_grounded_subgraph, residual_pool
 from scenealign.rationale import Rationale
 from scenealign.scene_graph import ElementKind, SceneGraph
 
@@ -69,18 +64,10 @@ class TestMatchingRules:
         grounded = extract_grounded_subgraph(self.GRAPH, r)
         assert grounded.graph.entities == ("mango",)
 
-    def test_boundary_off_allows_substring_hits(self):
-        r = Rationale.from_steps(["The mango is ripe."], "A mango.")
-        cfg = MatchConfig(token_boundary=False)
-        grounded = extract_grounded_subgraph(self.GRAPH, r, cfg)
-        assert "man" in grounded.graph.entities
-
     def test_case_folding(self):
         r = Rationale.from_steps(["The CART is red."], "Done.")
         grounded = extract_grounded_subgraph(self.GRAPH, r)
         assert grounded.graph.attributes == (("cart", "red"),)
-        with pytest.raises(EmptyMatch):
-            extract_grounded_subgraph(self.GRAPH, r, MatchConfig(case_fold=False))
 
     def test_multiword_phrase_tolerates_whitespace(self):
         g = SceneGraph.from_parts(["man", "bike"], [], [["man", "look at", "bike"]])
@@ -94,12 +81,6 @@ class TestMatchingRules:
         grounded = extract_grounded_subgraph(self.GRAPH, r)
         assert ("mango", "ripe") not in grounded.graph.attributes
 
-    def test_attribute_window_any_relaxes_step_rule(self):
-        r = Rationale.from_steps(["The man is here.", "Everything looks ripe."], "The mango.")
-        cfg = MatchConfig(attribute_window="any")
-        grounded = extract_grounded_subgraph(self.GRAPH, r, cfg)
-        assert ("mango", "ripe") in grounded.graph.attributes
-
     def test_relation_kept_by_predicate_match(self):
         r = Rationale.from_steps(["The man is busy.", "He would push the red cart."], "OK.")
         grounded = extract_grounded_subgraph(self.GRAPH, r)
@@ -109,12 +90,6 @@ class TestMatchingRules:
         r = Rationale.from_steps(["The man stands by the cart."], "OK.")
         grounded = extract_grounded_subgraph(self.GRAPH, r)
         assert ("man", "push", "cart") in grounded.graph.relations
-
-    def test_relation_requires_predicate_mode(self):
-        r = Rationale.from_steps(["The man stands by the cart."], "OK.")
-        cfg = MatchConfig(relation_requires_predicate=True)
-        grounded = extract_grounded_subgraph(self.GRAPH, r, cfg)
-        assert grounded.graph.relations == ()
 
     def test_relation_dropped_when_endpoint_missing(self):
         r = Rationale.from_steps(["The man would push something."], "OK.")

@@ -382,40 +382,6 @@ class TestFullRun:
         if report.stage_counts["selected"] < 3:
             assert report.shortfall_instances == 1
 
-    def test_wide_band_passes_absorbed_overthink_duplicates(
-        self, tmp_path, case_corpus_line, case_rationale, mock_api
-    ):
-        # a paraphrase that grounds only part of the graph leaves a pool for
-        # overthink; single edits under a wide band then surface absorbed
-        # additions as prompt-side duplicates
-        def handler(payload):
-            content = payload["messages"][0]["content"]
-            prompt = content if isinstance(content, str) else content[0]["text"]
-            if "based on the image" in prompt:
-                return 200, {"choices": [{"message": {"content": case_rationale.raw_text}}]}
-            return 200, {"choices": [{"message": {"content": "1. Something is off.\nConclusion: wrong."}}]}
-
-        mock_api.handler = handler
-        cfg = _cfg(
-            tmp_path,
-            [case_corpus_line],
-            seed=7,
-            candidates=16,
-            edit_range=(1, 1),
-            keep_absorbed_overthink=True,
-            generator=GeneratorConfig(
-                kind="http-chat", endpoint=f"{mock_api.url}/chat", backoff_base=0.0
-            ),
-            selection=SelectionConfig(gamma_lower=0.0, gamma_upper=1.0, m=16),
-        )
-        report = run_pipeline(cfg)
-        assert report.records_written >= 1
-        records = import_jsonl(cfg.output_path)
-        duplicated = [r for r in records if "duplicated" in r.meta]
-        assert duplicated
-        for record in duplicated:
-            assert record.meta["operator"] == "overthink"
-
     def test_empty_corpus(self, tmp_path):
         inp = tmp_path / "empty.jsonl"
         inp.write_text("", encoding="utf-8")

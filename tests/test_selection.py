@@ -38,11 +38,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SelectionConfig(gamma_upper=1.5)
 
-    def test_m_and_threshold_positive(self):
+    def test_m_positive(self):
         with pytest.raises(ConfigError):
             SelectionConfig(m=0)
-        with pytest.raises(ConfigError):
-            SelectionConfig(exact_threshold=0)
 
     def test_unknown_shortfall_policy(self):
         with pytest.raises(ConfigError):
@@ -89,12 +87,11 @@ class TestBandFilter:
         kept = filter_by_overlap([outside, inside, outside, inside], positive)
         assert kept == [1, 3]
 
-    def test_predicate_only_candidates_bypass_band_when_kept(self, case_graph):
+    def test_predicate_only_candidates_are_dropped_by_the_band(self, case_graph):
         op = PerturbationOp("replace", "predicate", ("a", "on", "b"), ("a", "near", "b"))
         cand = _candidate(case_graph, op)  # same universe as positive: J = 1.0
         assert filter_by_overlap([cand], case_graph) == []
-        cfg = SelectionConfig(keep_predicate_only=True)
-        assert filter_by_overlap([cand], case_graph, cfg) == [0]
+        assert cand.jaccard == 1.0
 
     def test_empty_candidate_list(self, case_graph):
         assert filter_by_overlap([], case_graph) == []
@@ -196,7 +193,7 @@ class TestSelectDiverse:
         rng = random.Random(12)
         vectors = random_unit_vectors(rng, 18, 4)
         embs = self._embed(vectors)
-        got = select_diverse(embs, 3, SelectionConfig(exact_threshold=15))
+        got = select_diverse(embs, 3)
         assert len(got) == 3
         assert got == sorted(got)
 
@@ -204,12 +201,12 @@ class TestSelectDiverse:
         # classic 2-approximation bound for max-min dispersion
         rng = random.Random(77)
         for _ in range(50):
-            n = rng.randint(6, 10)
+            n = rng.randint(16, 19)  # above the exact-search threshold of 15
             m = rng.randint(2, 4)
             vectors = random_unit_vectors(rng, n, 3)
             matrix = naive_distance_matrix(vectors)
             embs = self._embed(vectors)
-            greedy = select_diverse(embs, m, SelectionConfig(exact_threshold=1))
+            greedy = select_diverse(embs, m)
             optimum = brute_force_max_min(matrix, m)
 
             def score(subset):
@@ -221,6 +218,6 @@ class TestSelectDiverse:
         rng = random.Random(31)
         vectors = random_unit_vectors(rng, 15, 4)
         embs = self._embed(vectors)
-        got = select_diverse(embs, 3, SelectionConfig(exact_threshold=15))
+        got = select_diverse(embs, 3)
         expected = brute_force_max_min(naive_distance_matrix(vectors), 3)
         assert tuple(got) == expected
