@@ -152,21 +152,13 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _read_jsonl(path: str) -> list[tuple[int, object]]:
-    """The non-blank lines of a JSONL file as (line number, value) pairs."""
+def _read_jsonl(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a JSONL file as (line number, text) pairs."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(None, f"cannot read {path}: {exc}") from exc
-    out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append((line_no, json.loads(line)))
-        except ValueError as exc:
-            raise CorpusError(line_no, f"invalid JSON: {exc}") from exc
-    return out
+    return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def _write_jsonl(path: str, objs: list[dict]) -> None:
@@ -175,10 +167,14 @@ def _write_jsonl(path: str, objs: list[dict]) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _map_stage(items: list[tuple[int, object]], fn, strict: bool) -> list:
+def _map_stage(lines: list[tuple[int, str]], fn, strict: bool) -> list:
     out = []
-    for line_no, item in items:
+    for line_no, line in lines:
         try:
+            try:
+                item = json.loads(line)
+            except ValueError as exc:  # a torn line: skipped like a bad corpus line
+                raise CorpusError(None, f"invalid JSON: {exc}") from exc
             if not isinstance(item, dict):
                 raise CorpusError(None, f"expected a work item object, got {type(item).__name__}")
             try:
@@ -220,10 +216,10 @@ def _cmd_parse(args) -> int:
 
 def _run_item_stage(args, stage, verb: str) -> int:
     cfg = _pipeline_config(args)
-    items = _read_jsonl(args.input)
-    out = _map_stage(items, lambda item: stage(item, cfg), args.strict)
+    lines = _read_jsonl(args.input)
+    out = _map_stage(lines, lambda item: stage(item, cfg), args.strict)
     _write_jsonl(args.output, out)
-    print(f"{verb} {len(out)}/{len(items)} instance(s) -> {args.output}")
+    print(f"{verb} {len(out)}/{len(lines)} instance(s) -> {args.output}")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,16 @@ logger = logging.getLogger(__name__)
 _HTTP_BATCH = 16
 _MAX_IN_FLIGHT = 4  # concurrent requests per batch on the http provider
 _NGRAM_LENGTHS = range(3, 6)  # character n-grams the offline provider hashes
+# grams each per-dimension slot table keeps; past it a gram is hashed every time
+_SLOT_TABLE_CAP = 1 << 16
+
+# dimension -> {gram: bucket << 1 | sign}, filled as grams are first seen.
+# Lookups take no lock: a dict get is atomic under the GIL, and two threads
+# that miss on one gram compute and store the same code.  Only a store takes
+# the lock, so that the size check and the insert cannot interleave and the
+# table never outgrows its cap; a store happens once per distinct gram.
+_slot_tables: dict[int, dict[str, int]] = {}
+_slot_store_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -64,22 +75,35 @@ def _stable_hash(data: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _new_slot_code(gram: str, dimension: int, table: dict[str, int]) -> int:
+    """Hash a gram the table lacks into ``bucket << 1 | sign``; store it below the cap."""
+    h = _stable_hash(gram)
+    code = ((h >> 1) % dimension) << 1 | (h & 1)
+    if len(table) < _SLOT_TABLE_CAP:
+        with _slot_store_lock:
+            if len(table) < _SLOT_TABLE_CAP:
+                table[gram] = code
+    return code
+
+
 def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
     folded = text.casefold()
-    grams: list[str] = []
-    for n in _NGRAM_LENGTHS:
-        grams.extend(folded[i : i + n] for i in range(len(folded) - n + 1))
+    grams = [folded[i : i + n] for n in _NGRAM_LENGTHS for i in range(len(folded) - n + 1)]
     if not grams:
         grams = [folded]  # text shorter than the smallest n-gram
-    vec = np.zeros(cfg.dimension, dtype=np.float64)
-    for gram in grams:
-        h = _stable_hash(gram)
-        bucket = (h >> 1) % cfg.dimension
-        vec[bucket] += 1.0 if h & 1 else -1.0
+    dim = cfg.dimension
+    table = _slot_tables.setdefault(dim, {})
+    try:
+        codes = list(map(table.__getitem__, grams))
+    except KeyError:  # a gram seen for the first time, or one past the cap
+        codes = [table[g] if g in table else _new_slot_code(g, dim, table) for g in grams]
+    packed = np.array(codes, dtype=np.int64)
+    # each entry is a sum of +-1.0, exact in float64 whatever the order
+    vec = np.bincount(packed >> 1, weights=(packed & 1) * 2.0 - 1.0, minlength=dim)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # signed counts cancelled out completely; fall back to a one-hot
-        vec[_stable_hash(folded) % cfg.dimension] = 1.0
+        vec[_stable_hash(folded) % dim] = 1.0
         norm = 1.0
     return vec / norm
 

@@ -466,14 +466,26 @@ def apply_operator(
 
 
 def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
+    """The operators with at least one target, in ``OPERATOR_TAGS`` order.
+
+    Each test answers whether its choice list (``_swap_indices``,
+    ``_replace_kinds``, ``_shorten_refs``, ``_addable_elements``) would be
+    non-empty without building it.
+    """
     tags = []
-    if _swap_indices(sg):
+    present = set(sg.relations)
+    if any(s != o and (o, p, s) not in present for s, p, o in sg.relations):
         tags.append("swap")
     if _replace_kinds(sg, pool):
         tags.append("replace")
-    if _shorten_refs(sg):
+    # some removal leaves an element exactly when there are two to start with
+    if sg.element_count >= 2:
         tags.append("shorten")
-    if _addable_elements(sg, pool):
+    if (
+        not set(sg.entities).issuperset(pool.entities)
+        or not set(sg.attributes).issuperset(pool.attributes)
+        or not present.issuperset(pool.relations)
+    ):
         tags.append("overthink")
     return tags
 

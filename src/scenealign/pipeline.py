@@ -41,7 +41,9 @@ from .scene_graph import (
     SceneGraph,
     _clean_names,
     _clean_rows,
+    decode_scene_graph,
     parse_scene_graph,
+    schema_array,
 )
 from .selection import SelectionConfig, filter_with_shortfall, select_diverse
 
@@ -102,15 +104,16 @@ def graph_to_obj(g: SceneGraph | ResidualPool) -> dict:
 
 
 def graph_from_obj(obj: dict) -> SceneGraph:
-    return SceneGraph.from_parts(obj[ENTITY_KEY], obj[ATTRIBUTE_KEY], obj[RELATION_KEY])
+    """Decode a work item's graph with the corpus parser's schema checks."""
+    return decode_scene_graph(obj)
 
 
 def pool_from_obj(obj: dict) -> ResidualPool:
     """Decode a pool whose rows follow the graph schema; a missing set is empty."""
     return ResidualPool(
-        entities=tuple(_clean_names(obj.get(ENTITY_KEY, []), ENTITY_KEY, strict=False)),
-        attributes=tuple(_clean_rows(obj.get(ATTRIBUTE_KEY, []), 2, ATTRIBUTE_KEY, strict=False)),
-        relations=tuple(_clean_rows(obj.get(RELATION_KEY, []), 3, RELATION_KEY, strict=False)),
+        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY, strict=False)),
+        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY, strict=False)),
+        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY, strict=False)),
     )
 
 
@@ -166,10 +169,8 @@ def _candidates_from_obj(objs: list) -> list[NegativeCandidate]:
 
 
 def _parse_graph_value(value) -> SceneGraph:
-    if isinstance(value, str):
+    if isinstance(value, (str, dict)):
         return parse_scene_graph(value)
-    if isinstance(value, dict):
-        return parse_scene_graph(json.dumps(value, ensure_ascii=False))
     raise CorpusError(None, f"scene_graph must be an object or string, got {type(value).__name__}")
 
 

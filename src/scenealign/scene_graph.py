@@ -183,7 +183,8 @@ def _clean_rows(rows: Iterable, arity: int, key: str, strict: bool) -> list[tupl
     seen: set[tuple] = set()
     dropped = 0
     for row in rows:
-        if isinstance(row, str) or not isinstance(row, Sequence):
+        # lists and tuples skip the slower Sequence ABC check
+        if not isinstance(row, (list, tuple)) and (isinstance(row, str) or not isinstance(row, Sequence)):
             raise SchemaViolation(key, f"expected array, got {type(row).__name__}")
         if len(row) != arity:
             raise SchemaViolation(key, f"expected {arity} items, got {len(row)}")
@@ -217,17 +218,22 @@ def referenced_entities(attrs: Iterable[Attribute], rels: Iterable[Relation]) ->
         yield obj
 
 
-def parse_scene_graph(text: str, *, on_dangling: str = "error", strict: bool = False) -> SceneGraph:
-    """Parse the strict three-field JSON object into a :class:`SceneGraph`.
+def schema_array(obj: dict, key: str) -> list:
+    """``obj[key]``, which must be a JSON array; a missing key is an empty one."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaViolation(key, f"expected array, got {type(value).__name__}")
+    return value
+
+
+def decode_scene_graph(obj, *, on_dangling: str = "error", strict: bool = False) -> SceneGraph:
+    """Decode the strict three-field object into a :class:`SceneGraph`.
 
     The object must carry exactly the keys ``"entity"``, ``"attribute pairs"``,
-    and ``"relationships"``.  Duplicates are dropped with a warning unless
-    strict mode is on; dangling entity references follow ``on_dangling``.
+    and ``"relationships"``, each an array.  Duplicates are dropped with a
+    warning unless strict mode is on; dangling entity references follow
+    ``on_dangling``.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(str(exc)) from exc
     if not isinstance(obj, dict):
         raise MalformedJson(f"top-level value is {type(obj).__name__}, not an object")
     for key in SCHEMA_KEYS:
@@ -236,16 +242,25 @@ def parse_scene_graph(text: str, *, on_dangling: str = "error", strict: bool = F
     for key in obj:
         if key not in SCHEMA_KEYS:
             raise SchemaViolation(key, "unexpected key")
-    for key in SCHEMA_KEYS:
-        if not isinstance(obj[key], list):
-            raise SchemaViolation(key, f"expected array, got {type(obj[key]).__name__}")
     return SceneGraph.from_parts(
-        obj[ENTITY_KEY],
-        obj[ATTRIBUTE_KEY],
-        obj[RELATION_KEY],
-        on_dangling=on_dangling,
-        strict=strict,
+        *(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling, strict=strict
     )
+
+
+def parse_scene_graph(
+    source: str | dict, *, on_dangling: str = "error", strict: bool = False
+) -> SceneGraph:
+    """Parse the strict three-field JSON object, as text or already decoded.
+
+    See :func:`decode_scene_graph` for the schema and the options.
+    """
+    obj = source
+    if isinstance(source, str):
+        try:
+            obj = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(str(exc)) from exc
+    return decode_scene_graph(obj, on_dangling=on_dangling, strict=strict)
 
 
 def serialize_scene_graph(g: SceneGraph, *, canonical: bool = False, indent: int | None = None) -> str:

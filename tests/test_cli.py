@@ -194,9 +194,22 @@ class TestStagedWrongInput:
         ),
         ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": [1]}}, "'pool'"),
         ("ground", {"id": "a", "question": "Who?", "answer": 5, "scene_graph": _GRAPH}, "'answer'"),
+        (
+            "perturb",
+            {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity={"man": 1}), "pool": {}},
+            "'grounded'",
+        ),
+        (
+            "ground",
+            {"id": "a", "question": "Who?", "answer": "man",
+             "scene_graph": dict(_GRAPH, relationships={"man": ["on", "man"]})},
+            "'scene_graph'",
+        ),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": {"dog": 1}}}, "'pool'"),
     ]
     WRONG_TYPE_IDS = [
-        "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer"
+        "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer",
+        "dict-entity-list", "dict-relation-list", "dict-pool-entity",
     ]
 
     @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)
@@ -216,6 +229,34 @@ class TestStagedWrongInput:
         err = capsys.readouterr().err
         assert "corpus error: corpus line 1:" in err
         assert names in err
+
+    TORN = '{"id": "a", "scene_graph": {"entity": ["man"'
+
+    @pytest.mark.parametrize("command", ["ground", "perturb", "select", "build"])
+    def test_torn_line_is_skipped_with_a_warning_naming_the_line(self, tmp_path, caplog, command):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text(self.TORN + "\n", encoding="utf-8")
+        assert main([command, "--input", str(src), "--output", str(out)]) == 0
+        assert "line 1 skipped: invalid JSON" in caplog.text
+        assert out.read_text(encoding="utf-8") == ""
+
+    def test_lines_after_a_torn_line_still_run(self, tmp_path, corpus, capsys, caplog):
+        parsed = self._parsed(tmp_path, corpus)
+        src, out = tmp_path / "in.jsonl", tmp_path / "grounded.jsonl"
+        src.write_text(self.TORN + "\n" + parsed.read_text(encoding="utf-8"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ground", "--input", str(src), "--output", str(out)]) == 0
+        assert "grounded 1/2 instance(s)" in capsys.readouterr().out
+        assert "line 1 skipped" in caplog.text
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["ground", "perturb", "select", "build"])
+    def test_torn_line_under_strict_is_a_corpus_error(self, tmp_path, capsys, command):
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n\n" + self.TORN + "\n", encoding="utf-8")  # line numbers count blank lines
+        argv = [command, "--input", str(src), "--output", str(tmp_path / "out.jsonl"), "--strict"]
+        assert main(argv) == 2
+        assert "corpus error: corpus line 3: invalid JSON" in capsys.readouterr().err
 
 
 class TestPerturbSingleOp:

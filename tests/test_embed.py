@@ -1,10 +1,16 @@
+import hashlib
 import math
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scenealign import embed as embed_module
 from scenealign.embed import (
     EmbedConfig,
     Embedding,
@@ -71,6 +77,111 @@ class TestHashedProvider:
     def test_batch_matches_single(self):
         texts = ["one sentence", "another sentence", "a third"]
         assert embed_texts(texts) == [embed_text(t) for t in texts]
+
+
+def _reference_hash(data: str) -> int:
+    return int.from_bytes(hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def _reference_counts(text: str, dimension: int) -> tuple[str, np.ndarray]:
+    """Signed n-gram counts, hashing every gram with its own blake2b call."""
+    folded = text.casefold()
+    grams = []
+    for n in range(3, 6):
+        grams.extend(folded[i : i + n] for i in range(len(folded) - n + 1))
+    if not grams:
+        grams = [folded]
+    counts = np.zeros(dimension, dtype=np.float64)
+    for gram in grams:
+        h = _reference_hash(gram)
+        counts[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+    return folded, counts
+
+
+def _reference_vector(text: str, dimension: int) -> np.ndarray:
+    folded, vec = _reference_counts(text, dimension)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[_reference_hash(folded) % dimension] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def _cancelling_text(dimension: int) -> str:
+    """The first ``cancel-N`` text whose signed counts are all zero."""
+    for i in range(10_000):
+        text = f"cancel-{i}"
+        if not _reference_counts(text, dimension)[1].any():
+            return text
+    raise AssertionError("no text with cancelling counts among the candidates")
+
+
+def _assert_matches_reference(texts, dimension):
+    got = embed_texts(texts, EmbedConfig(dimension=dimension))
+    for text, emb in zip(texts, got):
+        # bit for bit, not merely close
+        assert emb.as_array().tobytes() == _reference_vector(text, dimension).tobytes(), text
+
+
+def _assert_tables_within_cap():
+    assert all(len(table) <= embed_module._SLOT_TABLE_CAP for table in embed_module._slot_tables.values())
+
+
+_SHORT = st.text(min_size=1, max_size=2).filter(str.strip)
+_NON_ASCII = st.text(alphabet="ßﬁﬂİΣσςæøåéü日本語 ab", min_size=1, max_size=24).filter(str.strip)
+_ANY = st.text(min_size=1, max_size=60).filter(str.strip)
+
+
+class TestMemoizedSlots:
+    """The memoized slot table gives exactly the per-gram blake2b loop's vectors."""
+
+    @given(st.lists(st.one_of(_SHORT, _NON_ASCII, _ANY), min_size=1, max_size=6), st.integers(2, 1024))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_per_gram_hash(self, texts, dimension):
+        _assert_matches_reference(texts, dimension)
+        _assert_tables_within_cap()
+
+    @pytest.mark.parametrize("text", ["ß", "ﬁ", "Straße", "ﬁﬂ", "ßß", "İstanbul", "ab", "x"])
+    def test_texts_casefolding_lengthens_or_shorter_than_a_gram(self, text):
+        for dimension in (2, 3, 256, 1024):
+            _assert_matches_reference([text], dimension)
+
+    def test_cancelled_counts_fall_back_to_one_hot(self):
+        text = _cancelling_text(2)
+        _assert_matches_reference([text], 2)
+        vec = embed_text(text, EmbedConfig(dimension=2)).as_array()
+        assert sorted(vec.tolist()) == [0.0, 1.0]
+
+    def test_past_the_cap_grams_are_hashed_without_storing(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "_SLOT_TABLE_CAP", 16)
+        monkeypatch.setattr(embed_module, "_slot_tables", {})
+        texts = [f"a longer sentence number {i} about the silver motorcycle" for i in range(20)]
+        for dimension in (2, 97, 256):
+            _assert_matches_reference(texts, dimension)
+            _assert_matches_reference(texts, dimension)  # second pass: hits and misses mixed
+        assert sorted(embed_module._slot_tables) == [2, 97, 256]
+        assert all(len(table) == 16 for table in embed_module._slot_tables.values())
+
+    def test_threads_match_the_serial_run(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "_SLOT_TABLE_CAP", 300)
+        monkeypatch.setattr(embed_module, "_slot_tables", {})
+        rng = random.Random(0)
+        words = ["man", "silver", "motorcycle", "looks", "at", "the", "paved", "ground", "Straße", "ﬁne"]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(400)]
+        chunks = [texts[i : i + 10] for i in range(0, len(texts), 10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the check-then-store too
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(embed_texts, chunk) for chunk in chunks]
+                threaded = [emb for future in futures for emb in future.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(texts)
+        _assert_tables_within_cap()
+        monkeypatch.setattr(embed_module, "_slot_tables", {})
+        assert threaded == embed_texts(texts)
+        _assert_tables_within_cap()
 
 
 class TestDistances:

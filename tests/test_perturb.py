@@ -2,6 +2,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenealign.errors import (
     DuplicateCollision,
@@ -17,6 +19,11 @@ from scenealign.perturb import (
     OPERATOR_TAGS,
     EditTrace,
     PerturbationOp,
+    _addable_elements,
+    _applicable_tags,
+    _replace_kinds,
+    _shorten_refs,
+    _swap_indices,
     apply_operator,
     generate_negatives,
     overthink,
@@ -278,6 +285,73 @@ class TestApplyOperator:
         d = op.to_dict()
         assert d["target"] == ["man", "look at", "motorcycle"]
         assert d["payload"] == ["motorcycle", "look at", "man"]
+
+
+def _listed_applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
+    """The operators whose choice lists are non-empty, in ``OPERATOR_TAGS`` order."""
+    choices = {
+        "swap": _swap_indices(sg),
+        "replace": _replace_kinds(sg, pool),
+        "shorten": _shorten_refs(sg),
+        "overthink": _addable_elements(sg, pool),
+    }
+    return [tag for tag in OPERATOR_TAGS if choices[tag]]
+
+
+# a small vocabulary, so pool elements often already sit in the graph
+_NAMES = st.sampled_from(["man", "dog", "car", "tree"])
+_VALUES = st.sampled_from(["red", "tall", "wet"])
+_PREDICATES = st.sampled_from(["on", "near"])
+
+
+@st.composite
+def _graphs(draw) -> SceneGraph:
+    entities = draw(st.lists(_NAMES, unique=True, max_size=4))
+    if not entities:
+        return SceneGraph()
+    names = st.sampled_from(entities)
+    attrs = draw(st.lists(st.tuples(names, _VALUES), unique=True, max_size=4))
+    # endpoints drawn independently, so reflexive relations occur
+    rels = draw(st.lists(st.tuples(names, _PREDICATES, names), unique=True, max_size=5))
+    if draw(st.booleans()):  # reversed parallel edges
+        rels += [(o, p, s) for s, p, o in rels if (o, p, s) not in rels]
+    if draw(st.booleans()):  # an entity list the rows do not close over
+        entities = entities[: draw(st.integers(0, len(entities)))]
+    return SceneGraph(tuple(entities), tuple(attrs), tuple(dict.fromkeys(rels)))
+
+
+_POOLS = st.one_of(
+    st.just(ResidualPool()),
+    st.builds(
+        ResidualPool,
+        st.lists(_NAMES, unique=True, max_size=3).map(tuple),
+        st.lists(st.tuples(_NAMES, _VALUES), unique=True, max_size=3).map(tuple),
+        st.lists(st.tuples(_NAMES, _PREDICATES, _NAMES), unique=True, max_size=3).map(tuple),
+    ),
+)
+
+
+class TestApplicableTags:
+    @given(_graphs(), _POOLS)
+    @settings(max_examples=500, deadline=None)
+    def test_same_tags_as_the_choice_lists(self, sg, pool):
+        assert _applicable_tags(sg, pool) == _listed_applicable_tags(sg, pool)
+
+    @pytest.mark.parametrize(
+        "sg",
+        [
+            SceneGraph(("man",)),
+            SceneGraph(("man",), (("man", "tall"),)),
+            SceneGraph(("man",), (), (("man", "on", "man"),)),
+            SceneGraph(("man", "dog"), (), (("man", "on", "dog"), ("dog", "on", "man"))),
+            SceneGraph((), (("man", "tall"),)),
+            SceneGraph(),
+        ],
+        ids=["one-entity", "entity-and-attribute", "reflexive", "reversed-parallel", "unclosed", "empty"],
+    )
+    def test_edge_graphs_with_and_without_a_pool(self, sg, case_pool):
+        for pool in (EMPTY_POOL, case_pool, ResidualPool(entities=("man",))):
+            assert _applicable_tags(sg, pool) == _listed_applicable_tags(sg, pool)
 
 
 class TestGenerateNegatives:
