@@ -38,8 +38,10 @@ from .generate import GeneratorConfig
 from .grounding import ResidualPool
 from .perturb import apply_operator
 from .pipeline import (
+    STAGE_FIELDS,
     PipelineConfig,
-    graph_to_obj,
+    decode_item,
+    encode_item,
     pool_from_obj,
     run_pipeline,
     stage_build,
@@ -48,7 +50,7 @@ from .pipeline import (
     stage_perturb,
     stage_select,
 )
-from .scene_graph import parse_scene_graph
+from .scene_graph import encode_scene_graph, parse_scene_graph
 from .selection import SelectionConfig
 
 logger = logging.getLogger(__name__)
@@ -161,26 +163,26 @@ def _read_jsonl(path: str) -> list[tuple[int, str]]:
     return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def _write_jsonl(path: str, objs: list[dict]) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
     with atomic_open(path) as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
-def _map_stage(lines: list[tuple[int, str]], fn, strict: bool) -> list:
+def _map_stage(lines: list[tuple[int, str]], fields: tuple[str, ...], fn, strict: bool) -> list:
+    """``fn(item, obj)`` per line: its work item with ``fields`` decoded, and its JSON object."""
     out = []
     for line_no, line in lines:
         try:
             try:
-                item = json.loads(line)
+                obj = json.loads(line)
             except ValueError as exc:  # a torn line: skipped like a bad corpus line
                 raise CorpusError(None, f"invalid JSON: {exc}") from exc
-            if not isinstance(item, dict):
-                raise CorpusError(None, f"expected a work item object, got {type(item).__name__}")
+            if not isinstance(obj, dict):
+                raise CorpusError(None, f"expected a work item object, got {type(obj).__name__}")
             try:
-                out.append(fn(item))
+                out.append(fn(decode_item(obj, fields), obj))
             except KeyError as exc:  # a line written by another stage, or by hand
-                raise CorpusError(None, f"instance {item.get('id')!r} has no {exc} key") from exc
+                raise CorpusError(None, f"instance {obj.get('id')!r} has no {exc} key") from exc
         except CorpusError as exc:
             if strict:
                 raise CorpusError(line_no, exc.reason) from exc
@@ -209,7 +211,7 @@ def _cmd_run(args) -> int:
 def _cmd_parse(args) -> int:
     cfg = _pipeline_config(args)
     items, drops = stage_parse(cfg)
-    _write_jsonl(args.output, items)
+    _write_lines(args.output, [encode_item(item) for item in items])
     print(f"parsed {len(items)} instance(s), skipped {len(drops)} line(s) -> {args.output}")
     return EXIT_OK
 
@@ -217,8 +219,10 @@ def _cmd_parse(args) -> int:
 def _run_item_stage(args, stage, verb: str) -> int:
     cfg = _pipeline_config(args)
     lines = _read_jsonl(args.input)
-    out = _map_stage(lines, lambda item: stage(item, cfg), args.strict)
-    _write_jsonl(args.output, out)
+    fields = STAGE_FIELDS[args.command]
+    # the fields the stage read go back out as the JSON they came in as
+    out = _map_stage(lines, fields, lambda item, obj: encode_item(stage(item, cfg), obj, fields), args.strict)
+    _write_lines(args.output, out)
     print(f"{verb} {len(out)}/{len(lines)} instance(s) -> {args.output}")
     return EXIT_OK
 
@@ -260,7 +264,7 @@ def _cmd_perturb_single(args) -> int:
         element=element,
         rng=random.Random(args.seed),
     )
-    print(json.dumps({"graph": graph_to_obj(result), "trace": [op.to_dict()]}, ensure_ascii=False))
+    print(json.dumps({"graph": encode_scene_graph(result), "trace": [op.to_dict()]}, ensure_ascii=False))
     return EXIT_OK
 
 
@@ -281,7 +285,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    built = _map_stage(_read_jsonl(args.input), stage_build, args.strict)
+    built = _map_stage(_read_jsonl(args.input), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
     records = [record for item_records in built for record in item_records]
     export_jsonl(records, args.output)
     print(f"built {len(records)} record(s) -> {args.output}")

@@ -1,10 +1,12 @@
 """End-to-end dataset construction and its stage-wise decomposition.
 
-Every stage consumes and produces a plain JSON-compatible work item, and the
-full run chains exactly the same stage functions the CLI subcommands expose,
-so piping parse -> ground -> perturb -> select -> build reproduces a full run
-byte for byte.  Determinism comes from per-instance seeds derived from the
-global seed and the instance id, with output order following corpus order.
+A work item is a dict of the instance's strings and the typed values the
+stages add; the full run chains the stage functions the CLI subcommands
+expose, and only the CLI turns items into stage-file lines (the codec at the
+end of this module), so piping parse -> ground -> perturb -> select -> build
+reproduces a full run byte for byte.  Determinism comes from per-instance
+seeds derived from the global seed and the instance id, with output order
+following corpus order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .scene_graph import (
     _clean_names,
     _clean_rows,
     decode_scene_graph,
+    encode_scene_graph,
     parse_scene_graph,
     schema_array,
 )
@@ -91,32 +94,6 @@ def instance_seed(global_seed: int, instance_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-# ---------------------------------------------------------------------------
-# work item (de)serialization helpers
-
-
-def graph_to_obj(g: SceneGraph | ResidualPool) -> dict:
-    return {
-        ENTITY_KEY: list(g.entities),
-        ATTRIBUTE_KEY: [list(a) for a in g.attributes],
-        RELATION_KEY: [list(r) for r in g.relations],
-    }
-
-
-def graph_from_obj(obj: dict) -> SceneGraph:
-    """Decode a work item's graph with the corpus parser's schema checks."""
-    return decode_scene_graph(obj)
-
-
-def pool_from_obj(obj: dict) -> ResidualPool:
-    """Decode a pool whose rows follow the graph schema; a missing set is empty."""
-    return ResidualPool(
-        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY, strict=False)),
-        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY, strict=False)),
-        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY, strict=False)),
-    )
-
-
 def _instance_from_obj(obj: dict) -> Instance:
     inst = Instance(
         id=obj["id"],
@@ -130,48 +107,8 @@ def _instance_from_obj(obj: dict) -> Instance:
     return inst
 
 
-def _candidate_to_obj(cand: NegativeCandidate, *, with_selection: bool = False) -> dict:
-    out: dict = {"graph": graph_to_obj(cand.graph), "trace": cand.trace.to_dict()}
-    if with_selection:
-        out["jaccard"] = cand.jaccard
-        out["rationale"] = cand.rationale.raw_text
-    return out
-
-
-def _decoded(item: dict, key: str, decode):
-    """``decode(item[key])``; a missing key stays a ``KeyError`` for the caller.
-
-    Decoders only turn JSON values into typed objects, so any of these
-    exceptions from one means the value has the wrong shape: a CorpusError.
-    """
-    value = item[key]
-    try:
-        return decode(value)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, SceneAlignError) as exc:
-        raise CorpusError(None, f"instance {item.get('id')!r}: malformed {key!r}: {exc}") from exc
-
-
-def _candidate_from_obj(obj: dict) -> NegativeCandidate:
-    cand = NegativeCandidate(graph=graph_from_obj(obj["graph"]), trace=EditTrace.from_dict(obj["trace"]))
-    if "jaccard" in obj:
-        cand.jaccard = obj["jaccard"]
-    if "rationale" in obj:
-        cand.rationale = Rationale.parse(obj["rationale"])
-    return cand
-
-
-def _candidates_from_obj(objs: list) -> list[NegativeCandidate]:
-    return [_candidate_from_obj(obj) for obj in objs]
-
-
 # ---------------------------------------------------------------------------
 # corpus loading (the parse stage)
-
-
-def _parse_graph_value(value) -> SceneGraph:
-    if isinstance(value, (str, dict)):
-        return parse_scene_graph(value)
-    raise CorpusError(None, f"scene_graph must be an object or string, got {type(value).__name__}")
 
 
 def _normalize_line(obj, line_no: int) -> dict:
@@ -201,7 +138,8 @@ def _normalize_line(obj, line_no: int) -> dict:
     return out
 
 
-def _read_sidecar_graphs(path: str) -> dict[str, object]:
+def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
+    """Graphs by instance id; a malformed line is skipped unless ``strict``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -214,7 +152,9 @@ def _read_sidecar_graphs(path: str) -> dict[str, object]:
             obj = json.loads(line)
             graphs[str(obj["id"])] = obj["scene_graph"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise CorpusError(None, f"graphs file line {line_no}: {exc}") from exc
+            if strict:
+                raise CorpusError(None, f"graphs file line {line_no}: {exc}") from exc
+            logger.warning("graphs file line %d skipped: %s", line_no, exc)
     return graphs
 
 
@@ -229,7 +169,7 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(None, f"cannot read corpus: {exc}") from exc
-    sidecar = _read_sidecar_graphs(cfg.graphs_path) if cfg.graphs_path else {}
+    sidecar = _read_sidecar_graphs(cfg.graphs_path, cfg.strict) if cfg.graphs_path else {}
 
     items: list[dict] = []
     drops: list[dict] = []
@@ -263,12 +203,10 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
             graph_value = sidecar[norm["id"]]
         try:
             if graph_value is not None:
-                graph = _parse_graph_value(graph_value)
+                graph = parse_scene_graph(graph_value)
             elif cfg.generator.kind == "http-chat":
                 inst = _instance_from_obj(norm)
-                graph = parse_scene_graph(
-                    generate_scene_graph_json(inst, cfg.generator), on_dangling="add"
-                )
+                graph = parse_scene_graph(generate_scene_graph_json(inst, cfg.generator), on_dangling="add")
             else:
                 drop(line_no, "no scene graph available and no endpoint configured")
                 continue
@@ -277,7 +215,7 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
             continue
 
         seen_ids.add(norm["id"])
-        norm["scene_graph"] = graph_to_obj(graph)
+        norm["scene_graph"] = graph
         items.append(norm)
     return items, drops
 
@@ -289,7 +227,7 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
 def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     """Generate the positive rationale and split the graph against it."""
     inst = _instance_from_obj(item)
-    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
+    sg_pos = item["scene_graph"]
     prompt = render_positive_cot_prompt(sg_pos, inst)  # raises MissingAnswer without an answer
     tau_pos = generate_rationale(
         prompt, cfg.generator, attachment=inst.image_ref or None, graph=sg_pos, answer=inst.answer.strip()
@@ -302,22 +240,18 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     pool = residual_pool(sg_pos, grounded)
     out = dict(item)
     out["positive_rationale"] = tau_pos.raw_text
-    out["grounded"] = graph_to_obj(grounded.graph)
-    out["pool"] = graph_to_obj(pool)
+    out["grounded"] = grounded.graph
+    out["pool"] = pool
     return out
 
 
 def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
     """Sample negative candidates with the instance-specific seed."""
-    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
-    grounded = _decoded(item, "grounded", graph_from_obj)
-    pool = _decoded(item, "pool", pool_from_obj)
     seed = instance_seed(cfg.seed, item["id"])
-    candidates = generate_negatives(
-        sg_pos, grounded, pool, k=cfg.candidates, edit_range=cfg.edit_range, rng=seed
-    )
     out = dict(item)
-    out["candidates"] = [_candidate_to_obj(c) for c in candidates]
+    out["candidates"] = generate_negatives(
+        item["scene_graph"], item["grounded"], item["pool"], k=cfg.candidates, edit_range=cfg.edit_range, rng=seed
+    )
     return out
 
 
@@ -340,10 +274,9 @@ def _fill_rationales(
 def stage_select(item: dict, cfg: PipelineConfig) -> dict:
     """Band-filter candidates, generate their rationales, pick a diverse subset."""
     inst = _instance_from_obj(item)
-    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
-    candidates = _decoded(item, "candidates", _candidates_from_obj)
+    candidates = item["candidates"]
 
-    kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, sg_pos, cfg.selection)
+    kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, item["scene_graph"], cfg.selection)
     in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
 
     if in_band:
@@ -356,7 +289,7 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
         selected = []
 
     out = dict(item)
-    out["selected"] = [_candidate_to_obj(c, with_selection=True) for c in selected]
+    out["selected"] = selected
     out["counts"] = {
         "candidates": len(candidates),
         "filtered": len(in_band),
@@ -373,10 +306,8 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
 def stage_build(item: dict) -> list[PreferenceRecord]:
     """Turn one selected work item into preference records."""
     inst = _instance_from_obj(item)
-    sg_pos = _decoded(item, "scene_graph", graph_from_obj)
-    tau_pos = _decoded(item, "positive_rationale", Rationale.parse)
-    negatives = _decoded(item, "selected", _candidates_from_obj)
-    return build_preference_records(inst, sg_pos, tau_pos, negatives)
+    tau_pos = Rationale.parse(item["positive_rationale"])
+    return build_preference_records(inst, item["scene_graph"], tau_pos, item["selected"])
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +407,76 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     report_path = cfg.report_path or f"{cfg.output_path}.report.json"
     report.save(report_path)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the stage-file codec: a JSONL line's object <-> a work item, for the CLI
+
+# the typed fields each per-instance stage reads, by stage name
+STAGE_FIELDS = {
+    "ground": ("scene_graph",),
+    "perturb": ("scene_graph", "grounded", "pool"),
+    "select": ("scene_graph", "candidates"),
+    "build": ("scene_graph", "positive_rationale", "selected"),
+}
+
+
+def pool_from_obj(obj: dict) -> ResidualPool:
+    """Decode a pool whose rows follow the graph schema; a missing set is empty."""
+    return ResidualPool(
+        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY, strict=False)),
+        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY, strict=False)),
+        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY, strict=False)),
+    )
+
+
+def _candidate_from_obj(obj: dict) -> NegativeCandidate:
+    cand = NegativeCandidate(decode_scene_graph(obj["graph"]), EditTrace.from_dict(obj["trace"]), obj.get("jaccard"))
+    if "rationale" in obj:
+        cand.rationale = Rationale.parse(obj["rationale"])
+    return cand
+
+
+_DECODERS = {
+    "scene_graph": decode_scene_graph,
+    "grounded": decode_scene_graph,
+    "pool": pool_from_obj,
+    # stays text for stage_build to parse; a non-string or blank value raises
+    "positive_rationale": lambda text: text if text.strip() else Rationale.parse(text),
+    "candidates": lambda objs: [_candidate_from_obj(obj) for obj in objs],
+}
+_DECODERS["selected"] = _DECODERS["candidates"]
+
+
+def decode_item(obj: dict, fields: Sequence[str]) -> dict:
+    """A stage-file object as a work item with ``fields`` decoded; others stay JSON.
+
+    A missing field stays a ``KeyError``; a decoder's exception means the
+    value has the wrong shape: a CorpusError.
+    """
+    item = dict(obj)
+    for key in fields:
+        value = obj[key]
+        try:
+            item[key] = _DECODERS[key](value)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, SceneAlignError) as exc:
+            raise CorpusError(None, f"instance {obj.get('id')!r}: malformed {key!r}: {exc}") from exc
+    return item
+
+
+def _encode(value):
+    """``json.dumps`` hook for a work item's typed values."""
+    if isinstance(value, NegativeCandidate):
+        out = {"graph": value.graph, "trace": value.trace.to_dict()}
+        if value.rationale is not None:
+            out["jaccard"] = value.jaccard
+            out["rationale"] = value.rationale.raw_text
+        return out
+    if isinstance(value, (SceneGraph, ResidualPool)):
+        return encode_scene_graph(value)
+    raise TypeError(f"a work item holds no {type(value).__name__}")
+
+
+def encode_item(item: dict, original: dict | None = None, fields: Sequence[str] = ()) -> str:
+    """One stage-file line holding ``item``, with ``fields`` as the JSON ``original`` holds."""
+    return json.dumps({**item, **{key: original[key] for key in fields}}, ensure_ascii=False, default=_encode)

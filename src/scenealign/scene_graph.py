@@ -62,17 +62,16 @@ class SceneGraph:
         relations: Iterable[Sequence[str]],
         *,
         on_dangling: str = "error",
-        strict: bool = False,
     ) -> "SceneGraph":
         """Trim, deduplicate, and close over referenced entities.
 
         ``on_dangling`` is either ``"error"`` (raise :class:`DanglingReference`)
-        or ``"add"`` (append missing entities in first-reference order).  In
-        strict mode duplicates raise instead of being dropped.
+        or ``"add"`` (append missing entities in first-reference order).
+        Duplicates are dropped with a warning; :meth:`validate` raises on them.
         """
-        ents = _clean_names(entities, ENTITY_KEY, strict)
-        attrs = _clean_rows(attributes, 2, ATTRIBUTE_KEY, strict)
-        rels = _clean_rows(relations, 3, RELATION_KEY, strict)
+        ents = _clean_names(entities, ENTITY_KEY, strict=False)
+        attrs = _clean_rows(attributes, 2, ATTRIBUTE_KEY, strict=False)
+        rels = _clean_rows(relations, 3, RELATION_KEY, strict=False)
 
         known = set(ents)
         appended: list[str] = []
@@ -226,13 +225,12 @@ def schema_array(obj: dict, key: str) -> list:
     return value
 
 
-def decode_scene_graph(obj, *, on_dangling: str = "error", strict: bool = False) -> SceneGraph:
+def decode_scene_graph(obj, *, on_dangling: str = "error") -> SceneGraph:
     """Decode the strict three-field object into a :class:`SceneGraph`.
 
     The object must carry exactly the keys ``"entity"``, ``"attribute pairs"``,
     and ``"relationships"``, each an array.  Duplicates are dropped with a
-    warning unless strict mode is on; dangling entity references follow
-    ``on_dangling``.
+    warning; dangling entity references follow ``on_dangling``.
     """
     if not isinstance(obj, dict):
         raise MalformedJson(f"top-level value is {type(obj).__name__}, not an object")
@@ -242,17 +240,22 @@ def decode_scene_graph(obj, *, on_dangling: str = "error", strict: bool = False)
     for key in obj:
         if key not in SCHEMA_KEYS:
             raise SchemaViolation(key, "unexpected key")
-    return SceneGraph.from_parts(
-        *(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling, strict=strict
-    )
+    return SceneGraph.from_parts(*(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling)
 
 
-def parse_scene_graph(
-    source: str | dict, *, on_dangling: str = "error", strict: bool = False
-) -> SceneGraph:
+def encode_scene_graph(g) -> dict:
+    """Inverse of :func:`decode_scene_graph`; also encodes a residual pool."""
+    return {
+        ENTITY_KEY: list(g.entities),
+        ATTRIBUTE_KEY: [list(a) for a in g.attributes],
+        RELATION_KEY: [list(r) for r in g.relations],
+    }
+
+
+def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> SceneGraph:
     """Parse the strict three-field JSON object, as text or already decoded.
 
-    See :func:`decode_scene_graph` for the schema and the options.
+    See :func:`decode_scene_graph` for the schema and ``on_dangling``.
     """
     obj = source
     if isinstance(source, str):
@@ -260,24 +263,12 @@ def parse_scene_graph(
             obj = json.loads(source)
         except json.JSONDecodeError as exc:
             raise MalformedJson(str(exc)) from exc
-    return decode_scene_graph(obj, on_dangling=on_dangling, strict=strict)
+    return decode_scene_graph(obj, on_dangling=on_dangling)
 
 
-def serialize_scene_graph(g: SceneGraph, *, canonical: bool = False, indent: int | None = None) -> str:
-    """Serialize with fixed key order; ``canonical`` sorts each element set."""
-    ents: Sequence[str] = g.entities
-    attrs: Sequence[Attribute] = g.attributes
-    rels: Sequence[Relation] = g.relations
-    if canonical:
-        ents = sorted(ents)
-        attrs = sorted(attrs)
-        rels = sorted(rels)
-    payload = {
-        ENTITY_KEY: list(ents),
-        ATTRIBUTE_KEY: [list(a) for a in attrs],
-        RELATION_KEY: [list(r) for r in rels],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=indent)
+def serialize_scene_graph(g: SceneGraph) -> str:
+    """The JSON text of :func:`encode_scene_graph`, with non-ASCII kept as is."""
+    return json.dumps(encode_scene_graph(g), ensure_ascii=False)
 
 
 def element_universe(g: SceneGraph) -> UniverseSet:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -156,6 +157,22 @@ class TestStagedChain:
         assert main(["run", "--input", str(corpus), "--output", str(ran), *seed]) == 0
         assert built.read_bytes() == ran.read_bytes()
 
+    # sha256 of each stage file the chain writes from the corpus fixture at seed 13
+    STAGE_FILE_SHA256 = {
+        "parse": "28cb19c2ca1d7d37449d4476050d3e2e4c76237f611a85204a102876ca3ab9f7",
+        "ground": "168062035d16a159235c2df117fedf7f6e54a670e2a3436af7219740ff5a019f",
+        "perturb": "5d273505e3c502c8c32248be335997dbc2a4c95c72327daf6803a4d71ca5c60a",
+        "select": "f13f894f3a1878a01a59399af1461ddf459d67d30abe2aeaa4045290ed9e797a",
+    }
+
+    def test_stage_files_keep_their_bytes(self, tmp_path, corpus, capsys):
+        src = corpus
+        for command, digest in self.STAGE_FILE_SHA256.items():
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst), "--seed", "13"]) == 0
+            assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest, command
+            src = dst
+
 
 class TestStagedWrongInput:
     """A stage fed another stage's output reports the missing key, never a traceback."""
@@ -206,10 +223,16 @@ class TestStagedWrongInput:
             "'scene_graph'",
         ),
         ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": {"dog": 1}}}, "'pool'"),
+        (
+            "build",
+            {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH,
+             "positive_rationale": " \n", "selected": []},
+            "'positive_rationale'",
+        ),
     ]
     WRONG_TYPE_IDS = [
         "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer",
-        "dict-entity-list", "dict-relation-list", "dict-pool-entity",
+        "dict-entity-list", "dict-relation-list", "dict-pool-entity", "blank-rationale",
     ]
 
     @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)

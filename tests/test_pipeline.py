@@ -3,13 +3,18 @@ import random
 
 import pytest
 
+from scenealign import pipeline
+from scenealign.cli import main
 from scenealign.dpo import import_jsonl
 from scenealign.errors import ConfigError, CorpusError
 from scenealign.generate import GeneratorConfig
+from scenealign.grounding import ResidualPool
+from scenealign.perturb import NegativeCandidate
 from scenealign.pipeline import (
+    STAGE_FIELDS,
     PipelineConfig,
-    graph_from_obj,
-    graph_to_obj,
+    decode_item,
+    encode_item,
     instance_seed,
     run_pipeline,
     stage_build,
@@ -18,6 +23,7 @@ from scenealign.pipeline import (
     stage_perturb,
     stage_select,
 )
+from scenealign.scene_graph import SceneGraph, decode_scene_graph, encode_scene_graph
 from scenealign.selection import SelectionConfig
 
 from .helpers import synthetic_corpus_lines
@@ -54,7 +60,7 @@ class TestSeeds:
 
 class TestGraphObjects:
     def test_round_trip(self, case_graph):
-        assert graph_from_obj(graph_to_obj(case_graph)) == case_graph
+        assert decode_scene_graph(encode_scene_graph(case_graph)) == case_graph
 
 
 class TestStageParse:
@@ -64,7 +70,8 @@ class TestStageParse:
         assert drops == []
         assert len(items) == 1
         assert items[0]["id"] == "case-1"
-        assert graph_from_obj(items[0]["scene_graph"]).entities[0] == "man"
+        assert isinstance(items[0]["scene_graph"], SceneGraph)
+        assert items[0]["scene_graph"].entities[0] == "man"
 
     def test_graph_as_embedded_string(self, tmp_path, case_corpus_line):
         line = dict(case_corpus_line)
@@ -83,7 +90,35 @@ class TestStageParse:
         cfg = _cfg(tmp_path, [line], graphs_path=str(sidecar))
         items, drops = stage_parse(cfg)
         assert drops == []
-        assert graph_from_obj(items[0]["scene_graph"]).entities[0] == "man"
+        assert items[0]["scene_graph"].entities[0] == "man"
+
+    def _torn_sidecar(self, tmp_path, case_corpus_line):
+        """Two graph-less lines; the sidecar's first line, for case-1, is torn."""
+        line = dict(case_corpus_line)
+        graph = line.pop("scene_graph")
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(
+            '{"id": "case-1", "scene_graph": {"entity": ["man"\n'
+            + json.dumps({"id": "case-2", "scene_graph": graph}) + "\n",
+            encoding="utf-8",
+        )
+        return [line, dict(line, id="case-2")], sidecar
+
+    def test_torn_sidecar_line_is_skipped_with_a_warning(self, tmp_path, case_corpus_line, caplog):
+        lines, sidecar = self._torn_sidecar(tmp_path, case_corpus_line)
+        items, drops = stage_parse(_cfg(tmp_path, lines, graphs_path=str(sidecar)))
+        assert [item["id"] for item in items] == ["case-2"]
+        assert "graphs file line 1 skipped" in caplog.text
+        assert drops == [{"line": 1, "reason": "no scene graph available and no endpoint configured"}]
+
+    def test_torn_sidecar_line_under_strict_is_a_corpus_error(self, tmp_path, case_corpus_line, capsys):
+        lines, sidecar = self._torn_sidecar(tmp_path, case_corpus_line)
+        cfg = _cfg(tmp_path, lines, graphs_path=str(sidecar), strict=True)
+        with pytest.raises(CorpusError, match="graphs file line 1"):
+            stage_parse(cfg)
+        argv = ["parse", "--input", cfg.input_path, "--output", str(tmp_path / "p.jsonl"), "--graphs", str(sidecar)]
+        assert main(argv + ["--strict"]) == 2
+        assert "graphs file line 1" in capsys.readouterr().err
 
     def test_integer_id_coerced(self, tmp_path, case_corpus_line):
         line = dict(case_corpus_line, id=17)
@@ -147,7 +182,7 @@ class TestStageParse:
         )
         items, drops = stage_parse(cfg)
         assert drops == []
-        assert graph_from_obj(items[0]["scene_graph"]).entities[0] == "man"
+        assert items[0]["scene_graph"].entities[0] == "man"
         assert mock_api.requests[0]["payload"]["messages"][0]["content"][1]["image_url"][
             "url"
         ] == "images/0001.jpg"
@@ -158,16 +193,11 @@ class TestPerInstanceStages:
         cfg = _cfg(tmp_path, [case_corpus_line])
         items, _ = stage_parse(cfg)
         item = stage_ground(items[0], cfg)
-        assert "positive_rationale" in item
-        grounded = graph_from_obj(item["grounded"])
-        pool_obj = item["pool"]
-        total = (
-            grounded.element_count
-            + len(pool_obj["entity"])
-            + len(pool_obj["attribute pairs"])
-            + len(pool_obj["relationships"])
-        )
-        assert total == graph_from_obj(item["scene_graph"]).element_count
+        assert isinstance(item["positive_rationale"], str)
+        grounded, pool = item["grounded"], item["pool"]
+        assert isinstance(grounded, SceneGraph)
+        assert isinstance(pool, ResidualPool)
+        assert grounded.element_count + pool.element_count == item["scene_graph"].element_count
 
     def test_ground_falls_back_to_full_graph(self, tmp_path, case_corpus_line, mock_api):
         # endpoint returns a rationale naming nothing from the graph
@@ -184,8 +214,8 @@ class TestPerInstanceStages:
         )
         items, _ = stage_parse(cfg)
         item = stage_ground(items[0], cfg)
-        assert graph_from_obj(item["grounded"]) == graph_from_obj(item["scene_graph"])
-        assert item["pool"]["entity"] == []
+        assert item["grounded"] == item["scene_graph"]
+        assert item["pool"].entities == ()
 
     def test_perturb_attaches_candidates(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
@@ -193,7 +223,8 @@ class TestPerInstanceStages:
         item = stage_perturb(stage_ground(items[0], cfg), cfg)
         assert len(item["candidates"]) == 8
         for cand in item["candidates"]:
-            assert cand["trace"]["seed"] == instance_seed(7, "case-1")
+            assert isinstance(cand, NegativeCandidate)
+            assert cand.trace.seed == instance_seed(7, "case-1")
 
     def test_select_and_build(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
@@ -203,20 +234,23 @@ class TestPerInstanceStages:
         assert counts["candidates"] == 8
         assert counts["selected"] <= 3
         for cand in item["selected"]:
-            assert "jaccard" in cand and "rationale" in cand
+            assert cand.jaccard is not None and cand.rationale is not None
         records = stage_build(item)
         assert len(records) == counts["selected"]
 
     def test_stage_payloads_survive_json_round_trips(self, tmp_path, case_corpus_line):
-        # the CLI pipes stages through JSONL files; items must be JSON-pure
+        # the CLI pipes stages through JSONL files with the stage-file codec
         cfg = _cfg(tmp_path, [case_corpus_line], seed=3)
         items, _ = stage_parse(cfg)
-        item = json.loads(json.dumps(items[0]))
-        item = json.loads(json.dumps(stage_ground(item, cfg)))
-        item = json.loads(json.dumps(stage_perturb(item, cfg)))
-        item = json.loads(json.dumps(stage_select(item, cfg)))
+        line = encode_item(items[0])
+        for name, stage in (("ground", stage_ground), ("perturb", stage_perturb), ("select", stage_select)):
+            obj = json.loads(line)
+            line = encode_item(stage(decode_item(obj, STAGE_FIELDS[name]), cfg), obj, STAGE_FIELDS[name])
+        item = decode_item(json.loads(line), STAGE_FIELDS["build"])
         records = stage_build(item)
         assert len(records) == item["counts"]["selected"]
+        in_process = stage_select(stage_perturb(stage_ground(items[0], cfg), cfg), cfg)
+        assert records == stage_build(in_process)
 
 
 class TestFullRun:
@@ -301,6 +335,20 @@ class TestFullRun:
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
         assert (tmp_path / "s1.out.jsonl").read_bytes() != (tmp_path / "s2.out.jsonl").read_bytes()
+
+    def test_run_calls_no_stage_file_codec(self, tmp_path, case_corpus_line, monkeypatch):
+        lines = [case_corpus_line] + synthetic_corpus_lines(6, random.Random(104))
+        run_pipeline(_cfg(tmp_path, lines, name="plain", seed=5))
+
+        def codec(*args, **kwargs):
+            raise AssertionError("the stage-file codec ran inside run_pipeline")
+
+        monkeypatch.setattr(pipeline, "_DECODERS", dict.fromkeys(pipeline._DECODERS, codec))
+        for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "pool_from_obj",
+                     "decode_scene_graph", "encode_scene_graph"):
+            monkeypatch.setattr(pipeline, name, codec)
+        run_pipeline(_cfg(tmp_path, lines, name="guarded", seed=5))
+        assert (tmp_path / "plain.out.jsonl").read_bytes() == (tmp_path / "guarded.out.jsonl").read_bytes()
 
     def test_staged_equals_full_run(self, tmp_path, case_corpus_line):
         lines = [case_corpus_line] + synthetic_corpus_lines(4, random.Random(103))
