@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import EmptyMatch, NotASubgraph
@@ -55,26 +56,23 @@ class ResidualPool:
         return self.element_count == 0
 
     def attribute_values(self) -> tuple[str, ...]:
-        return _ordered_unique(v for _, v in self.attributes)
+        return self._distinct[0]
 
     def predicates(self) -> tuple[str, ...]:
-        return _ordered_unique(p for _, p, _ in self.relations)
+        return self._distinct[1]
+
+    @cached_property
+    def _distinct(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # the pool is immutable, so its distinct values and predicates are
+        # worked out once, on first use
+        values = tuple(dict.fromkeys(v for _, v in self.attributes))
+        return values, tuple(dict.fromkeys(p for _, p, _ in self.relations))
 
     def all_elements(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("entity", e) for e in self.entities]
         out += [("attribute", a) for a in self.attributes]
         out += [("relation", r) for r in self.relations]
         return out
-
-
-def _ordered_unique(items) -> tuple:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return tuple(out)
 
 
 def _phrase_pattern(phrase: str) -> re.Pattern:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import (
+    ConfigError,
     DuplicateCollision,
     EmptyPool,
     EmptyPoolForKind,
@@ -104,19 +105,20 @@ def from_jsonable(value):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _kind_size(sg: SceneGraph, kind: ElementKind) -> int:
+    if kind is ElementKind.ENTITY:
+        return len(sg.entities)
+    return len(sg.attributes) if kind is ElementKind.ATTRIBUTE else len(sg.relations)
+
+
 def _check_ref(sg: SceneGraph, ref: ElementRef) -> None:
-    sizes = {
-        ElementKind.ENTITY: len(sg.entities),
-        ElementKind.ATTRIBUTE: len(sg.attributes),
-        ElementKind.RELATION: len(sg.relations),
-    }
-    if not 0 <= ref.index < sizes[ref.kind]:
+    if not 0 <= ref.index < _kind_size(sg, ref.kind):
         raise IndexOutOfRange(f"{ref.kind.value} index {ref.index} out of range")
 
 
-def _target_ref(tag: str, kind: str, index: int) -> ElementRef:
+def _element_kind_of(tag: str, kind: str) -> ElementKind:
     try:
-        return ElementRef(ElementKind(kind), index)
+        return ElementKind(kind)
     except ValueError:
         raise UnsupportedKind(f"{tag} cannot target kind {kind!r}") from None
 
@@ -218,6 +220,13 @@ def _replace_predicate(
     raise DuplicateCollision(f"no usable replacement predicate for {[subj, old_pred, obj]}")
 
 
+_REPLACERS = {
+    ElementKind.ENTITY: _replace_entity,
+    ElementKind.ATTRIBUTE: _replace_attribute,
+    ElementKind.RELATION: _replace_predicate,
+}
+
+
 def replace(
     sg: SceneGraph,
     target: ElementRef,
@@ -234,11 +243,7 @@ def replace(
     """
     _check_ref(sg, target)
     rng = rng if rng is not None else random.Random(0)
-    if target.kind is ElementKind.ENTITY:
-        return _replace_entity(sg, target.index, pool, rng, replacement)[0]
-    if target.kind is ElementKind.ATTRIBUTE:
-        return _replace_attribute(sg, target.index, pool, rng, replacement)[0]
-    return _replace_predicate(sg, target.index, pool, rng, replacement)[0]
+    return _REPLACERS[target.kind](sg, target.index, pool, rng, replacement)[0]
 
 
 def _replace_kinds(sg: SceneGraph, pool: ResidualPool) -> list[str]:
@@ -294,16 +299,36 @@ def shorten(sg: SceneGraph, target: ElementRef) -> SceneGraph:
     return _shorten(sg, target)[0]
 
 
-def _shorten_refs(sg: SceneGraph) -> list[ElementRef]:
+def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = None) -> ElementRef:
+    """``rng.choice`` over the removable refs of ``kind`` (default: every kind), without listing them.
+
+    The refs run entities, then attributes, then relations, and one
+    ``rng.choice(range(n))`` draws the same index ``rng.choice(refs)`` would.
+    An entity is removable unless its cascade takes the whole graph, which can
+    happen only to a sole entity.
+    """
     total = sg.element_count
-    refs = []
-    for i, name in enumerate(sg.entities):
-        if total - _cascade_size(sg, name) >= 1:
-            refs.append(ElementRef(ElementKind.ENTITY, i))
-    if total >= 2:
-        refs += [ElementRef(ElementKind.ATTRIBUTE, i) for i in range(len(sg.attributes))]
-        refs += [ElementRef(ElementKind.RELATION, i) for i in range(len(sg.relations))]
-    return refs
+    entities = len(sg.entities)
+    if entities == 1 and total - _cascade_size(sg, sg.entities[0]) < 1:
+        entities = 0
+    rows = total >= 2  # a lone attribute or relation leaves nothing behind
+    counts = {
+        ElementKind.ENTITY: entities,
+        ElementKind.ATTRIBUTE: len(sg.attributes) if rows else 0,
+        ElementKind.RELATION: len(sg.relations) if rows else 0,
+    }
+    if kind is not None:
+        only = _element_kind_of("shorten", kind)
+        counts = {k: n if k is only else 0 for k, n in counts.items()}
+    n = sum(counts.values())
+    if not n:
+        raise NoApplicableOperator(f"no removable {kind or 'element'}")
+    index = rng.choice(range(n))
+    for element_kind, count in counts.items():
+        if index < count:
+            break
+        index -= count
+    return ElementRef(element_kind, index)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +376,21 @@ def _addable_elements(sg: SceneGraph, pool: ResidualPool) -> list[tuple[str, obj
 
 
 def _overthink(
-    sg: SceneGraph, pool: ResidualPool, rng: random.Random, pinned=None
+    sg: SceneGraph, pool: ResidualPool, rng: random.Random, pinned=None, only: str | None = None
 ) -> tuple[SceneGraph, PerturbationOp]:
+    """Add ``pinned``, or an addable pool element drawn from those of kind ``only`` (default: any)."""
+    if only is not None:
+        only = _element_kind_of("overthink", only).value
     if pinned is not None:
         kind, element = _element_kind(pinned), tuple(pinned) if not isinstance(pinned, str) else pinned
+        if only not in (None, kind):
+            raise UnsupportedKind(f"overthink element {to_jsonable(element)!r} is not of kind {only!r}")
     else:
         addable = _addable_elements(sg, pool)
+        if only is not None:
+            addable = [pair for pair in addable if pair[0] == only]
         if not addable:
-            raise EmptyPool("residual pool holds nothing addable to this graph")
+            raise EmptyPool(f"residual pool holds no {only or 'element'} addable to this graph")
         kind, element = rng.choice(addable)
     return _add_element(sg, element), PerturbationOp("overthink", kind, None, element)
 
@@ -402,13 +434,7 @@ def recompose(
 
 
 def _ordered_union(first: Sequence, second: Sequence) -> tuple:
-    seen = set()
-    out = []
-    for item in list(first) + list(second):
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return tuple(out)
+    return tuple(dict.fromkeys((*first, *second)))
 
 
 def apply_operator(
@@ -422,9 +448,18 @@ def apply_operator(
     element=None,
     rng: random.Random | None = None,
 ) -> tuple[SceneGraph, PerturbationOp]:
-    """Apply one named operator, sampling any targeting left unspecified."""
+    """Apply one named operator, sampling any targeting left unspecified.
+
+    A ``kind`` narrows the draw to elements of that kind; an ``index`` picks
+    the element and needs a ``kind`` for ``replace`` and ``shorten``.
+    ``swap`` targets relations only, and ``overthink`` takes no index.
+    """
     rng = rng if rng is not None else random.Random(0)
+    if index is not None and kind is None and tag in ("replace", "shorten"):
+        raise ConfigError(f"{tag}: an index needs a kind")
     if tag == "swap":
+        if kind not in (None, "relation"):
+            raise UnsupportedKind(f"swap cannot target kind {kind!r}")
         if index is None:
             choices = _swap_indices(sg)
             if not choices:
@@ -437,27 +472,22 @@ def apply_operator(
             if not kinds:
                 raise NoApplicableOperator("no replaceable element with pool support")
             kind = rng.choice(kinds)
-        if index is not None:
-            _check_ref(sg, _target_ref(tag, "relation" if kind == "predicate" else kind, index))
-        if kind == "entity":
-            idx = index if index is not None else rng.randrange(len(sg.entities))
-            return _replace_entity(sg, idx, pool, rng, replacement)
-        if kind == "attribute":
-            idx = index if index is not None else rng.randrange(len(sg.attributes))
-            return _replace_attribute(sg, idx, pool, rng, replacement)
-        if kind in ("relation", "predicate"):
-            idx = index if index is not None else rng.randrange(len(sg.relations))
-            return _replace_predicate(sg, idx, pool, rng, replacement)
-        raise UnsupportedKind(f"replace cannot target kind {kind!r}")
+        element_kind = _element_kind_of(tag, "relation" if kind == "predicate" else kind)
+        if index is None:
+            size = _kind_size(sg, element_kind)
+            if not size:
+                raise NoApplicableOperator(f"no {kind} to replace")
+            index = rng.randrange(size)
+        _check_ref(sg, ElementRef(element_kind, index))
+        return _REPLACERS[element_kind](sg, index, pool, rng, replacement)
     if tag == "shorten":
-        if kind is not None and index is not None:
-            return _shorten(sg, _target_ref(tag, kind, index))
-        choices = _shorten_refs(sg)
-        if not choices:
-            raise NoApplicableOperator("no removable element")
-        return _shorten(sg, rng.choice(choices))
+        if index is not None:
+            return _shorten(sg, ElementRef(_element_kind_of(tag, kind), index))
+        return _shorten(sg, _draw_shorten_ref(sg, rng, kind))
     if tag == "overthink":
-        return _overthink(sg, pool, rng, element)
+        if index is not None:
+            raise ConfigError("overthink takes no index; pin the element to add instead")
+        return _overthink(sg, pool, rng, element, kind)
     raise ValueError(f"unknown operator tag {tag!r}")
 
 
@@ -468,9 +498,9 @@ def apply_operator(
 def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     """The operators with at least one target, in ``OPERATOR_TAGS`` order.
 
-    Each test answers whether its choice list (``_swap_indices``,
-    ``_replace_kinds``, ``_shorten_refs``, ``_addable_elements``) would be
-    non-empty without building it.
+    Each test answers whether its choice (``_swap_indices``,
+    ``_replace_kinds``, ``_draw_shorten_ref``, ``_addable_elements``) would
+    have anything to draw from, without building it.
     """
     tags = []
     present = set(sg.relations)
@@ -490,10 +520,13 @@ def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     return tags
 
 
-def _attempt_candidate(graph: SceneGraph, pool: ResidualPool, lo: int, hi: int, rng: random.Random):
+def _attempt_candidate(
+    graph: SceneGraph, pool: ResidualPool, lo: int, hi: int, rng: random.Random, start_tags: list[str]
+):
+    """Edit ``graph``, whose applicable operators are ``start_tags``, ``lo`` to ``hi`` times."""
     ops: list[PerturbationOp] = []
-    for _ in range(rng.randint(lo, hi)):
-        tags = _applicable_tags(graph, pool)
+    for step in range(rng.randint(lo, hi)):
+        tags = _applicable_tags(graph, pool) if step else start_tags
         if not tags:
             return None
         try:
@@ -533,7 +566,8 @@ def generate_negatives(
     else:
         seed = -1  # unknown; caller supplied a live generator
 
-    if not _applicable_tags(sg_c, pool):
+    start_tags = _applicable_tags(sg_c, pool)
+    if not start_tags:
         raise NoApplicableOperator("no operator applies to this subgraph/pool")
 
     seen = {sg_pos.signature()}
@@ -542,7 +576,7 @@ def generate_negatives(
     attempts = 0
     while len(out) < k and attempts < max_attempts:
         attempts += 1
-        result = _attempt_candidate(sg_c, pool, lo, hi, rng)
+        result = _attempt_candidate(sg_c, pool, lo, hi, rng, start_tags)
         if result is None:
             continue
         edited, ops = result

@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -158,65 +158,127 @@ def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
     return graphs
 
 
+def _workers(cfg: PipelineConfig) -> int:
+    return cfg.workers or os.cpu_count() or 1
+
+
+@dataclass
+class _CorpusLine:
+    """One non-blank corpus line while ``stage_parse`` settles it."""
+
+    line_no: int
+    norm: dict | None = None  # the normalized line, None when it is not one
+    reason: str | None = None  # why the line is dropped, once that is known
+    graph_value: object = None  # its inline or sidecar graph, unparsed
+    graph: SceneGraph | None = None
+    request: Future | None = None  # its scene-graph request, once sent
+
+    def settle(self, cfg: PipelineConfig, send) -> bool:
+        """Resolve the graph or the drop reason; False while a sent request is unanswered."""
+        if self.graph is not None or self.reason is not None:
+            return True
+        if self.graph_value is None and cfg.generator.kind != "http-chat":
+            self.reason = "no scene graph available and no endpoint configured"
+            return True
+        if self.graph_value is None and self.request is None:
+            self.request = send(self.norm)
+            return False
+        try:
+            if self.graph_value is not None:
+                self.graph = parse_scene_graph(self.graph_value)
+            else:
+                self.graph = parse_scene_graph(self.request.result(), on_dangling="add")
+        except SceneAlignError as exc:
+            self.reason = f"bad scene graph: {exc}"
+        return True
+
+
+def _read_line(line_no: int, line: str, sidecar: dict) -> _CorpusLine:
+    try:
+        raw = json.loads(line)
+    except ValueError as exc:
+        return _CorpusLine(line_no, reason=f"invalid JSON: {exc}")
+    try:
+        norm = _normalize_line(raw, line_no)
+    except CorpusError as exc:
+        return _CorpusLine(line_no, reason=exc.reason)
+    graph_value = norm.pop("scene_graph", None)
+    if graph_value is None:
+        graph_value = sidecar.get(norm["id"])
+    return _CorpusLine(line_no, norm, graph_value=graph_value)
+
+
+def _fetched_graph(norm: dict, cfg: PipelineConfig) -> str:
+    return generate_scene_graph_json(_instance_from_obj(norm), cfg.generator)
+
+
 def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
     """Load and normalize the corpus; resolve a scene graph for every item.
 
     Returns (work items, diagnostics for dropped lines).  In strict mode the
     first bad line raises :class:`CorpusError`; otherwise bad lines are
-    reported and skipped so adversarial corpora cannot abort a run.
+    reported and skipped so adversarial corpora cannot abort a run.  Lines
+    without a graph ask the chat endpoint for one, up to ``workers`` requests
+    at a time, and the replies are parsed in corpus order; a line dropped
+    before it would ask (bad JSON or shape, a duplicate id) sends no request.
     """
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(None, f"cannot read corpus: {exc}") from exc
     sidecar = _read_sidecar_graphs(cfg.graphs_path, cfg.strict) if cfg.graphs_path else {}
+    lines = [
+        _read_line(line_no, line, sidecar)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    fetcher: ThreadPoolExecutor | None = None
 
-    items: list[dict] = []
-    drops: list[dict] = []
-    seen_ids: set[str] = set()
+    def send(norm: dict) -> Future:
+        nonlocal fetcher
+        fetcher = fetcher or ThreadPoolExecutor(max_workers=_workers(cfg))
+        return fetcher.submit(_fetched_graph, norm, cfg)
 
-    def drop(line_no: int, reason: str) -> None:
-        if cfg.strict:
-            raise CorpusError(line_no, reason)
-        logger.warning("corpus line %d skipped: %s", line_no, reason)
-        drops.append({"line": line_no, "reason": reason})
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            drop(line_no, f"invalid JSON: {exc}")
-            continue
-        try:
-            norm = _normalize_line(raw, line_no)
-        except CorpusError as exc:
-            drop(line_no, exc.reason)
-            continue
-        if norm["id"] in seen_ids:
-            drop(line_no, f"duplicate id {norm['id']!r}")
-            continue
-
-        graph_value = norm.pop("scene_graph", None)
-        if graph_value is None and norm["id"] in sidecar:
-            graph_value = sidecar[norm["id"]]
-        try:
-            if graph_value is not None:
-                graph = parse_scene_graph(graph_value)
-            elif cfg.generator.kind == "http-chat":
-                inst = _instance_from_obj(norm)
-                graph = parse_scene_graph(generate_scene_graph_json(inst, cfg.generator), on_dangling="add")
-            else:
-                drop(line_no, "no scene graph available and no endpoint configured")
-                continue
-        except SceneAlignError as exc:
-            drop(line_no, f"bad scene graph: {exc}")
-            continue
-
-        seen_ids.add(norm["id"])
-        norm["scene_graph"] = graph
-        items.append(norm)
+    try:
+        while True:
+            # A sweep in corpus order settles every line it can and sends the
+            # requests it finds missing.  A line whose request is unanswered
+            # holds back the later lines with its id: they are duplicates
+            # only if it gets a graph.  Under strict, a bad line after it is
+            # raised only once the requests before that line are answered.
+            items: list[dict] = []
+            drops: list[dict] = []
+            seen_ids: set[str] = set()
+            waiting: set[str] = set()
+            for line in lines:
+                ident = line.norm["id"] if line.norm is not None else None
+                if ident in waiting:
+                    if cfg.strict:
+                        break  # this line fails whatever the reply, so no later line counts
+                    continue
+                if ident in seen_ids:
+                    reason = f"duplicate id {ident!r}"
+                elif ident is None or line.settle(cfg, send):
+                    reason = line.reason
+                else:
+                    waiting.add(ident)
+                    continue
+                if reason is None:
+                    seen_ids.add(ident)
+                    items.append({**line.norm, "scene_graph": line.graph})
+                elif not cfg.strict:
+                    drops.append({"line": line.line_no, "reason": reason})
+                elif waiting:
+                    break
+                else:
+                    raise CorpusError(line.line_no, reason)
+            if not waiting:
+                break
+    finally:
+        if fetcher is not None:
+            fetcher.shutdown(cancel_futures=True)
+    for drop in drops:
+        logger.warning("corpus line %d skipped: %s", drop["line"], drop["reason"])
     return items, drops
 
 
@@ -363,15 +425,20 @@ def _process_item(item: dict, cfg: PipelineConfig) -> InstanceOutcome:
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run every stage over the corpus and write the dataset plus a report.
 
-    Instances are processed in a worker pool; output order and all sampling
-    depend only on the corpus content and the seed, never on scheduling.
+    With the template generator and the hashed embedding, every instance is
+    processed on the calling thread: the work is all Python, and threads
+    would only take turns at the interpreter lock.  When a provider is
+    remote, up to ``workers`` instances are in flight at once, so their
+    requests overlap.  Output order and all sampling depend only on the
+    corpus content and the seed, never on scheduling.
     """
     cfg.validate()
     started = time.monotonic()
     items, line_drops = stage_parse(cfg)
 
-    workers = cfg.workers or os.cpu_count() or 1
-    if workers == 1 or len(items) <= 1:
+    in_process = cfg.generator.kind == "template" and cfg.embed.provider == "hashed-ngram"
+    workers = _workers(cfg)
+    if in_process or workers == 1 or len(items) <= 1:
         outcomes = [_process_item(item, cfg) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -394,6 +394,27 @@ class TestPerturbSingleOpBadInput:
         assert main(argv + ["--kind", "predicate", "--index", "0"]) == 1
         assert "shorten cannot target kind 'predicate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shorten_kind_without_index_removes_that_kind(self, sub_graph_file, seed, capsys):
+        argv = ["perturb", "--input", "unused", "--op", "shorten", "--graph", str(sub_graph_file)]
+        assert main(argv + ["--kind", "attribute", "--seed", str(seed)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["trace"][0]["kind"] == "attribute"
+        assert obj["graph"]["entity"] == CASE_SUBGRAPH_OBJ["entity"]
+        assert obj["graph"]["relationships"] == CASE_SUBGRAPH_OBJ["relationships"]
+        assert len(obj["graph"]["attribute pairs"]) == len(CASE_SUBGRAPH_OBJ["attribute pairs"]) - 1
+
+    @pytest.mark.parametrize("op", ["shorten", "replace"])
+    def test_index_without_kind_is_a_usage_error(self, sub_graph_file, pool_file, op, capsys):
+        argv = ["perturb", "--input", "unused", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        assert main(argv + ["--index", "1"]) == 1
+        assert f"{op}: an index needs a kind" in capsys.readouterr().err
+
+    def test_swap_of_an_entity_is_an_error(self, sub_graph_file, capsys):
+        argv = ["perturb", "--input", "unused", "--op", "swap", "--graph", str(sub_graph_file)]
+        assert main(argv + ["--kind", "entity", "--index", "0"]) == 1
+        assert "swap cannot target kind 'entity'" in capsys.readouterr().err
+
 
 class TestDpoCheck:
     def test_builtin_demo_passes(self, capsys):

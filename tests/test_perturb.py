@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 import random
 
@@ -6,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenealign.errors import (
+    ConfigError,
     DuplicateCollision,
     EmptyPool,
     EmptyPoolForKind,
     IndexOutOfRange,
     NoApplicableOperator,
     NoOpSwap,
+    UnsupportedKind,
     WouldEmpty,
 )
 from scenealign.grounding import ResidualPool, residual_pool
@@ -22,7 +26,7 @@ from scenealign.perturb import (
     _addable_elements,
     _applicable_tags,
     _replace_kinds,
-    _shorten_refs,
+    _shorten,
     _swap_indices,
     apply_operator,
     generate_negatives,
@@ -36,6 +40,7 @@ from scenealign.scene_graph import (
     ElementKind,
     ElementRef,
     SceneGraph,
+    encode_scene_graph,
     jaccard_counts,
 )
 
@@ -287,6 +292,21 @@ class TestApplyOperator:
         assert d["payload"] == ["motorcycle", "look at", "man"]
 
 
+def _shorten_refs(sg: SceneGraph) -> list[ElementRef]:
+    """Every ref ``shorten`` may remove, listed: entities, attributes, relations."""
+    total = sg.element_count
+    refs = []
+    for i, name in enumerate(sg.entities):
+        cascade = 1 + sum(1 for e, _ in sg.attributes if e == name)
+        cascade += sum(1 for s, _, o in sg.relations if name in (s, o))
+        if total - cascade >= 1:
+            refs.append(ElementRef(ElementKind.ENTITY, i))
+    if total >= 2:
+        refs += [ElementRef(ElementKind.ATTRIBUTE, i) for i in range(len(sg.attributes))]
+        refs += [ElementRef(ElementKind.RELATION, i) for i in range(len(sg.relations))]
+    return refs
+
+
 def _listed_applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     """The operators whose choice lists are non-empty, in ``OPERATOR_TAGS`` order."""
     choices = {
@@ -352,6 +372,106 @@ class TestApplicableTags:
     def test_edge_graphs_with_and_without_a_pool(self, sg, case_pool):
         for pool in (EMPTY_POOL, case_pool, ResidualPool(entities=("man",))):
             assert _applicable_tags(sg, pool) == _listed_applicable_tags(sg, pool)
+
+
+class TestShortenDraw:
+    """The count-based ``shorten`` draw against ``rng.choice`` over the listed refs."""
+
+    @given(_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_same_edit_and_rng_state_as_the_listed_draw(self, sg, seed):
+        drawn, listed = random.Random(seed), random.Random(seed)
+        refs = _shorten_refs(sg)
+        if not refs:
+            with pytest.raises(NoApplicableOperator):
+                apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn)
+            return
+        assert apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn) == _shorten(sg, listed.choice(refs))
+        assert drawn.getstate() == listed.getstate()
+
+    @given(_graphs(), st.sampled_from(["entity", "attribute", "relation"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_a_kind_narrows_the_draw_to_its_refs(self, sg, kind, seed):
+        drawn, listed = random.Random(seed), random.Random(seed)
+        refs = [ref for ref in _shorten_refs(sg) if ref.kind.value == kind]
+        if not refs:
+            with pytest.raises(NoApplicableOperator):
+                apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
+            return
+        graph, op = apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
+        assert (graph, op) == _shorten(sg, listed.choice(refs))
+        assert op.kind == kind
+        assert drawn.getstate() == listed.getstate()
+
+
+class TestTargeting:
+    """``apply_operator`` honours every targeting argument it is given."""
+
+    def test_index_without_kind_is_a_config_error(self, case_subgraph, case_pool):
+        for tag in ("replace", "shorten"):
+            with pytest.raises(ConfigError, match="an index needs a kind"):
+                apply_operator(case_subgraph, case_pool, tag, index=1)
+
+    @pytest.mark.parametrize("kind", ["entity", "attribute", "predicate"])
+    def test_swap_targets_relations_only(self, case_subgraph, case_pool, kind):
+        with pytest.raises(UnsupportedKind):
+            apply_operator(case_subgraph, case_pool, "swap", kind=kind, index=0)
+
+    def test_replace_kind_without_a_target_of_that_kind(self, case_pool):
+        sg = SceneGraph(("man",))
+        with pytest.raises(NoApplicableOperator):
+            apply_operator(sg, case_pool, "replace", kind="attribute")
+
+    @pytest.mark.parametrize("kind", ["entity", "attribute", "relation"])
+    def test_overthink_kind_narrows_the_draw(self, case_subgraph, case_pool, kind):
+        for seed in range(10):
+            _, op = apply_operator(case_subgraph, case_pool, "overthink", kind=kind, rng=random.Random(seed))
+            assert op.kind == kind
+
+    def test_overthink_takes_no_index_and_a_pinned_element_of_its_kind(self, case_subgraph, case_pool):
+        with pytest.raises(ConfigError, match="overthink takes no index"):
+            apply_operator(case_subgraph, case_pool, "overthink", kind="entity", index=0)
+        with pytest.raises(UnsupportedKind):
+            apply_operator(case_subgraph, case_pool, "overthink", kind="entity", element=("window", "glass"))
+
+
+def _candidates_digest(edit_range: tuple[int, int]) -> tuple[str, int]:
+    """sha256 of every candidate's graph and trace over 300 random instances."""
+    rng = random.Random(300)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(300):
+        parent = random_scene_graph(rng, min_entities=2)
+        sub = graph_subset(parent, rng)
+        seed = rng.randrange(2**32)
+        try:
+            candidates = generate_negatives(
+                parent, sub, residual_pool(parent, sub), k=8, edit_range=edit_range, rng=seed
+            )
+        except NoApplicableOperator:
+            digest.update(b"none\n")
+            continue
+        for cand in candidates:
+            count += 1
+            digest.update(json.dumps([encode_scene_graph(cand.graph), cand.trace.to_dict()]).encode() + b"\n")
+        digest.update(b"\n")
+    return digest.hexdigest(), count
+
+
+class TestSamplerPin:
+    """Every candidate, selected or not, keeps its bytes: same draws, same edits."""
+
+    @pytest.mark.parametrize(
+        "edit_range, sha256, count",
+        [
+            ((1, 3), "b6b61820b9162e53ad36b62a77e3523fb4786fc3ef01de34695f8c30decab2c3", 2212),
+            ((3, 5), "c4b8f33fc49f3f9315c21d4ecf26f3c96c98318aba46c795e9a4a34f89fd504c", 2225),
+        ],
+        ids=["edits-1-3", "edits-3-5"],
+    )
+    def test_candidates_keep_their_sha256(self, edit_range, sha256, count, caplog):
+        with caplog.at_level(logging.ERROR):  # shortfall warnings are expected here
+            assert _candidates_digest(edit_range) == (sha256, count)
 
 
 class TestGenerateNegatives:

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import random
+import threading
+import time
 
 import pytest
 
 from scenealign import pipeline
 from scenealign.cli import main
 from scenealign.dpo import import_jsonl
+from scenealign.embed import EmbedConfig
 from scenealign.errors import ConfigError, CorpusError
 from scenealign.generate import GeneratorConfig
 from scenealign.grounding import ResidualPool
@@ -31,6 +35,67 @@ from .helpers import synthetic_corpus_lines
 
 def _write_corpus(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+class _MockProviders:
+    """Chat and embedding replies for ``MockApi`` that depend only on the request.
+
+    A scene-graph request gets the graph held for its image; a reasoning
+    prompt gets one step per relation and attribute at an even position of
+    the graph it shows, so grounding leaves a residual pool.  Requests that
+    are in flight at once are counted.
+    """
+
+    def __init__(self, graphs_by_image=None, delay=0.0):
+        self.graphs_by_image = graphs_by_image or {}
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.most_in_flight = 0
+
+    def __call__(self, payload):
+        with self.lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            return 200, self._reply(payload)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def _reply(self, payload):
+        if "input" in payload:
+            return {"data": [{"embedding": _text_vector(text)} for text in payload["input"]]}
+        content = payload["messages"][0]["content"]
+        prompt = content if isinstance(content, str) else content[0]["text"]
+        shown = prompt.rsplit("Scene Graph:", 1)[1].split("\n\n", 1)[0].strip()
+        if not shown:
+            text = json.dumps(self.graphs_by_image.get(content[1]["image_url"]["url"], "no graph"))
+        else:
+            graph = json.loads(shown)
+            steps = [f"The {s} {p} the {o}." for s, p, o in graph["relationships"][::2]]
+            steps += [f"The {e} is {v}." for e, v in graph["attribute pairs"][::2]] or ["The scene is plain."]
+            text = "\n".join(f"{i}. {step}" for i, step in enumerate(steps, start=1)) + "\nConclusion: It is so."
+        return {"choices": [{"message": {"content": text}}]}
+
+
+def _text_vector(text: str) -> list[float]:
+    return [byte / 255.0 for byte in hashlib.sha256(text.encode("utf-8")).digest()[:8]]
+
+
+def _remote_cfg(api, **kw) -> dict:
+    return dict(
+        generator=GeneratorConfig(kind="http-chat", endpoint=f"{api.url}/chat", backoff_base=0.0),
+        embed=EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=8, backoff_base=0.0),
+        **kw,
+    )
+
+
+def _graph_less(lines: list[dict]) -> tuple[list[dict], dict]:
+    """The lines without their graphs, and the graphs by image."""
+    graphs = {line["image"]: line["scene_graph"] for line in lines}
+    return [{k: v for k, v in line.items() if k != "scene_graph"} for line in lines], graphs
 
 
 def _cfg(tmp_path, lines, name="corpus", **kw):
@@ -161,6 +226,65 @@ class TestStageParse:
         with pytest.raises(CorpusError) as err:
             stage_parse(cfg)
         assert err.value.line_no == 1
+
+    def test_scene_graph_requests_overlap(self, tmp_path, mock_api):
+        lines, graphs = _graph_less(synthetic_corpus_lines(6, random.Random(105)))
+        mock_api.handler = providers = _MockProviders(graphs, delay=0.05)
+        items, drops = stage_parse(_cfg(tmp_path, lines, **_remote_cfg(mock_api, workers=4)))
+        assert drops == []
+        assert [item["id"] for item in items] == [line["id"] for line in lines]
+        assert [encode_scene_graph(item["scene_graph"]) for item in items] == [graphs[line["image"]] for line in lines]
+        assert 2 <= providers.most_in_flight <= 4
+
+    def test_lines_dropped_before_asking_send_no_request(self, tmp_path, mock_api):
+        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(106)))
+        first, second, third = lines
+        graphs[second["image"]] = {"entity": "not a list"}  # its reply is a bad graph
+        corpus = [
+            json.dumps(first),
+            "{broken",
+            json.dumps(dict(third, id=first["id"])),  # a duplicate of a kept line
+            json.dumps(dict(first, question="")),
+            json.dumps(second),
+            json.dumps(dict(third, id=second["id"])),  # second's id, after its failure
+        ]
+        inp = tmp_path / "corpus.jsonl"
+        inp.write_text("\n".join(corpus) + "\n", encoding="utf-8")
+        mock_api.handler = _MockProviders(graphs)
+        cfg = PipelineConfig(input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), **_remote_cfg(mock_api, workers=4))
+        items, drops = stage_parse(cfg)
+        assert [item["id"] for item in items] == [first["id"], second["id"]]
+        assert encode_scene_graph(items[1]["scene_graph"]) == graphs[third["image"]]
+        assert [(d["line"], d["reason"].split(":")[0]) for d in drops] == [
+            (2, "invalid JSON"),
+            (3, f"duplicate id {first['id']!r}"),
+            (4, "missing or empty 'question'"),
+            (5, "bad scene graph"),
+        ]
+        images = [r["payload"]["messages"][0]["content"][1]["image_url"]["url"] for r in mock_api.requests]
+        assert sorted(images) == sorted([first["image"], second["image"], third["image"]])
+
+    @pytest.mark.parametrize(
+        "bad_line, bad_at, requests",
+        [("{broken", 2, 1), (None, 2, 2)],
+        ids=["bad-json-after-a-request", "failed-reply-before-a-bad-line"],
+    )
+    def test_strict_raises_at_the_first_bad_line_in_corpus_order(self, tmp_path, mock_api, bad_line, bad_at, requests):
+        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(107)))
+        if bad_line is None:  # the second line's reply is the first failure
+            graphs[lines[1]["image"]] = {"entity": "not a list"}
+            bad_line = json.dumps(lines[1])
+        corpus = [json.dumps(lines[0]), bad_line, "{broken", json.dumps(lines[2])]
+        inp = tmp_path / "corpus.jsonl"
+        inp.write_text("\n".join(corpus) + "\n", encoding="utf-8")
+        mock_api.handler = _MockProviders(graphs)
+        cfg = PipelineConfig(
+            input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), strict=True, **_remote_cfg(mock_api, workers=4)
+        )
+        with pytest.raises(CorpusError) as err:
+            stage_parse(cfg)
+        assert err.value.line_no == bad_at
+        assert len(mock_api.requests) == requests
 
     def test_unreadable_corpus(self, tmp_path):
         cfg = PipelineConfig(
@@ -317,6 +441,29 @@ class TestFullRun:
         assert (tmp_path / "serial.out.jsonl").read_bytes() == (
             tmp_path / "pool.out.jsonl"
         ).read_bytes()
+
+    def test_worker_count_does_not_change_remote_output(self, tmp_path, mock_api):
+        lines = synthetic_corpus_lines(8, random.Random(108))
+        graph_less, graphs = _graph_less(lines[:3])
+        lines = graph_less + lines[3:]
+        mock_api.handler = _MockProviders(graphs)
+        run_pipeline(_cfg(tmp_path, lines, name="serial", seed=5, **_remote_cfg(mock_api, workers=1)))
+        run_pipeline(_cfg(tmp_path, lines, name="pool", seed=5, **_remote_cfg(mock_api, workers=4)))
+        serial = (tmp_path / "serial.out.jsonl").read_bytes()
+        assert serial == (tmp_path / "pool.out.jsonl").read_bytes()
+        assert len(serial.splitlines()) > len(lines)
+
+    def test_in_process_run_starts_no_thread_pool(self, tmp_path, case_corpus_line, monkeypatch):
+        lines = [case_corpus_line] + synthetic_corpus_lines(6, random.Random(101))
+        run_pipeline(_cfg(tmp_path, lines, name="plain", seed=5))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an in-process run started a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        for workers in (0, 4):
+            run_pipeline(_cfg(tmp_path, lines, name=f"w{workers}", seed=5, workers=workers))
+            assert (tmp_path / f"w{workers}.out.jsonl").read_bytes() == (tmp_path / "plain.out.jsonl").read_bytes()
 
     def test_corpus_permutation_changes_only_order(self, tmp_path):
         lines = synthetic_corpus_lines(8, random.Random(102))
