@@ -82,9 +82,9 @@ def _parse_edit_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"invalid --edits value {text!r}; use N or LO..HI") from exc
 
 
-def _add_common_flags(p: argparse.ArgumentParser, *, output_required: bool = True) -> None:
-    p.add_argument("--input", required=True, help="input JSONL path")
-    p.add_argument("--output", required=output_required, help="output path")
+def _add_common_flags(p: argparse.ArgumentParser, *, paths_required: bool = True) -> None:
+    p.add_argument("--input", required=paths_required, help="input JSONL path")
+    p.add_argument("--output", required=paths_required, help="output path")
     p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
     p.add_argument("--strict", action="store_true", help="fail fast on malformed input")
     p.add_argument("--verbose", action="store_true", help="info-level logging")
@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scenealign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def full(p, *, output_required=True):
-        _add_common_flags(p, output_required=output_required)
+    def full(p, *, paths_required=True):
+        _add_common_flags(p, paths_required=paths_required)
         p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
         p.add_argument("--report", default=None, help="run report path")
         p.add_argument("--workers", type=int, default=0, help="instances in flight when a provider is remote (0 = CPUs)")
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ground.set_defaults(func=_cmd_ground)
 
     p_perturb = sub.add_parser("perturb", help="sample negative candidates")
-    full(p_perturb, output_required=False)
+    full(p_perturb, paths_required=False)  # --op mode reads --graph instead
     p_perturb.add_argument("--op", choices=["swap", "replace", "shorten", "overthink"],
                            help="apply a single operator to --graph instead of running the stage")
     p_perturb.add_argument("--graph", default=None, help="scene graph JSON file for --op mode")

@@ -25,16 +25,70 @@ logger = logging.getLogger(__name__)
 _HTTP_BATCH = 16
 _MAX_IN_FLIGHT = 4  # concurrent requests per batch on the http provider
 _NGRAM_LENGTHS = range(3, 6)  # character n-grams the offline provider hashes
-# grams each per-dimension slot table keeps; past it a gram is hashed every time
+_WINDOW = _NGRAM_LENGTHS[-1]
+# windows each per-dimension table keeps; past it a window is hashed every time
 _SLOT_TABLE_CAP = 1 << 16
 
-# dimension -> {gram: bucket << 1 | sign}, filled as grams are first seen.
-# Lookups take no lock: a dict get is atomic under the GIL, and two threads
-# that miss on one gram compute and store the same code.  Only a store takes
-# the lock, so that the size check and the insert cannot interleave and the
-# table never outgrows its cap; a store happens once per distinct gram.
-_slot_tables: dict[int, dict[str, int]] = {}
-_slot_store_lock = threading.Lock()
+
+class _WindowTable:
+    """One dimension's memo: a text window to the codes of its n-gram prefixes.
+
+    A window is ``folded[i:i+5]``, or shorter at the end of the text; row
+    ``ids[window]`` of ``codes`` holds ``bucket << 1 | sign`` for its 3-, 4- and
+    5-character prefixes, with bucket ``dimension`` for a prefix the window is
+    too short for.  Lookups take no lock: a dict get is atomic under the GIL.
+    A store takes the lock, writes the row and publishes any grown array
+    before it stores the key, so a reader that finds a key and then reads
+    ``codes`` finds the row; a store happens once per distinct window.
+    """
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.ids: dict[str, int] = {}
+        self.codes = np.empty((1024, len(_NGRAM_LENGTHS)), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, windows: list[str]) -> list[int] | None:
+        """The row of each window, storing new ones; None when one is past the cap."""
+        try:
+            return list(map(self.ids.__getitem__, windows))
+        except KeyError:
+            self._store(windows)
+        try:
+            return list(map(self.ids.__getitem__, windows))
+        except KeyError:
+            return None
+
+    def codes_of(self, window: str):
+        """One window's codes, from its row or, past the cap, hashed inline."""
+        row = self.ids.get(window)
+        return _window_codes(window, self.dimension) if row is None else self.codes[row]
+
+    def _store(self, windows: list[str]) -> None:
+        if len(self.ids) >= _SLOT_TABLE_CAP:
+            return
+        new = [w for w in dict.fromkeys(windows) if w not in self.ids]
+        hashed = [_window_codes(w, self.dimension) for w in new]
+        with _window_store_lock:
+            for window, codes in zip(new, hashed):
+                row = len(self.ids)
+                if row >= _SLOT_TABLE_CAP:
+                    return
+                if window in self.ids:  # another thread stored it first
+                    continue
+                if row == len(self.codes):
+                    grown = np.empty((2 * row, len(_NGRAM_LENGTHS)), dtype=np.int64)
+                    grown[:row] = self.codes
+                    self.codes = grown
+                self.codes[row] = codes
+                self.ids[window] = row
+
+
+# dimension -> its window table, made on the first text of that dimension
+_window_tables: dict[int, _WindowTable] = {}
+_window_store_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -75,31 +129,43 @@ def _stable_hash(data: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _new_slot_code(gram: str, dimension: int, table: dict[str, int]) -> int:
-    """Hash a gram the table lacks into ``bucket << 1 | sign``; store it below the cap."""
-    h = _stable_hash(gram)
-    code = ((h >> 1) % dimension) << 1 | (h & 1)
-    if len(table) < _SLOT_TABLE_CAP:
-        with _slot_store_lock:
-            if len(table) < _SLOT_TABLE_CAP:
-                table[gram] = code
-    return code
+def _window_codes(window: str, dimension: int) -> list[int]:
+    """``bucket << 1 | sign`` of each n-gram prefix of a window, padded with bucket ``dimension``.
+
+    A text shorter than the smallest n-gram is its own window, hashed whole.
+    """
+    codes = []
+    for n in _NGRAM_LENGTHS:
+        if n <= len(window) or n == _NGRAM_LENGTHS[0]:
+            h = _stable_hash(window[:n])
+            codes.append(((h >> 1) % dimension) << 1 | (h & 1))
+        else:
+            codes.append(dimension << 1)
+    return codes
+
+
+def _window_table(dimension: int) -> _WindowTable:
+    table = _window_tables.get(dimension)
+    if table is None:  # setdefault is atomic, so racing threads share one table
+        table = _window_tables.setdefault(dimension, _WindowTable(dimension))
+    return table
 
 
 def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
     folded = text.casefold()
-    grams = [folded[i : i + n] for n in _NGRAM_LENGTHS for i in range(len(folded) - n + 1)]
-    if not grams:
-        grams = [folded]  # text shorter than the smallest n-gram
+    # every 3-, 4- and 5-gram is a prefix of exactly one window
+    windows = [folded[i : i + _WINDOW] for i in range(len(folded) - _NGRAM_LENGTHS[0] + 1)] or [folded]
     dim = cfg.dimension
-    table = _slot_tables.setdefault(dim, {})
-    try:
-        codes = list(map(table.__getitem__, grams))
-    except KeyError:  # a gram seen for the first time, or one past the cap
-        codes = [table[g] if g in table else _new_slot_code(g, dim, table) for g in grams]
-    packed = np.array(codes, dtype=np.int64)
-    # each entry is a sum of +-1.0, exact in float64 whatever the order
-    vec = np.bincount(packed >> 1, weights=(packed & 1) * 2.0 - 1.0, minlength=dim)
+    table = _window_table(dim)
+    rows = table.rows(windows)
+    if rows is not None:
+        packed = table.codes.take(rows, axis=0).ravel()  # read the array after the keys
+    else:
+        packed = np.array([table.codes_of(w) for w in windows], dtype=np.int64).ravel()
+    # code 2b + 1 counts bucket b's +1 grams and 2b its -1 grams; bucket
+    # ``dim`` holds the padding.  Integer counts are exact in float64.
+    counts = np.bincount(packed, minlength=2 * dim + 2)
+    vec = (counts[1::2] - counts[0::2])[:dim].astype(np.float64)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # signed counts cancelled out completely; fall back to a one-hot
@@ -138,7 +204,7 @@ def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[
         if not text or not text.strip():
             raise EmptyText("cannot embed empty text")
     if cfg.provider == "hashed-ngram":
-        return [Embedding(tuple(_hashed_ngram_vector(t, cfg))) for t in texts]
+        return [Embedding(tuple(_hashed_ngram_vector(t, cfg).tolist())) for t in texts]
     chunks = [texts[i : i + _HTTP_BATCH] for i in range(0, len(texts), _HTTP_BATCH)]
     if len(chunks) <= 1:
         return _http_embed_batch(texts, cfg) if texts else []

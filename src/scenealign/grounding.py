@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import EmptyMatch, NotASubgraph
@@ -75,6 +75,7 @@ class ResidualPool:
         return out
 
 
+@lru_cache(maxsize=4096)  # entity names, values and predicates recur across instances
 def _phrase_pattern(phrase: str) -> re.Pattern:
     # case-insensitive whole tokens, whitespace-insensitive within the phrase
     body = r"\s+".join(re.escape(tok) for tok in phrase.split())

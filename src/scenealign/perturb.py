@@ -88,7 +88,6 @@ class NegativeCandidate:
     trace: EditTrace
     jaccard: float | None = None
     rationale: object = None  # Rationale, filled by the generation stage
-    embedding: object = None  # Embedding, filled by the selection stage
 
     @property
     def operator(self) -> str:
@@ -452,9 +451,15 @@ def apply_operator(
 
     A ``kind`` narrows the draw to elements of that kind; an ``index`` picks
     the element and needs a ``kind`` for ``replace`` and ``shorten``.
-    ``swap`` targets relations only, and ``overthink`` takes no index.
+    ``swap`` targets relations only, and ``overthink`` takes no index.  A
+    ``replacement`` is for ``replace`` only and an ``element`` for
+    ``overthink`` only.
     """
     rng = rng if rng is not None else random.Random(0)
+    if replacement is not None and tag != "replace":
+        raise ConfigError(f"{tag} takes no replacement; only replace does")
+    if element is not None and tag != "overthink":
+        raise ConfigError(f"{tag} takes no element to add; only overthink does")
     if index is not None and kind is None and tag in ("replace", "shorten"):
         raise ConfigError(f"{tag}: an index needs a kind")
     if tag == "swap":

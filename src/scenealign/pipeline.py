@@ -343,8 +343,6 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
 
     if in_band:
         embeddings = embed_texts([c.rationale.raw_text for c in in_band], cfg.embed)
-        for cand, emb in zip(in_band, embeddings):
-            cand.embedding = emb
         chosen = select_diverse(embeddings, cfg.selection.m)
         selected = [in_band[i] for i in chosen]
     else:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .embed import Embedding, distance_matrix
 from .errors import ConfigError
 from .perturb import NegativeCandidate
-from .scene_graph import SceneGraph, jaccard_fraction
+from .scene_graph import SceneGraph, element_universe
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +54,37 @@ def _band_fraction(bound: float) -> Fraction:
     return Fraction(str(bound))
 
 
+def _overlap_counts(candidates: Sequence[NegativeCandidate], sg_pos: SceneGraph) -> list[tuple[int, int]]:
+    """Each candidate's (intersection, union) with the positive; sets its ``jaccard``.
+
+    Both universes empty counts as (1, 1), J = 1.  Int true division is
+    correctly rounded, so ``inter / union`` is the float of the exact ratio.
+    """
+    positive = element_universe(sg_pos).members
+    counts = []
+    for cand in candidates:
+        members = element_universe(cand.graph).members
+        inter = len(members & positive)
+        union = len(members) + len(positive) - inter
+        if union == 0:
+            inter = union = 1
+        cand.jaccard = inter / union
+        counts.append((inter, union))
+    return counts
+
+
+def _in_band(counts: Sequence[tuple[int, int]], cfg: SelectionConfig) -> list[int]:
+    """Indices whose exact ratio lies in the inclusive band, compared on integers."""
+    lo = _band_fraction(cfg.gamma_lower)
+    hi = _band_fraction(cfg.gamma_upper)
+    # lo <= inter/union <= hi, with every denominator positive
+    return [
+        idx
+        for idx, (inter, union) in enumerate(counts)
+        if lo.numerator * union <= inter * lo.denominator and inter * hi.denominator <= hi.numerator * union
+    ]
+
+
 def filter_by_overlap(
     candidates: Sequence[NegativeCandidate],
     sg_pos: SceneGraph,
@@ -67,15 +98,7 @@ def filter_by_overlap(
     unchanged, so a candidate whose only edits are predicate replacements
     sits at J = 1 and is always dropped by any upper bound below 1.
     """
-    lo = _band_fraction(cfg.gamma_lower)
-    hi = _band_fraction(cfg.gamma_upper)
-    kept = []
-    for idx, cand in enumerate(candidates):
-        value = jaccard_fraction(cand.graph, sg_pos)
-        cand.jaccard = float(value)
-        if lo <= value <= hi:
-            kept.append(idx)
-    return kept
+    return _in_band(_overlap_counts(candidates, sg_pos), cfg)
 
 
 def filter_with_shortfall(
@@ -89,7 +112,8 @@ def filter_with_shortfall(
     least ``m`` candidates survive or the band covers [0, 1].  Returns the
     retained indices, the bounds actually used, and the relaxation step count.
     """
-    kept = filter_by_overlap(candidates, sg_pos, cfg)
+    counts = _overlap_counts(candidates, sg_pos)
+    kept = _in_band(counts, cfg)
     steps = 0
     current = cfg
     if cfg.on_shortfall == "relax-bounds":
@@ -100,7 +124,7 @@ def filter_with_shortfall(
                 gamma_upper=min(1.0, round(current.gamma_upper + _RELAX_STEP, 10)),
             )
             steps += 1
-            kept = filter_by_overlap(candidates, sg_pos, current)
+            kept = _in_band(counts, current)
         if steps:
             logger.info(
                 "relaxed overlap band %d step(s) to [%g, %g]; %d candidate(s) retained",

@@ -345,6 +345,15 @@ class TestPerturbSingleOp:
     def test_op_without_graph_is_a_config_error(self, capsys):
         assert main(["perturb", "--input", "unused", "--op", "swap"]) == 1
 
+    def test_op_mode_needs_no_input(self, sub_graph_file, capsys):
+        assert main(["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]) == 0
+        assert self._graph(capsys)["graph"]["relationships"][0] == ["motorcycle", "look at", "man"]
+
+    @pytest.mark.parametrize("flags", [[], ["--input", "corpus.jsonl"], ["--output", "out.jsonl"]])
+    def test_stage_mode_still_needs_input_and_output(self, flags, capsys):
+        assert main(["perturb", *flags]) == 1
+        assert "stage mode requires --input and --output" in capsys.readouterr().err
+
 
 class TestPerturbSingleOpBadInput:
     """Bad ``--op`` input ends with an exit code and a message, never a traceback."""
@@ -414,6 +423,18 @@ class TestPerturbSingleOpBadInput:
         argv = ["perturb", "--input", "unused", "--op", "swap", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "entity", "--index", "0"]) == 1
         assert "swap cannot target kind 'entity'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["swap", "shorten", "overthink"])
+    def test_replacement_outside_replace_is_a_config_error(self, sub_graph_file, pool_file, op, capsys):
+        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        assert main(argv + ["--replacement", "window", "--kind", "relation"]) == 1
+        assert f"{op} takes no replacement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["swap", "shorten", "replace"])
+    def test_element_outside_overthink_is_a_config_error(self, sub_graph_file, pool_file, op, capsys):
+        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        assert main(argv + ["--element", '"car"']) == 1
+        assert f"{op} takes no element" in capsys.readouterr().err
 
 
 class TestDpoCheck:

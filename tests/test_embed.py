@@ -124,7 +124,15 @@ def _assert_matches_reference(texts, dimension):
 
 
 def _assert_tables_within_cap():
-    assert all(len(table) <= embed_module._SLOT_TABLE_CAP for table in embed_module._slot_tables.values())
+    for table in embed_module._window_tables.values():
+        assert len(table) <= embed_module._SLOT_TABLE_CAP
+        # every stored window points at its own row inside the published array
+        assert sorted(table.ids.values()) == list(range(len(table)))
+        assert len(table) <= len(table.codes)
+
+
+def _random_words(rng: random.Random, n: int) -> str:
+    return " ".join("".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(3, 9))) for _ in range(n))
 
 
 _SHORT = st.text(min_size=1, max_size=2).filter(str.strip)
@@ -133,7 +141,7 @@ _ANY = st.text(min_size=1, max_size=60).filter(str.strip)
 
 
 class TestMemoizedSlots:
-    """The memoized slot table gives exactly the per-gram blake2b loop's vectors."""
+    """The memoized window table gives exactly the per-gram blake2b loop's vectors."""
 
     @given(st.lists(st.one_of(_SHORT, _NON_ASCII, _ANY), min_size=1, max_size=6), st.integers(2, 1024))
     @settings(max_examples=200, deadline=None)
@@ -141,7 +149,9 @@ class TestMemoizedSlots:
         _assert_matches_reference(texts, dimension)
         _assert_tables_within_cap()
 
-    @pytest.mark.parametrize("text", ["ß", "ﬁ", "Straße", "ﬁﬂ", "ßß", "İstanbul", "ab", "x"])
+    @pytest.mark.parametrize(
+        "text", ["ß", "ﬁ", "Straße", "ﬁﬂ", "ßß", "İstanbul", "ab", "x", "abc", "abcd", "abcde", "car ", "İx"]
+    )
     def test_texts_casefolding_lengthens_or_shorter_than_a_gram(self, text):
         for dimension in (2, 3, 256, 1024):
             _assert_matches_reference([text], dimension)
@@ -154,34 +164,58 @@ class TestMemoizedSlots:
 
     def test_past_the_cap_grams_are_hashed_without_storing(self, monkeypatch):
         monkeypatch.setattr(embed_module, "_SLOT_TABLE_CAP", 16)
-        monkeypatch.setattr(embed_module, "_slot_tables", {})
+        monkeypatch.setattr(embed_module, "_window_tables", {})
         texts = [f"a longer sentence number {i} about the silver motorcycle" for i in range(20)]
         for dimension in (2, 97, 256):
             _assert_matches_reference(texts, dimension)
             _assert_matches_reference(texts, dimension)  # second pass: hits and misses mixed
-        assert sorted(embed_module._slot_tables) == [2, 97, 256]
-        assert all(len(table) == 16 for table in embed_module._slot_tables.values())
+        assert sorted(embed_module._window_tables) == [2, 97, 256]
+        assert all(len(table) == 16 for table in embed_module._window_tables.values())
+        _assert_tables_within_cap()
+
+    def test_the_table_grows_past_its_first_array(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "_window_tables", {})
+        rng = random.Random(3)
+        texts = [_random_words(rng, 60) for _ in range(12)]
+        first = len(embed_module._WindowTable(256).codes)
+        _assert_matches_reference(texts, 256)
+        table = embed_module._window_tables[256]
+        assert len(table) > first  # the row array was grown at least once
+        _assert_matches_reference(texts, 256)  # all hits, served from the grown array
+        _assert_tables_within_cap()
 
     def test_threads_match_the_serial_run(self, monkeypatch):
-        monkeypatch.setattr(embed_module, "_SLOT_TABLE_CAP", 300)
-        monkeypatch.setattr(embed_module, "_slot_tables", {})
         rng = random.Random(0)
         words = ["man", "silver", "motorcycle", "looks", "at", "the", "paved", "ground", "Straße", "ﬁne"]
         texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(400)]
-        chunks = [texts[i : i + 10] for i in range(0, len(texts), 10)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the check-then-store too
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(embed_texts, chunk) for chunk in chunks]
-                threaded = [emb for future in futures for emb in future.result(timeout=120)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threaded) == len(texts)
-        _assert_tables_within_cap()
-        monkeypatch.setattr(embed_module, "_slot_tables", {})
-        assert threaded == embed_texts(texts)
-        _assert_tables_within_cap()
+        # 296 distinct windows: the table fills to its cap inside its first array
+        _assert_threads_match_the_serial_run(monkeypatch, 200, texts)
+        assert len(embed_module._window_tables[256]) == 200
+
+    def test_threads_match_the_serial_run_while_the_table_grows(self, monkeypatch):
+        rng = random.Random(1)
+        texts = [_random_words(rng, 8) for _ in range(300)]  # several thousand windows
+        _assert_threads_match_the_serial_run(monkeypatch, 3000, texts)
+        assert len(embed_module._window_tables[256]) == 3000
+
+
+def _assert_threads_match_the_serial_run(monkeypatch, cap: int, texts: list[str]) -> None:
+    monkeypatch.setattr(embed_module, "_SLOT_TABLE_CAP", cap)
+    monkeypatch.setattr(embed_module, "_window_tables", {})
+    chunks = [texts[i : i + 10] for i in range(0, len(texts), 10)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the check-then-store too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(embed_texts, chunk) for chunk in chunks]
+            threaded = [emb for future in futures for emb in future.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == len(texts)
+    _assert_tables_within_cap()
+    monkeypatch.setattr(embed_module, "_window_tables", {})
+    assert threaded == embed_texts(texts)
+    _assert_tables_within_cap()
 
 
 class TestDistances:

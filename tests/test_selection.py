@@ -1,13 +1,16 @@
 import itertools
 import logging
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenealign.embed import Embedding
 from scenealign.errors import ConfigError
 from scenealign.perturb import EditTrace, NegativeCandidate, PerturbationOp, recompose, swap
-from scenealign.scene_graph import SceneGraph
+from scenealign.scene_graph import SceneGraph, jaccard_fraction
 from scenealign.selection import (
     SelectionConfig,
     filter_by_overlap,
@@ -15,7 +18,7 @@ from scenealign.selection import (
     select_diverse,
 )
 
-from .helpers import brute_force_max_min, naive_distance_matrix, random_unit_vectors
+from .helpers import brute_force_max_min, naive_distance_matrix, random_unit_vectors, scene_graphs
 
 
 def _candidate(graph: SceneGraph, *ops: PerturbationOp) -> NegativeCandidate:
@@ -138,6 +141,71 @@ class TestShortfall:
         assert steps == 1
         assert used.gamma_upper == pytest.approx(0.75)
         assert kept == [0]  # 0.75 == widened bound, inclusive
+
+
+def _oracle_band(values: list[Fraction], lo: float, hi: float) -> list[int]:
+    return [i for i, value in enumerate(values) if Fraction(str(lo)) <= value <= Fraction(str(hi))]
+
+
+def _oracle_bands(cfg: SelectionConfig, values: list[Fraction]) -> list[tuple[float, float]]:
+    """Every band ``filter_with_shortfall`` tries, first to last, by the documented rule."""
+    bands = [(cfg.gamma_lower, cfg.gamma_upper)]
+    if cfg.on_shortfall == "relax-bounds":
+        lo, hi = bands[0]
+        while len(_oracle_band(values, lo, hi)) < cfg.m and (lo > 0.0 or hi < 1.0):
+            lo, hi = max(0.0, round(lo - 0.05, 10)), min(1.0, round(hi + 0.05, 10))
+            bands.append((lo, hi))
+    return bands
+
+
+# attribute-only graphs over a small range hit J = 0.3 and 0.7 exactly
+# (3/10, 7/10, 6/20, ...) and empty universes; random graphs cover the rest
+_ATTR_GRAPHS = st.builds(_attr_graph, st.integers(0, 10), st.integers(0, 10), st.sampled_from(["w", "z"]))
+_GRAPHS = st.one_of(_ATTR_GRAPHS, scene_graphs())
+_BOUNDS = st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.35, 0.5, 0.65, 0.7, 0.75, 0.9, 1.0])
+
+
+class TestBandOracle:
+    """The integer band test keeps what the exact ``jaccard_fraction`` keeps."""
+
+    @given(
+        _GRAPHS,
+        st.lists(_GRAPHS, max_size=10),
+        st.tuples(_BOUNDS, _BOUNDS).map(sorted),
+        st.integers(1, 6),
+        st.sampled_from(["emit-fewer", "relax-bounds"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_indices_and_jaccard_match_the_fraction_oracle(self, positive, graphs, bounds, m, policy):
+        cfg = SelectionConfig(gamma_lower=bounds[0], gamma_upper=bounds[1], m=m, on_shortfall=policy)
+        values = [jaccard_fraction(graph, positive) for graph in graphs]
+        bands = _oracle_bands(cfg, values)
+        for lo, hi in bands:  # every relaxation step on its own
+            candidates = [_candidate(graph) for graph in graphs]
+            step_cfg = SelectionConfig(gamma_lower=lo, gamma_upper=hi, m=m, on_shortfall=policy)
+            assert filter_by_overlap(candidates, positive, step_cfg) == _oracle_band(values, lo, hi)
+            assert [type(c.jaccard) for c in candidates] == [float] * len(graphs)
+            assert [c.jaccard for c in candidates] == [float(value) for value in values]
+        candidates = [_candidate(graph) for graph in graphs]
+        kept, used, steps = filter_with_shortfall(candidates, positive, cfg)
+        assert kept == _oracle_band(values, *bands[-1])
+        assert (used.gamma_lower, used.gamma_upper) == bands[-1]
+        assert steps == len(bands) - 1
+        assert [c.jaccard for c in candidates] == [float(value) for value in values]
+
+    @pytest.mark.parametrize("lo,hi,kept", [(0.3, 0.7, [1, 2, 3]), (0.31, 0.69, [2]), (0.0, 0.29, [0])])
+    def test_boundary_and_empty_universe_cases(self, lo, hi, kept):
+        positive = _attr_graph(0, 10)  # ten members, ("e", "w0") to ("e", "w9")
+        # J = 0 (an empty universe against a full one), 3/10, 5/10 and 7/10
+        graphs = [SceneGraph()] + [_attr_graph(0, n) for n in (3, 5, 7)]
+        candidates = [_candidate(graph) for graph in graphs]
+        assert filter_by_overlap(candidates, positive, SelectionConfig(gamma_lower=lo, gamma_upper=hi)) == kept
+        assert [c.jaccard for c in candidates] == [0.0, 0.3, 0.5, 0.7]
+
+    def test_both_universes_empty_is_one(self):
+        cand = _candidate(SceneGraph.from_parts(["e"], [], []))
+        assert filter_by_overlap([cand], SceneGraph(), SelectionConfig(gamma_lower=1.0, gamma_upper=1.0)) == [0]
+        assert cand.jaccard == 1.0
 
 
 class TestSelectDiverse:
