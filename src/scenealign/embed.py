@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError
-from .transport import post_json
 
 logger = logging.getLogger(__name__)
 
@@ -108,8 +107,10 @@ class EmbedConfig:
             raise ConfigError(f"unknown embedding provider {self.provider!r}")
         if self.dimension < 2:
             raise ConfigError("embedding dimension must be at least 2")
-        if self.provider == "http" and not self.endpoint:
-            raise ConfigError("http embedding provider requires an endpoint")
+        if self.provider == "http":
+            if not self.endpoint:
+                raise ConfigError("http embedding provider requires an endpoint")
+            from . import transport  # noqa: F401  (load the HTTP stack during set-up)
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,8 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
     payload: dict = {"input": list(texts)}
     if cfg.model:
         payload["model"] = cfg.model
+    from .transport import post_json
+
     body = post_json(payload, cfg)
     try:
         # a row that is not a list of numbers is a malformed reply, not a crash

@@ -19,7 +19,6 @@ from .atomic import atomic_open
 from .errors import ConfigError, MissingAnswer, RemoteError
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
-from .transport import post_json
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +101,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.kind not in ("template", "http-chat"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "http-chat" and not self.endpoint:
-            raise ConfigError("http-chat generator requires an endpoint")
+        if self.kind == "http-chat":
+            if not self.endpoint:
+                raise ConfigError("http-chat generator requires an endpoint")
+            from . import transport  # noqa: F401  (load the HTTP stack during set-up)
         if self.max_retries < 1:
             raise ConfigError("max_retries must be at least 1")
 
@@ -192,6 +193,8 @@ def _chat_request(prompt: str, cfg: GeneratorConfig, attachment: str | None) -> 
         "temperature": cfg.temperature,
         "messages": [{"role": "user", "content": content}],
     }
+    from .transport import post_json
+
     body = post_json(payload, cfg)
     try:
         reply = body["choices"][0]["message"]["content"]

@@ -495,8 +495,9 @@ def pool_from_obj(obj: dict) -> ResidualPool:
     )
 
 
-def _candidate_from_obj(obj: dict) -> NegativeCandidate:
-    cand = NegativeCandidate(decode_scene_graph(obj["graph"]), EditTrace.from_dict(obj["trace"]), obj.get("jaccard"))
+def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandidate:
+    graph = decode_scene_graph(obj["graph"]) if decode_graph else obj["graph"]
+    cand = NegativeCandidate(graph, EditTrace.from_dict(obj["trace"]), obj.get("jaccard"))
     if "rationale" in obj:
         cand.rationale = Rationale.parse(obj["rationale"])
     return cand
@@ -509,8 +510,10 @@ _DECODERS = {
     # stays text for stage_build to parse; a non-string or blank value raises
     "positive_rationale": lambda text: text if text.strip() else Rationale.parse(text),
     "candidates": lambda objs: [_candidate_from_obj(obj) for obj in objs],
+    # stage_build reads a selected candidate's trace, jaccard and rationale;
+    # its graph stays JSON
+    "selected": lambda objs: [_candidate_from_obj(obj, decode_graph=False) for obj in objs],
 }
-_DECODERS["selected"] = _DECODERS["candidates"]
 
 
 def decode_item(obj: dict, fields: Sequence[str]) -> dict:

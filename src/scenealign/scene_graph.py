@@ -138,23 +138,6 @@ class SceneGraph:
         return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-@dataclass(frozen=True)
-class UniverseSet:
-    """Attribute pairs plus ordered (subject, object) endpoint pairs.
-
-    Predicates are deliberately excluded, so parallel edges between the same
-    ordered endpoints collapse to one member.
-    """
-
-    members: frozenset[tuple[str, str, str]]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def _clean_names(values: Iterable, key: str, strict: bool) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
@@ -271,17 +254,21 @@ def serialize_scene_graph(g: SceneGraph) -> str:
     return json.dumps(encode_scene_graph(g), ensure_ascii=False)
 
 
-def element_universe(g: SceneGraph) -> UniverseSet:
-    """Overlap universe: attribute pairs and ordered relation endpoint pairs."""
+def element_universe(g: SceneGraph) -> frozenset[tuple[str, str, str]]:
+    """Overlap universe: attribute pairs and ordered relation endpoint pairs.
+
+    Predicates are deliberately excluded, so parallel edges between the same
+    ordered endpoints collapse to one member.
+    """
     members = {(_ATTR_TAG, e, v) for e, v in g.attributes}
     members |= {(_PAIR_TAG, s, o) for s, _, o in g.relations}
-    return UniverseSet(frozenset(members))
+    return frozenset(members)
 
 
 def jaccard_counts(a: SceneGraph, b: SceneGraph) -> tuple[int, int]:
     """Return exact (intersection, union) sizes of the two universes."""
-    ua = element_universe(a).members
-    ub = element_universe(b).members
+    ua = element_universe(a)
+    ub = element_universe(b)
     return len(ua & ub), len(ua | ub)
 
 

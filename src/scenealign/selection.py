@@ -60,10 +60,10 @@ def _overlap_counts(candidates: Sequence[NegativeCandidate], sg_pos: SceneGraph)
     Both universes empty counts as (1, 1), J = 1.  Int true division is
     correctly rounded, so ``inter / union`` is the float of the exact ratio.
     """
-    positive = element_universe(sg_pos).members
+    positive = element_universe(sg_pos)
     counts = []
     for cand in candidates:
-        members = element_universe(cand.graph).members
+        members = element_universe(cand.graph)
         inter = len(members & positive)
         union = len(members) + len(positive) - inter
         if union == 0:

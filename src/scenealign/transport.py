@@ -4,6 +4,9 @@ One JSON POST with the optional bearer key, bounded retries with exponential
 backoff on throttling and server errors, and one mapping of failures onto
 :class:`RemoteError` and :class:`RequestTimeout`.  Callers build the payload
 and read the reply shape; nothing here knows either.
+
+This is the only module that imports ``requests``.  The configs of the
+remote providers import it, so an offline run never loads the HTTP stack.
 """
 
 from __future__ import annotations

@@ -1,0 +1,68 @@
+"""The HTTP stack is loaded only where a remote provider is configured."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from scenealign.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna")
+
+
+def _fresh_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the package from ``src/``."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env
+    )
+
+
+def test_importing_the_package_leaves_the_http_stack_unloaded(tmp_path):
+    code = (
+        "import sys, scenealign, scenealign.pipeline, scenealign.cli; "
+        f"print([name for name in {HTTP_STACK!r} if name in sys.modules])"
+    )
+    proc = _fresh_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_an_offline_run_needs_no_requests(tmp_path, case_corpus_line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(case_corpus_line) + "\n", encoding="utf-8")
+    argv = ["run", "--input", str(corpus), "--seed", "7", "--output"]
+    # a None entry makes every `import requests` raise ImportError
+    code = "import sys; sys.modules['requests'] = None; from scenealign.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fresh_python(code, *argv, str(tmp_path / "blocked.jsonl"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, str(tmp_path / "in_process.jsonl")]) == 0
+    blocked = (tmp_path / "blocked.jsonl").read_bytes()
+    assert blocked
+    assert blocked == (tmp_path / "in_process.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "module, config, args",
+    [
+        ("scenealign.generate", "GeneratorConfig", "kind='http-chat', endpoint='http://127.0.0.1:9/v1/chat/completions'"),
+        ("scenealign.embed", "EmbedConfig", "provider='http', endpoint='http://127.0.0.1:9/v1/embeddings'"),
+    ],
+)
+def test_a_remote_provider_config_loads_requests(tmp_path, module, config, args):
+    # set-up, not the first request, pays for the import
+    code = (
+        f"import sys; from {module} import {config}; before = 'requests' in sys.modules; "
+        f"{config}({args}); print(before, 'requests' in sys.modules)"
+    )
+    proc = _fresh_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
