@@ -19,7 +19,7 @@ from .generate import (
     render_positive_cot_prompt,
     render_scene_graph_prompt,
 )
-from .grounding import GroundedSubgraph, ResidualPool, extract_grounded_subgraph, residual_pool
+from .grounding import ResidualPool, extract_grounded_subgraph, residual_pool
 from .perturb import (
     EditTrace,
     NegativeCandidate,
@@ -55,7 +55,6 @@ __all__ = [
     "EmbedConfig",
     "Embedding",
     "GeneratorConfig",
-    "GroundedSubgraph",
     "Instance",
     "NegativeCandidate",
     "PerturbationOp",

@@ -55,8 +55,6 @@ class PreferenceRecord:
 @dataclass(frozen=True)
 class DpoConfig:
     beta: float = 0.1
-    # weight records so every instance counts equally instead of every pair
-    per_instance_weighting: bool = False
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -184,19 +182,6 @@ def _score(provider, context: str, response: str, what: str) -> float:
     return float(value)
 
 
-def _record_weights(records: Sequence[PreferenceRecord], cfg: DpoConfig) -> list[float]:
-    if not cfg.per_instance_weighting:
-        return [1.0 / len(records)] * len(records)
-    groups: dict[str, int] = {}
-    keys = []
-    for record in records:
-        key = str(record.meta.get("instance_id", record.id))
-        keys.append(key)
-        groups[key] = groups.get(key, 0) + 1
-    n_groups = len(groups)
-    return [1.0 / (n_groups * groups[key]) for key in keys]
-
-
 def dpo_loss(
     records: Sequence[PreferenceRecord],
     policy: LogProbProvider,
@@ -207,14 +192,14 @@ def dpo_loss(
 
     For each record the margin is ``beta * ((policy log-ratio) - (reference
     log-ratio))`` of chosen over rejected; the loss is the softplus of its
-    negation, averaged per pair (or per instance under the weighting flag).
+    negation, averaged over the records.
     """
     if not records:
         raise ValueError("dpo_loss requires at least one record")
-    weights = _record_weights(records, cfg)
+    weight = 1.0 / len(records)
     margins = []
     total = 0.0
-    for record, weight in zip(records, weights):
+    for record in records:
         ctx = record.prompt
         pol_c = _score(policy, ctx, record.chosen, "policy chosen")
         pol_r = _score(policy, ctx, record.rejected, "policy rejected")
@@ -281,14 +266,14 @@ def toy_policy_gradient(
     """Analytic gradient of the mean DPO loss in the toy policy's weights.
 
     The reference provider is treated as a constant.  Matches central finite
-    differences of :func:`dpo_loss` because both share the same weighting.
+    differences of :func:`dpo_loss` because both average over the records.
     """
     if not records:
         raise ValueError("toy_policy_gradient requires at least one record")
-    weights = _record_weights(records, cfg)
+    weight = 1.0 / len(records)
     probs = np.exp(policy.weights - _logsumexp(policy.weights))
     grad = np.zeros_like(policy.weights)
-    for record, weight in zip(records, weights):
+    for record in records:
         ctx = record.prompt
         counts_c = policy.token_counts(record.chosen)
         counts_r = policy.token_counts(record.rejected)

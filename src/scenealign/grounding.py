@@ -7,32 +7,13 @@ same-scene material for perturbations.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
 
 from .errors import EmptyMatch, NotASubgraph
 from .rationale import Rationale
-from .scene_graph import ElementKind, ElementRef, SceneGraph
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class GroundingEvidence:
-    """Which rationale segment matched one element of the parent graph."""
-
-    ref: ElementRef  # indexes into the parent graph, not the subgraph
-    step: int
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class GroundedSubgraph:
-    graph: SceneGraph
-    provenance: tuple[GroundingEvidence, ...] = ()
+from .scene_graph import SceneGraph
 
 
 @dataclass(frozen=True)
@@ -82,17 +63,16 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
     return re.compile(rf"(?<!\w){body}(?!\w)", re.IGNORECASE)
 
 
-def _first_match_per_segment(phrase: str, segments: tuple[str, ...]) -> dict[int, tuple[int, int]]:
+def _matching_segments(phrase: str, segments: tuple[str, ...]) -> set[int]:
     pattern = _phrase_pattern(phrase)
-    hits: dict[int, tuple[int, int]] = {}
+    hits: set[int] = set()
     for idx, segment in enumerate(segments):
-        m = pattern.search(segment)
-        if m:
-            hits[idx] = m.span()
+        if pattern.search(segment):
+            hits.add(idx)
     return hits
 
 
-def extract_grounded_subgraph(sg_pos: SceneGraph, rationale: Rationale) -> GroundedSubgraph:
+def extract_grounded_subgraph(sg_pos: SceneGraph, rationale: Rationale) -> SceneGraph:
     """Select the elements of ``sg_pos`` the rationale lexically mentions.
 
     Matching is case-insensitive and on whole tokens only.  Entities are kept
@@ -104,72 +84,45 @@ def extract_grounded_subgraph(sg_pos: SceneGraph, rationale: Rationale) -> Groun
     """
     segments = rationale.segments()
 
-    entity_hits: dict[str, dict[int, tuple[int, int]]] = {}
+    entity_hits: dict[str, set[int]] = {}
     for name in sg_pos.entities:
-        hits = _first_match_per_segment(name, segments)
+        hits = _matching_segments(name, segments)
         if hits:
             entity_hits[name] = hits
     if not entity_hits:
         raise EmptyMatch("no entity name occurs in the rationale")
 
-    evidence: list[GroundingEvidence] = []
-    for idx, name in enumerate(sg_pos.entities):
-        hits = entity_hits.get(name)
-        if hits:
-            step = min(hits)
-            evidence.append(GroundingEvidence(ElementRef(ElementKind.ENTITY, idx), step, hits[step]))
-
     kept_attrs: list[tuple[str, str]] = []
-    for idx, (entity, value) in enumerate(sg_pos.attributes):
+    for entity, value in sg_pos.attributes:
         hits = entity_hits.get(entity)
         if not hits:
             continue
         pattern = _phrase_pattern(value)
-        for step in sorted(hits):
-            m = pattern.search(segments[step])
-            if m:
+        for step in hits:
+            if pattern.search(segments[step]):
                 kept_attrs.append((entity, value))
-                evidence.append(GroundingEvidence(ElementRef(ElementKind.ATTRIBUTE, idx), step, m.span()))
                 break
 
     kept_rels: list[tuple[str, str, str]] = []
-    for idx, (subj, pred, obj) in enumerate(sg_pos.relations):
+    for subj, pred, obj in sg_pos.relations:
         s_hits = entity_hits.get(subj)
         o_hits = entity_hits.get(obj)
         if not s_hits or not o_hits:
             continue
-        pred_hit = None
-        pattern = _phrase_pattern(pred)
-        for step in range(len(segments)):
-            m = pattern.search(segments[step])
-            if m:
-                pred_hit = (step, m.span())
-                break
-        if pred_hit is not None:
+        if s_hits & o_hits or _matching_segments(pred, segments):
             kept_rels.append((subj, pred, obj))
-            evidence.append(GroundingEvidence(ElementRef(ElementKind.RELATION, idx), *pred_hit))
-            continue
-        shared = sorted(set(s_hits) & set(o_hits))
-        if shared:
-            step = shared[0]
-            kept_rels.append((subj, pred, obj))
-            evidence.append(GroundingEvidence(ElementRef(ElementKind.RELATION, idx), step, s_hits[step]))
 
     # every kept attribute and relation has matched endpoints, so the kept
-    # entities are exactly the matched ones
-    kept_entities = tuple(e for e in sg_pos.entities if e in entity_hits)
-
-    graph = SceneGraph.from_parts(kept_entities, kept_attrs, kept_rels)
-    return GroundedSubgraph(graph, tuple(evidence))
+    # entities are exactly the matched ones, already in the parent's order
+    return SceneGraph.from_parts(tuple(entity_hits), kept_attrs, kept_rels)
 
 
-def residual_pool(sg_pos: SceneGraph, sg_c: Union[GroundedSubgraph, SceneGraph]) -> ResidualPool:
+def residual_pool(sg_pos: SceneGraph, graph: SceneGraph) -> ResidualPool:
     """Complement of the grounded subgraph within the parent, element-wise.
 
-    Raises :class:`NotASubgraph` when ``sg_c`` holds any element the parent
+    Raises :class:`NotASubgraph` when ``graph`` holds any element the parent
     does not.
     """
-    graph = sg_c.graph if isinstance(sg_c, GroundedSubgraph) else sg_c
     if not sg_pos.contains_elements_of(graph):
         raise NotASubgraph("grounded subgraph is not element-wise contained in the parent")
     ents = set(graph.entities)

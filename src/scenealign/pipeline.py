@@ -33,7 +33,7 @@ from .generate import (
     render_negative_cot_prompt,
     render_positive_cot_prompt,
 )
-from .grounding import GroundedSubgraph, ResidualPool, extract_grounded_subgraph, residual_pool
+from .grounding import ResidualPool, extract_grounded_subgraph, residual_pool
 from .perturb import EditTrace, NegativeCandidate, generate_negatives
 from .rationale import Rationale
 from .scene_graph import (
@@ -70,13 +70,15 @@ class PipelineConfig:
     workers: int = 0  # 0 means one per logical CPU
     strict: bool = False
 
+    @property
+    def report_file(self) -> str:
+        return self.report_path or f"{self.output_path}.report.json"
+
     def validate(self) -> None:
-        paths = [self.input_path, self.output_path]
+        paths = [self.input_path, self.output_path, self.report_file]
         if self.graphs_path:
             paths.append(self.graphs_path)
-        if self.report_path:
-            paths.append(self.report_path)
-        resolved = [str(Path(p)) for p in paths]
+        resolved = [Path(p).resolve() for p in paths]
         if len(set(resolved)) != len(resolved):
             raise ConfigError("input, output, graphs, and report paths must be distinct")
         if self.candidates < 1:
@@ -150,7 +152,7 @@ def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
             continue
         try:
             obj = json.loads(line)
-            graphs[str(obj["id"])] = obj["scene_graph"]
+            graphs[str(obj["id"]).strip()] = obj["scene_graph"]
         except (ValueError, KeyError, TypeError) as exc:
             if strict:
                 raise CorpusError(None, f"graphs file line {line_no}: {exc}") from exc
@@ -298,11 +300,11 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
         grounded = extract_grounded_subgraph(sg_pos, tau_pos)
     except EmptyMatch:
         logger.warning("instance %r: rationale matched nothing; grounding to the full graph", inst.id)
-        grounded = GroundedSubgraph(sg_pos)
+        grounded = sg_pos
     pool = residual_pool(sg_pos, grounded)
     out = dict(item)
     out["positive_rationale"] = tau_pos.raw_text
-    out["grounded"] = grounded.graph
+    out["grounded"] = grounded
     out["pool"] = pool
     return out
 
@@ -469,8 +471,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     export_jsonl(records, cfg.output_path)
     report.duration_seconds = time.monotonic() - started
-    report_path = cfg.report_path or f"{cfg.output_path}.report.json"
-    report.save(report_path)
+    report.save(cfg.report_file)
     return report
 
 

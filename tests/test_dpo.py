@@ -212,31 +212,6 @@ class TestLoss:
         double, _ = dpo_loss([_record("a"), _record("b")], policy, reference)
         assert double == pytest.approx(single)
 
-    def test_per_instance_weighting(self):
-        scores = {"good text": 0.0, "bad one": -1.0, "bad two": -2.0, "bad three": -3.0}
-        policy = FixedProvider(scores)
-        reference = FixedProvider({k: 0.0 for k in scores})
-        records = [
-            _record("a#1", rejected="bad one", instance_id="a"),
-            _record("a#2", rejected="bad two", instance_id="a"),
-            _record("b#1", rejected="bad three", instance_id="b"),
-        ]
-        beta = 0.1
-
-        def softplus(x):
-            return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
-
-        per_pair = sum(softplus(-beta * gap) for gap in (1.0, 2.0, 3.0)) / 3
-        per_inst = (
-            0.25 * softplus(-beta * 1.0)
-            + 0.25 * softplus(-beta * 2.0)
-            + 0.5 * softplus(-beta * 3.0)
-        )
-        got_pair, _ = dpo_loss(records, policy, reference)
-        got_inst, _ = dpo_loss(records, policy, reference, DpoConfig(per_instance_weighting=True))
-        assert got_pair == pytest.approx(per_pair, abs=1e-12)
-        assert got_inst == pytest.approx(per_inst, abs=1e-12)
-
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             dpo_loss([], FixedProvider({}), FixedProvider({}))
@@ -298,10 +273,9 @@ class TestToyPolicy:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("weighting", [False, True])
-    def test_analytic_matches_finite_differences(self, weighting):
+    def test_analytic_matches_finite_differences(self):
         rng = random.Random(2024)
-        cfg = DpoConfig(per_instance_weighting=weighting)
+        cfg = DpoConfig()
         reference = ToyPolicy.uniform(VOCAB)
         for _ in range(25):
             weights = np.array([rng.gauss(0, 1) for _ in VOCAB])

@@ -157,6 +157,16 @@ class TestStageParse:
         assert drops == []
         assert items[0]["scene_graph"].entities[0] == "man"
 
+    def test_sidecar_graphs_pair_by_stripped_id(self, tmp_path, case_corpus_line):
+        line = dict(case_corpus_line, id=" a ")
+        graph = line.pop("scene_graph")
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(json.dumps({"id": " a ", "scene_graph": graph}) + "\n", encoding="utf-8")
+        items, drops = stage_parse(_cfg(tmp_path, [line], graphs_path=str(sidecar)))
+        assert drops == []
+        assert [item["id"] for item in items] == ["a"]
+        assert items[0]["scene_graph"].entities[0] == "man"
+
     def _torn_sidecar(self, tmp_path, case_corpus_line):
         """Two graph-less lines; the sidecar's first line, for case-1, is torn."""
         line = dict(case_corpus_line)
@@ -591,6 +601,33 @@ class TestConfigValidation:
         p = str(tmp_path / "same.jsonl")
         with pytest.raises(ConfigError):
             PipelineConfig(input_path=p, output_path=p).validate()
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            {"input_path": "c.jsonl", "output_path": "{cwd}/c.jsonl"},
+            {"input_path": "c.jsonl", "output_path": "sub/../c.jsonl"},
+            {"input_path": "out.jsonl.report.json", "output_path": "out.jsonl"},
+            {"input_path": "c.jsonl", "output_path": "out.jsonl", "report_path": "{cwd}/c.jsonl"},
+            {"input_path": "c.jsonl", "output_path": "out.jsonl", "graphs_path": "{cwd}/out.jsonl.report.json"},
+        ],
+        ids=["relative-vs-absolute", "dot-dot", "default-report", "report", "graphs-vs-default-report"],
+    )
+    def test_paths_must_be_distinct_once_resolved(self, tmp_path, monkeypatch, paths):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        kwargs = {key: value.format(cwd=tmp_path) for key, value in paths.items()}
+        with pytest.raises(ConfigError):
+            PipelineConfig(**kwargs).validate()
+
+    def test_run_refuses_to_overwrite_its_corpus(self, tmp_path, monkeypatch, case_corpus_line):
+        monkeypatch.chdir(tmp_path)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(case_corpus_line) + "\n", encoding="utf-8")
+        before = corpus.read_bytes()
+        with pytest.raises(ConfigError):
+            run_pipeline(PipelineConfig(input_path="c.jsonl", output_path=str(corpus)))
+        assert corpus.read_bytes() == before
 
     def test_candidates_positive(self, tmp_path):
         cfg = PipelineConfig(
