@@ -10,7 +10,7 @@ from .dpo import (
     import_jsonl,
     toy_policy_gradient,
 )
-from .embed import EmbedConfig, Embedding, embed_text, embed_texts, pairwise_distance
+from .embed import EmbedConfig, Embedding, embed_texts, pairwise_distance
 from .generate import (
     GeneratorConfig,
     Instance,
@@ -26,11 +26,7 @@ from .perturb import (
     PerturbationOp,
     apply_operator,
     generate_negatives,
-    overthink,
     recompose,
-    replace,
-    shorten,
-    swap,
 )
 from .pipeline import PipelineConfig, RunReport, instance_seed, run_pipeline
 from .rationale import Rationale
@@ -43,7 +39,7 @@ from .scene_graph import (
     parse_scene_graph,
     serialize_scene_graph,
 )
-from .selection import SelectionConfig, filter_by_overlap, select_diverse
+from .selection import SelectionConfig, select_diverse
 
 __version__ = "0.1.0"
 
@@ -70,29 +66,23 @@ __all__ = [
     "build_preference_records",
     "dpo_loss",
     "element_universe",
-    "embed_text",
     "embed_texts",
     "export_jsonl",
     "extract_grounded_subgraph",
-    "filter_by_overlap",
     "generate_negatives",
     "generate_rationale",
     "import_jsonl",
     "instance_seed",
     "jaccard_overlap",
-    "overthink",
     "pairwise_distance",
     "parse_scene_graph",
     "recompose",
     "render_negative_cot_prompt",
     "render_positive_cot_prompt",
     "render_scene_graph_prompt",
-    "replace",
     "residual_pool",
     "run_pipeline",
     "select_diverse",
     "serialize_scene_graph",
-    "shorten",
-    "swap",
     "toy_policy_gradient",
 ]

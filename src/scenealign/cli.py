@@ -138,7 +138,7 @@ def _pipeline_config(args) -> PipelineConfig:
         m=args.num_negatives,
         on_shortfall="relax-bounds" if args.relax_bounds else "emit-fewer",
     )
-    return PipelineConfig(
+    cfg = PipelineConfig(
         input_path=args.input,
         output_path=args.output,
         graphs_path=getattr(args, "graphs", None),
@@ -152,6 +152,8 @@ def _pipeline_config(args) -> PipelineConfig:
         workers=args.workers,
         strict=args.strict,
     )
+    cfg.validate()
+    return cfg
 
 
 def _read_jsonl(path: str) -> list[tuple[int, str]]:
@@ -285,6 +287,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    PipelineConfig(args.input, args.output).validate()
     built = _map_stage(_read_jsonl(args.input), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
     records = [record for item_records in built for record in item_records]
     export_jsonl(records, args.output)

@@ -182,6 +182,16 @@ def _score(provider, context: str, response: str, what: str) -> float:
     return float(value)
 
 
+def _margin(record: PreferenceRecord, policy, reference, beta: float) -> float:
+    """``beta * ((policy log-ratio) - (reference log-ratio))`` of chosen over rejected."""
+    ctx = record.prompt
+    pol_c = _score(policy, ctx, record.chosen, "policy chosen")
+    pol_r = _score(policy, ctx, record.rejected, "policy rejected")
+    ref_c = _score(reference, ctx, record.chosen, "reference chosen")
+    ref_r = _score(reference, ctx, record.rejected, "reference rejected")
+    return beta * ((pol_c - pol_r) - (ref_c - ref_r))
+
+
 def dpo_loss(
     records: Sequence[PreferenceRecord],
     policy: LogProbProvider,
@@ -200,12 +210,7 @@ def dpo_loss(
     margins = []
     total = 0.0
     for record in records:
-        ctx = record.prompt
-        pol_c = _score(policy, ctx, record.chosen, "policy chosen")
-        pol_r = _score(policy, ctx, record.rejected, "policy rejected")
-        ref_c = _score(reference, ctx, record.chosen, "reference chosen")
-        ref_r = _score(reference, ctx, record.rejected, "reference rejected")
-        margin = cfg.beta * ((pol_c - pol_r) - (ref_c - ref_r))
+        margin = _margin(record, policy, reference, cfg.beta)
         margins.append(margin)
         total += weight * _softplus(-margin)
     return total, margins
@@ -274,14 +279,9 @@ def toy_policy_gradient(
     probs = np.exp(policy.weights - _logsumexp(policy.weights))
     grad = np.zeros_like(policy.weights)
     for record in records:
-        ctx = record.prompt
         counts_c = policy.token_counts(record.chosen)
         counts_r = policy.token_counts(record.rejected)
-        pol_c = _score(policy, ctx, record.chosen, "policy chosen")
-        pol_r = _score(policy, ctx, record.rejected, "policy rejected")
-        ref_c = _score(reference, ctx, record.chosen, "reference chosen")
-        ref_r = _score(reference, ctx, record.rejected, "reference rejected")
-        margin = cfg.beta * ((pol_c - pol_r) - (ref_c - ref_r))
+        margin = _margin(record, policy, reference, cfg.beta)
         # d margin / d theta = beta * ((c+ - L+ p) - (c- - L- p))
         len_c = float(np.sum(counts_c))
         len_r = float(np.sum(counts_r))

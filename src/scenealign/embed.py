@@ -92,15 +92,12 @@ _window_store_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Provider choice plus hashing / transport parameters."""
+    """Provider choice plus hashing / endpoint parameters."""
 
     provider: str = "hashed-ngram"  # or "http"
     dimension: int = 256
     endpoint: str | None = None
     model: str | None = None
-    timeout: float = 30.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
 
     def __post_init__(self):
         if self.provider not in ("hashed-ngram", "http"):
@@ -120,9 +117,6 @@ class Embedding:
     @property
     def dimension(self) -> int:
         return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 def _stable_hash(data: str) -> int:
@@ -179,9 +173,9 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
     payload: dict = {"input": list(texts)}
     if cfg.model:
         payload["model"] = cfg.model
-    from .transport import post_json
+    from . import transport
 
-    body = post_json(payload, cfg)
+    body = transport.post_json(payload, cfg.endpoint, transport.EMBED_TIMEOUT_S)
     try:
         # a row that is not a list of numbers is a malformed reply, not a crash
         vectors = [tuple(float(x) for x in row["embedding"]) for row in body["data"]]
@@ -214,11 +208,6 @@ def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[
     with ThreadPoolExecutor(max_workers=_MAX_IN_FLIGHT) as pool:
         results = list(pool.map(lambda chunk: _http_embed_batch(chunk, cfg), chunks))
     return [emb for chunk in results for emb in chunk]
-
-
-def embed_text(text: str, cfg: EmbedConfig = EmbedConfig()) -> Embedding:
-    """Embed one text; deterministic for the hashed n-gram provider."""
-    return embed_texts([text], cfg)[0]
 
 
 def pairwise_distance(a: Embedding, b: Embedding) -> float:

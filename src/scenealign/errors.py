@@ -57,39 +57,35 @@ class NotASubgraph(SceneAlignError):
 # perturbation operators
 
 
-class PerturbationError(SceneAlignError):
-    """Base class for operator application failures."""
-
-
-class IndexOutOfRange(PerturbationError):
+class IndexOutOfRange(SceneAlignError):
     """Element reference points outside the graph's ordered sets."""
 
 
-class NoOpSwap(PerturbationError):
+class NoOpSwap(SceneAlignError):
     """Swapping a reflexive relation would leave the graph unchanged."""
 
 
-class EmptyPoolForKind(PerturbationError):
+class EmptyPoolForKind(SceneAlignError):
     """Residual pool has no material of the kind required by the edit."""
 
 
-class DuplicateCollision(PerturbationError):
+class DuplicateCollision(SceneAlignError):
     """Every sampled payload collided with an element already present."""
 
 
-class WouldEmpty(PerturbationError):
+class WouldEmpty(SceneAlignError):
     """Removal would leave a graph with zero elements."""
 
 
-class EmptyPool(PerturbationError):
+class EmptyPool(SceneAlignError):
     """Residual pool holds nothing that could be added to the graph."""
 
 
-class NoApplicableOperator(PerturbationError):
+class NoApplicableOperator(SceneAlignError):
     """No perturbation operator applies to the subgraph/pool combination."""
 
 
-class UnsupportedKind(PerturbationError):
+class UnsupportedKind(SceneAlignError):
     """An operator was asked to target an element kind it cannot edit."""
 
 

@@ -92,9 +92,6 @@ class GeneratorConfig:
     endpoint: str | None = None
     model: str | None = None
     temperature: float = 0.0
-    timeout: float = 60.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
     cache_dir: str | None = None
     strict: bool = False
 
@@ -105,8 +102,6 @@ class GeneratorConfig:
             if not self.endpoint:
                 raise ConfigError("http-chat generator requires an endpoint")
             from . import transport  # noqa: F401  (load the HTTP stack during set-up)
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be at least 1")
 
 
 def _require_answer(inst: Instance) -> str:
@@ -193,9 +188,9 @@ def _chat_request(prompt: str, cfg: GeneratorConfig, attachment: str | None) -> 
         "temperature": cfg.temperature,
         "messages": [{"role": "user", "content": content}],
     }
-    from .transport import post_json
+    from . import transport
 
-    body = post_json(payload, cfg)
+    body = transport.post_json(payload, cfg.endpoint, transport.CHAT_TIMEOUT_S)
     try:
         reply = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

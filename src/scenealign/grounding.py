@@ -32,10 +32,6 @@ class ResidualPool:
     def element_count(self) -> int:
         return len(self.entities) + len(self.attributes) + len(self.relations)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.element_count == 0
-
     def attribute_values(self) -> tuple[str, ...]:
         return self._distinct[0]
 

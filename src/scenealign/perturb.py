@@ -140,11 +140,6 @@ def _swap(sg: SceneGraph, rel_index: int) -> tuple[SceneGraph, PerturbationOp]:
     return out, PerturbationOp("swap", "relation", (subj, pred, obj), swapped)
 
 
-def swap(sg: SceneGraph, rel_index: int) -> SceneGraph:
-    """Exchange subject and object of the relation at ``rel_index``."""
-    return _swap(sg, rel_index)[0]
-
-
 def _swap_indices(sg: SceneGraph) -> list[int]:
     present = set(sg.relations)
     return [
@@ -226,25 +221,6 @@ _REPLACERS = {
 }
 
 
-def replace(
-    sg: SceneGraph,
-    target: ElementRef,
-    pool: ResidualPool,
-    rng: random.Random | None = None,
-    *,
-    replacement: str | None = None,
-) -> SceneGraph:
-    """Substitute the targeted element with residual-pool material.
-
-    Entity replacement rewrites every occurrence of the old name; attribute
-    replacement swaps the value; relation targets get a new predicate drawn
-    from residual relations.  ``replacement`` pins the payload (no sampling).
-    """
-    _check_ref(sg, target)
-    rng = rng if rng is not None else random.Random(0)
-    return _REPLACERS[target.kind](sg, target.index, pool, rng, replacement)[0]
-
-
 def _replace_kinds(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     kinds = []
     if sg.entities and pool.entities:
@@ -291,11 +267,6 @@ def _shorten(sg: SceneGraph, ref: ElementRef) -> tuple[SceneGraph, PerturbationO
     return SceneGraph(sg.entities, sg.attributes, rels), PerturbationOp(
         "shorten", "relation", target, None
     )
-
-
-def shorten(sg: SceneGraph, target: ElementRef) -> SceneGraph:
-    """Remove one element; removing an entity cascades to everything incident."""
-    return _shorten(sg, target)[0]
 
 
 def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = None) -> ElementRef:
@@ -394,18 +365,6 @@ def _overthink(
     return _add_element(sg, element), PerturbationOp("overthink", kind, None, element)
 
 
-def overthink(
-    sg: SceneGraph,
-    pool: ResidualPool,
-    rng: random.Random | None = None,
-    *,
-    element=None,
-) -> SceneGraph:
-    """Add one residual-pool element, pulling in any entities it requires."""
-    rng = rng if rng is not None else random.Random(0)
-    return _overthink(sg, pool, rng, element)[0]
-
-
 # ---------------------------------------------------------------------------
 # recomposition
 
@@ -453,7 +412,9 @@ def apply_operator(
     the element and needs a ``kind`` for ``replace`` and ``shorten``.
     ``swap`` targets relations only, and ``overthink`` takes no index.  A
     ``replacement`` is for ``replace`` only and an ``element`` for
-    ``overthink`` only.
+    ``overthink`` only.  Replacing an entity renames every occurrence,
+    removing one removes everything incident, and an added element brings
+    in the entities it names.
     """
     rng = rng if rng is not None else random.Random(0)
     if replacement is not None and tag != "replace":
@@ -548,7 +509,7 @@ def generate_negatives(
     pool: ResidualPool,
     k: int = 8,
     edit_range: tuple[int, int] = (1, 3),
-    rng: random.Random | int = 0,
+    seed: int = 0,
 ) -> list[NegativeCandidate]:
     """Sample up to ``k`` distinct recomposed negatives from the subgraph.
 
@@ -557,7 +518,8 @@ def generate_negatives(
     then reattaches the residual remainder.  Candidates equal to the positive
     graph or to an earlier candidate are rejected and resampled, so an
     addition the remainder absorbs never survives; after ``k * 32`` attempts
-    the survivors are returned with a shortfall warning.
+    the survivors are returned with a shortfall warning.  Every draw comes
+    from ``random.Random(seed)``, and each trace records ``seed``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -565,12 +527,7 @@ def generate_negatives(
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid edit range {edit_range!r}")
 
-    if isinstance(rng, int):
-        seed = rng
-        rng = random.Random(seed)
-    else:
-        seed = -1  # unknown; caller supplied a live generator
-
+    rng = random.Random(seed)
     start_tags = _applicable_tags(sg_c, pool)
     if not start_tags:
         raise NoApplicableOperator("no operator applies to this subgraph/pool")

@@ -314,7 +314,7 @@ def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
     seed = instance_seed(cfg.seed, item["id"])
     out = dict(item)
     out["candidates"] = generate_negatives(
-        item["scene_graph"], item["grounded"], item["pool"], k=cfg.candidates, edit_range=cfg.edit_range, rng=seed
+        item["scene_graph"], item["grounded"], item["pool"], k=cfg.candidates, edit_range=cfg.edit_range, seed=seed
     )
     return out
 

@@ -102,26 +102,6 @@ class SceneGraph:
     def element_count(self) -> int:
         return len(self.entities) + len(self.attributes) + len(self.relations)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.element_count == 0
-
-    def refs(self) -> Iterator[ElementRef]:
-        for i in range(len(self.entities)):
-            yield ElementRef(ElementKind.ENTITY, i)
-        for i in range(len(self.attributes)):
-            yield ElementRef(ElementKind.ATTRIBUTE, i)
-        for i in range(len(self.relations)):
-            yield ElementRef(ElementKind.RELATION, i)
-
-    def element(self, ref: ElementRef):
-        seq: Sequence = {
-            ElementKind.ENTITY: self.entities,
-            ElementKind.ATTRIBUTE: self.attributes,
-            ElementKind.RELATION: self.relations,
-        }[ref.kind]
-        return seq[ref.index]
-
     def signature(self) -> tuple[frozenset, frozenset, frozenset]:
         """Order-insensitive identity of the element sets."""
         return (
@@ -129,9 +109,6 @@ class SceneGraph:
             frozenset(self.attributes),
             frozenset(self.relations),
         )
-
-    def same_elements(self, other: "SceneGraph") -> bool:
-        return self.signature() == other.signature()
 
     def contains_elements_of(self, other: "SceneGraph") -> bool:
         a, b = other.signature(), self.signature()

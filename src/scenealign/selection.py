@@ -85,22 +85,6 @@ def _in_band(counts: Sequence[tuple[int, int]], cfg: SelectionConfig) -> list[in
     ]
 
 
-def filter_by_overlap(
-    candidates: Sequence[NegativeCandidate],
-    sg_pos: SceneGraph,
-    cfg: SelectionConfig = SelectionConfig(),
-) -> list[int]:
-    """Indices of candidates whose overlap lies inside the inclusive band.
-
-    Comparisons run on the exact rational Jaccard value, so boundary hits are
-    retained without floating-point drift.  Also annotates each candidate's
-    ``jaccard`` field.  A predicate replacement leaves the element universe
-    unchanged, so a candidate whose only edits are predicate replacements
-    sits at J = 1 and is always dropped by any upper bound below 1.
-    """
-    return _in_band(_overlap_counts(candidates, sg_pos), cfg)
-
-
 def filter_with_shortfall(
     candidates: Sequence[NegativeCandidate],
     sg_pos: SceneGraph,
@@ -108,6 +92,8 @@ def filter_with_shortfall(
 ) -> tuple[list[int], SelectionConfig, int]:
     """Band filter plus the configured shortfall policy.
 
+    The inclusive band is tested on exact ratios, so J on a bound stays in,
+    and each candidate's ``jaccard`` is set.
     Under ``relax-bounds`` the band widens by 0.05 on both sides until at
     least ``m`` candidates survive or the band covers [0, 1].  Returns the
     retained indices, the bounds actually used, and the relaxation step count.

@@ -22,15 +22,21 @@ API_KEY_ENV = "SCENEALIGN_API_KEY"
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
+# seconds to wait for a reply, per provider
+CHAT_TIMEOUT_S = 60.0
+EMBED_TIMEOUT_S = 30.0
+# attempts per request; the pause before attempt n + 1 is BACKOFF_BASE_S * 2 ** (n - 1)
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
 
-def post_json(payload: dict, cfg) -> object:
-    """POST ``payload`` to ``cfg.endpoint`` and return the decoded JSON reply.
 
-    ``cfg`` supplies ``endpoint``, ``timeout``, ``max_retries`` and
-    ``backoff_base``.  Connection failures, timeouts and retryable statuses
-    are retried; any other status, or a 200 reply that is not JSON, raises
-    :class:`RemoteError` at once.  Attempts that all timed out raise
-    :class:`RequestTimeout`.
+def post_json(payload: dict, endpoint: str, timeout: float) -> object:
+    """POST ``payload`` to ``endpoint`` and return the decoded JSON reply.
+
+    Connection failures, timeouts and retryable statuses are retried, up to
+    ``MAX_ATTEMPTS`` attempts in all; any other status, or a 200 reply that
+    is not JSON, raises :class:`RemoteError` at once.  Attempts that all
+    timed out raise :class:`RequestTimeout`.
     """
     headers = {}
     key = os.environ.get(API_KEY_ENV)
@@ -39,11 +45,11 @@ def post_json(payload: dict, cfg) -> object:
     last_status: int | None = None
     last_detail = "no attempts made"
     timed_out = False
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
-            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout)
+            resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
         except requests.Timeout:
             timed_out = True
             last_detail = "request timed out"
@@ -61,5 +67,5 @@ def post_json(payload: dict, cfg) -> object:
         if resp.status_code not in _RETRYABLE_STATUSES:
             raise RemoteError(last_status, last_detail)
     if timed_out and last_status is None:
-        raise RequestTimeout(f"no response after {cfg.max_retries} attempts")
+        raise RequestTimeout(f"no response after {MAX_ATTEMPTS} attempts")
     raise RemoteError(last_status, last_detail)

@@ -85,9 +85,13 @@ def case_corpus_line():
 
 
 @pytest.fixture
-def mock_api():
+def mock_api(monkeypatch):
+    from scenealign import transport
+
     from .helpers import MockApi
 
+    # retries against the mock need no pause; tests patch the other transport constants
+    monkeypatch.setattr(transport, "BACKOFF_BASE_S", 0.0)
     api = MockApi()
     yield api
     api.close()

@@ -40,21 +40,13 @@ from scenealign.perturb import (
     EditTrace,
     NegativeCandidate,
     PerturbationOp,
+    apply_operator,
     generate_negatives,
-    overthink,
     recompose,
-    replace,
-    shorten,
-    swap,
 )
 from scenealign.pipeline import PipelineConfig, run_pipeline
-from scenealign.scene_graph import (
-    ElementKind,
-    ElementRef,
-    jaccard_counts,
-    jaccard_overlap,
-)
-from scenealign.selection import filter_by_overlap, select_diverse
+from scenealign.scene_graph import jaccard_counts, jaccard_overlap
+from scenealign.selection import filter_with_shortfall, select_diverse
 from tests.helpers import _golden
 
 from .helpers import (
@@ -80,32 +72,32 @@ def _verdict(name: str, budget_seconds: float):
 
 
 def _swap_candidate(case_subgraph, case_pool) -> NegativeCandidate:
-    graph = recompose(swap(case_subgraph, 0), case_pool)
+    graph = recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool)
     trace = EditTrace((PerturbationOp("swap", "relation", None, None),), 0)
     return NegativeCandidate(graph=graph, trace=trace)
 
 
 def test_worked_example_operators(case_subgraph, case_pool):
     with _verdict("worked-example-operators", 1.0):
-        swapped = swap(case_subgraph, 0)
+        swapped = apply_operator(case_subgraph, case_pool, "swap", index=0)[0]
         assert swapped.relations[0] == ("motorcycle", "look at", "man")
         swapped.validate()
 
-        replaced = replace(
-            case_subgraph, ElementRef(ElementKind.ENTITY, 2), case_pool, replacement="window"
-        )
+        replaced = apply_operator(
+            case_subgraph, case_pool, "replace", kind="entity", index=2, replacement="window"
+        )[0]
         assert "paper" not in replaced.entities
         assert ("man", "hold", "window") in replaced.relations
         assert ("man", "hold", "paper") not in replaced.relations
         replaced.validate()
 
-        shortened = shorten(case_subgraph, ElementRef(ElementKind.ENTITY, 0))
+        shortened = apply_operator(case_subgraph, case_pool, "shorten", kind="entity", index=0)[0]
         assert "man" not in shortened.entities
         assert len(case_subgraph.relations) - len(shortened.relations) == 3
         assert shortened.relations == (("motorcycle", "stand on", "ground"),)
         shortened.validate()
 
-        grown = overthink(case_subgraph, case_pool, element=("building", "behind", "motorcycle"))
+        grown = apply_operator(case_subgraph, case_pool, "overthink", element=("building", "behind", "motorcycle"))[0]
         assert ("building", "behind", "motorcycle") in grown.relations
         assert "building" in grown.entities
         grown.validate()
@@ -124,7 +116,7 @@ def test_overlap_oracle(case_graph, case_subgraph, case_pool):
         negative = _swap_candidate(case_subgraph, case_pool)
         assert jaccard_counts(negative.graph, case_graph) == (12, 14)
         assert Fraction(12, 14) > Fraction("0.7")
-        assert filter_by_overlap([negative], case_graph) == []
+        assert filter_with_shortfall([negative], case_graph)[0] == []
 
 
 def test_diverse_selection_exactness():
@@ -261,13 +253,13 @@ def test_negative_well_formedness_fuzz():
                     pool,
                     k=rng.randint(1, 3),
                     edit_range=(lo, rng.randint(lo, 3)),
-                    rng=rng.randrange(2**32),
+                    seed=rng.randrange(2**32),
                 )
             except NoApplicableOperator:
                 continue
             for candidate in out:
                 candidate.graph.validate()
-                assert not candidate.graph.same_elements(parent)
+                assert candidate.graph.signature() != parent.signature()
                 emitted += 1
         assert emitted > 10_000  # the sweep actually exercised the operators
 
@@ -279,7 +271,7 @@ def test_prompt_goldens(case_graph, case_subgraph, case_pool, case_instance):
             "positive_cot_prompt.txt"
         )
 
-        negative = recompose(swap(case_subgraph, 0), case_pool)
+        negative = recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool)
         rendered = render_negative_cot_prompt(negative, case_instance)
         assert rendered == _golden("negative_cot_prompt.txt")
         assert case_instance.answer not in rendered

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from scenealign.cli import build_parser, main
+from scenealign.cli import _pipeline_config, build_parser, main
 
 from .conftest import CASE_SUBGRAPH_OBJ
 
@@ -172,6 +173,88 @@ class TestStagedChain:
             assert main([command, "--input", str(src), "--output", str(dst), "--seed", "13"]) == 0
             assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest, command
             src = dst
+
+
+class TestStageValidation:
+    """A stage subcommand checks its configuration as ``run`` does, before it reads a line."""
+
+    STAGES = ("parse", "ground", "perturb", "select", "build")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("parse", ["--output", "{input}"]),
+            ("ground", ["--output", "{input}"]),
+            ("perturb", ["--candidates", "0"]),
+            ("perturb", ["--edits", "3..1"]),
+            ("perturb", ["--output", "{input}"]),
+            ("select", ["--output", "{input}"]),
+            ("build", ["--output", "{input}"]),
+        ],
+        ids=["parse-onto-input", "ground-onto-input", "perturb-no-candidates", "perturb-reversed-edits",
+             "perturb-onto-input", "select-onto-input", "build-onto-input"],
+    )
+    def test_bad_configuration_exits_1_and_leaves_the_input(self, tmp_path, corpus, capsys, command, flags):
+        src = corpus
+        for stage in self.STAGES[: self.STAGES.index(command)]:  # the file the command reads
+            dst = tmp_path / f"{stage}.jsonl"
+            assert main([stage, "--input", str(src), "--output", str(dst)]) == 0
+            src = dst
+        before = src.read_bytes()
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--input", str(src), "--output", str(out), *(f.format(input=src) for f in flags)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert src.read_bytes() == before
+        assert not out.exists()
+
+
+class TestConfigFlags:
+    """Each field of the run's configuration is set by a ``run`` flag; none is reachable only from code."""
+
+    # (config class, field) -> (flags, the value they set); a nested config counts through its own fields
+    FIELD_FLAGS = {
+        ("PipelineConfig", "input_path"): (["--input", "c.jsonl"], "c.jsonl"),
+        ("PipelineConfig", "output_path"): (["--output", "d.jsonl"], "d.jsonl"),
+        ("PipelineConfig", "graphs_path"): (["--graphs", "g.jsonl"], "g.jsonl"),
+        ("PipelineConfig", "report_path"): (["--report", "r.json"], "r.json"),
+        ("PipelineConfig", "seed"): (["--seed", "3"], 3),
+        ("PipelineConfig", "candidates"): (["--candidates", "5"], 5),
+        ("PipelineConfig", "edit_range"): (["--edits", "2..4"], (2, 4)),
+        ("PipelineConfig", "selection"): ([], None),
+        ("PipelineConfig", "generator"): ([], None),
+        ("PipelineConfig", "embed"): ([], None),
+        ("PipelineConfig", "workers"): (["--workers", "2"], 2),
+        ("PipelineConfig", "strict"): (["--strict"], True),
+        ("GeneratorConfig", "kind"): (["--generator", "http"], "http-chat"),
+        ("GeneratorConfig", "endpoint"): (["--endpoint", "http://127.0.0.1:9/chat"], "http://127.0.0.1:9/chat"),
+        ("GeneratorConfig", "model"): (["--model", "m1"], "m1"),
+        ("GeneratorConfig", "temperature"): (["--temperature", "0.5"], 0.5),
+        ("GeneratorConfig", "cache_dir"): (["--cache-dir", "cache"], "cache"),
+        ("GeneratorConfig", "strict"): ([], True),  # set by --strict
+        ("EmbedConfig", "provider"): (["--embed", "http"], "http"),
+        ("EmbedConfig", "dimension"): (["--embed-dim", "8"], 8),
+        ("EmbedConfig", "endpoint"): (["--embed-endpoint", "http://127.0.0.1:9/embed"], "http://127.0.0.1:9/embed"),
+        ("EmbedConfig", "model"): (["--embed-model", "e1"], "e1"),
+        ("SelectionConfig", "gamma_lower"): (["--gamma-lower", "0.2"], 0.2),
+        ("SelectionConfig", "gamma_upper"): (["--gamma-upper", "0.8"], 0.8),
+        ("SelectionConfig", "m"): (["--num-negatives", "2"], 2),
+        ("SelectionConfig", "on_shortfall"): (["--relax-bounds"], "relax-bounds"),
+    }
+
+    def test_every_config_field_has_a_run_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run"] + [flag for flags, _ in self.FIELD_FLAGS.values() for flag in flags]
+        cfg = _pipeline_config(build_parser().parse_args(argv))
+        for obj in (cfg, cfg.generator, cfg.embed, cfg.selection):
+            name = type(obj).__name__
+            for field in dataclasses.fields(obj):
+                assert (name, field.name) in self.FIELD_FLAGS, f"{name}.{field.name} has no flag"
+                expected = self.FIELD_FLAGS[name, field.name][1]
+                if expected is not None:
+                    assert getattr(obj, field.name) == expected, f"{name}.{field.name}"
+                    assert expected != field.default, f"{name}.{field.name} is left at its default"
 
 
 class TestStagedWrongInput:

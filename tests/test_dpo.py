@@ -59,7 +59,7 @@ def _record(rec_id="r1", chosen="good text", rejected="bad text", instance_id=No
 
 class TestRecordBuilding:
     def _negatives(self, case_graph, case_subgraph, case_pool, k=3):
-        negatives = generate_negatives(case_graph, case_subgraph, case_pool, k=k, rng=5)
+        negatives = generate_negatives(case_graph, case_subgraph, case_pool, k=k, seed=5)
         for i, cand in enumerate(negatives):
             cand.jaccard = 0.5
             cand.rationale = Rationale.from_steps([f"Wrong step {i}."], "Wrong.")
@@ -99,7 +99,7 @@ class TestRecordBuilding:
     def test_missing_rationale_raises(
         self, case_instance, case_graph, case_subgraph, case_pool, case_rationale
     ):
-        negatives = generate_negatives(case_graph, case_subgraph, case_pool, k=1, rng=5)
+        negatives = generate_negatives(case_graph, case_subgraph, case_pool, k=1, seed=5)
         with pytest.raises(MissingRationale):
             build_preference_records(case_instance, case_graph, case_rationale, negatives)
 

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenealign import embed as embed_module
+from scenealign import transport
 from scenealign.embed import (
     EmbedConfig,
     Embedding,
     distance_matrix,
-    embed_text,
     embed_texts,
     pairwise_distance,
 )
@@ -40,34 +40,34 @@ class TestConfig:
 
 class TestHashedProvider:
     def test_deterministic(self):
-        a = embed_text("the silver motorcycle")
-        b = embed_text("the silver motorcycle")
+        a = embed_texts(["the silver motorcycle"])[0]
+        b = embed_texts(["the silver motorcycle"])[0]
         assert a == b
 
     def test_unit_norm(self):
-        v = embed_text("a man holds a white paper").as_array()
+        v = np.array(embed_texts(["a man holds a white paper"])[0].values)
         assert math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0, abs_tol=1e-12)
 
     def test_dimension_follows_config(self):
         cfg = EmbedConfig(dimension=64)
-        assert embed_text("anything", cfg).dimension == 64
+        assert embed_texts(["anything"], cfg)[0].dimension == 64
 
     def test_distinct_texts_differ(self):
-        assert embed_text("red car parked") != embed_text("blue sky above")
+        assert embed_texts(["red car parked"])[0] != embed_texts(["blue sky above"])[0]
 
     def test_case_folded(self):
-        assert embed_text("Silver Motorcycle") == embed_text("silver motorcycle")
+        assert embed_texts(["Silver Motorcycle"])[0] == embed_texts(["silver motorcycle"])[0]
 
     def test_text_shorter_than_smallest_ngram(self):
-        v = embed_text("ab").as_array()
+        v = np.array(embed_texts(["ab"])[0].values)
         assert math.isclose(float(np.linalg.norm(v)), 1.0, abs_tol=1e-12)
 
     def test_unicode_text(self):
-        assert embed_text("café à côté").dimension == 256
+        assert embed_texts(["café à côté"])[0].dimension == 256
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyText):
-            embed_text("")
+            embed_texts([""])
         with pytest.raises(EmptyText):
             embed_texts(["fine", "   "])
 
@@ -76,7 +76,7 @@ class TestHashedProvider:
 
     def test_batch_matches_single(self):
         texts = ["one sentence", "another sentence", "a third"]
-        assert embed_texts(texts) == [embed_text(t) for t in texts]
+        assert embed_texts(texts) == [embed_texts([t])[0] for t in texts]
 
 
 def _reference_hash(data: str) -> int:
@@ -120,7 +120,7 @@ def _assert_matches_reference(texts, dimension):
     got = embed_texts(texts, EmbedConfig(dimension=dimension))
     for text, emb in zip(texts, got):
         # bit for bit, not merely close
-        assert emb.as_array().tobytes() == _reference_vector(text, dimension).tobytes(), text
+        assert np.array(emb.values).tobytes() == _reference_vector(text, dimension).tobytes(), text
 
 
 def _assert_tables_within_cap():
@@ -159,7 +159,7 @@ class TestMemoizedSlots:
     def test_cancelled_counts_fall_back_to_one_hot(self):
         text = _cancelling_text(2)
         _assert_matches_reference([text], 2)
-        vec = embed_text(text, EmbedConfig(dimension=2)).as_array()
+        vec = np.array(embed_texts([text], EmbedConfig(dimension=2))[0].values)
         assert sorted(vec.tolist()) == [0.0, 1.0]
 
     def test_past_the_cap_grams_are_hashed_without_storing(self, monkeypatch):
@@ -266,7 +266,6 @@ class TestHttpProvider:
             endpoint=f"{api.url}/embed",
             dimension=4,
             model="embedder-1",
-            backoff_base=0.0,
         )
         defaults.update(kw)
         return EmbedConfig(**defaults)
@@ -300,33 +299,35 @@ class TestHttpProvider:
             return self._serve_embeddings(payload)
 
         mock_api.handler = handler
-        out = embed_texts(["hello world"], self._cfg(mock_api, max_retries=3))
+        out = embed_texts(["hello world"], self._cfg(mock_api))
         assert len(out) == 1
         assert state["n"] == 3
 
-    def test_retries_exhausted(self, mock_api):
+    def test_retries_exhausted(self, mock_api, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_ATTEMPTS", 2)
         mock_api.handler = lambda payload: (503, {"error": "down"})
         with pytest.raises(RemoteError) as err:
-            embed_texts(["hello"], self._cfg(mock_api, max_retries=2))
+            embed_texts(["hello"], self._cfg(mock_api))
         assert err.value.status == 503
         assert len(mock_api.requests) == 2
 
     def test_client_errors_do_not_retry(self, mock_api):
         mock_api.handler = lambda payload: (401, {"error": "bad key"})
         with pytest.raises(RemoteError) as err:
-            embed_texts(["hello"], self._cfg(mock_api, max_retries=3))
+            embed_texts(["hello"], self._cfg(mock_api))
         assert err.value.status == 401
         assert len(mock_api.requests) == 1
 
-    def test_timeout_raises_dedicated_error(self, mock_api):
+    def test_timeout_raises_dedicated_error(self, mock_api, monkeypatch):
         def handler(payload):
             time.sleep(0.5)
             return self._serve_embeddings(payload)
 
         mock_api.handler = handler
-        cfg = self._cfg(mock_api, timeout=0.05, max_retries=2)
+        monkeypatch.setattr(transport, "EMBED_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(transport, "MAX_ATTEMPTS", 2)
         with pytest.raises(RequestTimeout):
-            embed_texts(["hello"], cfg)
+            embed_texts(["hello"], self._cfg(mock_api))
 
     def test_dimension_mismatch_detected(self, mock_api):
         mock_api.handler = lambda payload: (

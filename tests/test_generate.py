@@ -13,7 +13,7 @@ from scenealign.generate import (
     render_positive_cot_prompt,
     render_scene_graph_prompt,
 )
-from scenealign.perturb import recompose, swap
+from scenealign.perturb import apply_operator, recompose
 from scenealign.scene_graph import parse_scene_graph, serialize_scene_graph
 
 from .helpers import _golden
@@ -28,7 +28,7 @@ class TestPromptRendering:
         assert rendered == _golden("positive_cot_prompt.txt")
 
     def test_negative_prompt_matches_golden(self, case_subgraph, case_pool, case_instance):
-        negative = recompose(swap(case_subgraph, 0), case_pool)
+        negative = recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool)
         rendered = render_negative_cot_prompt(negative, case_instance)
         assert rendered == _golden("negative_cot_prompt.txt")
 
@@ -130,7 +130,6 @@ class TestHttpChatGenerator:
             kind="http-chat",
             endpoint=f"{api.url}/chat",
             model="reasoner-1",
-            backoff_base=0.0,
         )
         defaults.update(kw)
         return GeneratorConfig(**defaults)
@@ -219,7 +218,7 @@ class TestResponseCache:
     @staticmethod
     def _cfg(api, cache_dir):
         return GeneratorConfig(
-            kind="http-chat", endpoint=f"{api.url}/chat", model="reasoner-1", backoff_base=0.0, cache_dir=str(cache_dir)
+            kind="http-chat", endpoint=f"{api.url}/chat", model="reasoner-1", cache_dir=str(cache_dir)
         )
 
     @staticmethod
@@ -271,7 +270,7 @@ def test_concurrent_cache_writers_and_readers_never_see_a_torn_entry(mock_api, t
 
     mock_api.handler = lambda p: (200, {"choices": [{"message": {"content": "1. Shared step."}}]})
     cfg = GeneratorConfig(
-        kind="http-chat", endpoint=f"{mock_api.url}/chat", model="m", backoff_base=0.0, cache_dir=str(tmp_path)
+        kind="http-chat", endpoint=f"{mock_api.url}/chat", model="m", cache_dir=str(tmp_path)
     )
     errors: list[Exception] = []
     results: list[tuple] = []

@@ -86,8 +86,8 @@ def _text_vector(text: str) -> list[float]:
 
 def _remote_cfg(api, **kw) -> dict:
     return dict(
-        generator=GeneratorConfig(kind="http-chat", endpoint=f"{api.url}/chat", backoff_base=0.0),
-        embed=EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=8, backoff_base=0.0),
+        generator=GeneratorConfig(kind="http-chat", endpoint=f"{api.url}/chat"),
+        embed=EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=8),
         **kw,
     )
 
@@ -311,7 +311,7 @@ class TestStageParse:
             tmp_path,
             [line],
             generator=GeneratorConfig(
-                kind="http-chat", endpoint=f"{mock_api.url}/chat", backoff_base=0.0
+                kind="http-chat", endpoint=f"{mock_api.url}/chat"
             ),
         )
         items, drops = stage_parse(cfg)
@@ -343,7 +343,7 @@ class TestPerInstanceStages:
             tmp_path,
             [case_corpus_line],
             generator=GeneratorConfig(
-                kind="http-chat", endpoint=f"{mock_api.url}/chat", backoff_base=0.0
+                kind="http-chat", endpoint=f"{mock_api.url}/chat"
             ),
         )
         items, _ = stage_parse(cfg)

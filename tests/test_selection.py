@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from scenealign.embed import Embedding
 from scenealign.errors import ConfigError
-from scenealign.perturb import EditTrace, NegativeCandidate, PerturbationOp, recompose, swap
+from scenealign.perturb import EditTrace, NegativeCandidate, PerturbationOp, apply_operator, recompose
 from scenealign.scene_graph import SceneGraph, jaccard_fraction
 from scenealign.selection import (
     SelectionConfig,
-    filter_by_overlap,
     filter_with_shortfall,
     select_diverse,
 )
@@ -52,27 +51,27 @@ class TestConfig:
 
 class TestBandFilter:
     def test_case_swap_negative_is_excluded(self, case_graph, case_subgraph, case_pool):
-        negative = recompose(swap(case_subgraph, 0), case_pool)
-        kept = filter_by_overlap([_candidate(negative)], case_graph)
+        negative = recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool)
+        kept = filter_with_shortfall([_candidate(negative)], case_graph)[0]
         # J = 12/14 sits above the 0.7 ceiling
         assert kept == []
 
     def test_annotates_jaccard(self, case_graph, case_subgraph, case_pool):
-        cand = _candidate(recompose(swap(case_subgraph, 0), case_pool))
-        filter_by_overlap([cand], case_graph)
+        cand = _candidate(recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool))
+        filter_with_shortfall([cand], case_graph)
         assert cand.jaccard == pytest.approx(12 / 14)
 
     def test_lower_bound_is_inclusive(self):
         positive = _attr_graph(3, 7)  # union 10 against the 3-shared candidate
         cand = _candidate(_attr_graph(3, 0))
         assert cand.graph.attributes == positive.attributes[:3]
-        kept = filter_by_overlap([cand], positive, SelectionConfig(gamma_lower=0.3, gamma_upper=0.7))
+        kept = filter_with_shortfall([cand], positive, SelectionConfig(gamma_lower=0.3, gamma_upper=0.7))[0]
         assert kept == [0]  # J == 0.3 exactly
 
     def test_upper_bound_is_inclusive(self):
         positive = _attr_graph(7, 3)
         cand = _candidate(_attr_graph(7, 0))
-        kept = filter_by_overlap([cand], positive, SelectionConfig(gamma_lower=0.3, gamma_upper=0.7))
+        kept = filter_with_shortfall([cand], positive, SelectionConfig(gamma_lower=0.3, gamma_upper=0.7))[0]
         assert kept == [0]  # J == 0.7 exactly
 
     def test_just_outside_bounds_excluded(self):
@@ -80,24 +79,24 @@ class TestBandFilter:
         low = _candidate(_attr_graph(2, 0))  # J = 2/11
         positive_hi = _attr_graph(8, 3)
         high = _candidate(_attr_graph(8, 0))  # J = 8/11 > 0.7
-        assert filter_by_overlap([low], positive) == []
-        assert filter_by_overlap([high], positive_hi) == []
+        assert filter_with_shortfall([low], positive)[0] == []
+        assert filter_with_shortfall([high], positive_hi)[0] == []
 
     def test_order_and_indices_preserved(self):
         positive = _attr_graph(2, 2)  # universe size 4
         inside = _candidate(_attr_graph(2, 0))  # J = 2/4 = 0.5
         outside = _candidate(_attr_graph(0, 1, tag="z"))  # J = 0
-        kept = filter_by_overlap([outside, inside, outside, inside], positive)
+        kept = filter_with_shortfall([outside, inside, outside, inside], positive)[0]
         assert kept == [1, 3]
 
     def test_predicate_only_candidates_are_dropped_by_the_band(self, case_graph):
         op = PerturbationOp("replace", "predicate", ("a", "on", "b"), ("a", "near", "b"))
         cand = _candidate(case_graph, op)  # same universe as positive: J = 1.0
-        assert filter_by_overlap([cand], case_graph) == []
+        assert filter_with_shortfall([cand], case_graph)[0] == []
         assert cand.jaccard == 1.0
 
     def test_empty_candidate_list(self, case_graph):
-        assert filter_by_overlap([], case_graph) == []
+        assert filter_with_shortfall([], case_graph)[0] == []
 
 
 class TestShortfall:
@@ -182,8 +181,8 @@ class TestBandOracle:
         bands = _oracle_bands(cfg, values)
         for lo, hi in bands:  # every relaxation step on its own
             candidates = [_candidate(graph) for graph in graphs]
-            step_cfg = SelectionConfig(gamma_lower=lo, gamma_upper=hi, m=m, on_shortfall=policy)
-            assert filter_by_overlap(candidates, positive, step_cfg) == _oracle_band(values, lo, hi)
+            step_cfg = SelectionConfig(gamma_lower=lo, gamma_upper=hi, m=m)  # emit-fewer: no further steps
+            assert filter_with_shortfall(candidates, positive, step_cfg)[0] == _oracle_band(values, lo, hi)
             assert [type(c.jaccard) for c in candidates] == [float] * len(graphs)
             assert [c.jaccard for c in candidates] == [float(value) for value in values]
         candidates = [_candidate(graph) for graph in graphs]
@@ -199,12 +198,12 @@ class TestBandOracle:
         # J = 0 (an empty universe against a full one), 3/10, 5/10 and 7/10
         graphs = [SceneGraph()] + [_attr_graph(0, n) for n in (3, 5, 7)]
         candidates = [_candidate(graph) for graph in graphs]
-        assert filter_by_overlap(candidates, positive, SelectionConfig(gamma_lower=lo, gamma_upper=hi)) == kept
+        assert filter_with_shortfall(candidates, positive, SelectionConfig(gamma_lower=lo, gamma_upper=hi))[0] == kept
         assert [c.jaccard for c in candidates] == [0.0, 0.3, 0.5, 0.7]
 
     def test_both_universes_empty_is_one(self):
         cand = _candidate(SceneGraph.from_parts(["e"], [], []))
-        assert filter_by_overlap([cand], SceneGraph(), SelectionConfig(gamma_lower=1.0, gamma_upper=1.0)) == [0]
+        assert filter_with_shortfall([cand], SceneGraph(), SelectionConfig(gamma_lower=1.0, gamma_upper=1.0))[0] == [0]
         assert cand.jaccard == 1.0
 
 

@@ -8,17 +8,17 @@ from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import RemoteError
 from scenealign.generate import GeneratorConfig, generate_rationale
 from scenealign.pipeline import PipelineConfig, run_pipeline
-from scenealign.transport import post_json
+from scenealign.transport import CHAT_TIMEOUT_S, post_json
 
 NOT_JSON = b"<html><body>502 from a proxy, served as 200</body></html>"
 
 
 def _chat_cfg(api, **kw):
-    return GeneratorConfig(kind="http-chat", endpoint=f"{api.url}/chat", model="reasoner-1", backoff_base=0.0, **kw)
+    return GeneratorConfig(kind="http-chat", endpoint=f"{api.url}/chat", model="reasoner-1", **kw)
 
 
 def _embed_cfg(api, **kw):
-    return EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=4, backoff_base=0.0, **kw)
+    return EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=4, **kw)
 
 
 def _chat_reply(text):
@@ -29,7 +29,7 @@ class TestPostJson:
     def test_non_json_200_is_a_remote_error_and_not_retried(self, mock_api):
         mock_api.handler = lambda payload: (200, NOT_JSON)
         with pytest.raises(RemoteError) as err:
-            post_json({}, _chat_cfg(mock_api, max_retries=3))
+            post_json({}, f"{mock_api.url}/chat", CHAT_TIMEOUT_S)
         assert err.value.status == 200
         assert "not JSON" in err.value.detail
         assert len(mock_api.requests) == 1
