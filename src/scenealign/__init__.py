@@ -31,8 +31,6 @@ from .perturb import (
 from .pipeline import PipelineConfig, RunReport, instance_seed, run_pipeline
 from .rationale import Rationale
 from .scene_graph import (
-    ElementKind,
-    ElementRef,
     SceneGraph,
     element_universe,
     jaccard_overlap,
@@ -46,8 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DpoConfig",
     "EditTrace",
-    "ElementKind",
-    "ElementRef",
     "EmbedConfig",
     "Embedding",
     "GeneratorConfig",

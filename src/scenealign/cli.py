@@ -124,7 +124,6 @@ def _pipeline_config(args) -> PipelineConfig:
         model=args.model,
         temperature=args.temperature,
         cache_dir=args.cache_dir,
-        strict=args.strict,
     )
     embed = EmbedConfig(
         provider="http" if args.embed == "http" else "hashed-ngram",

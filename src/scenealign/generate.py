@@ -93,7 +93,6 @@ class GeneratorConfig:
     model: str | None = None
     temperature: float = 0.0
     cache_dir: str | None = None
-    strict: bool = False
 
     def __post_init__(self):
         if self.kind not in ("template", "http-chat"):
@@ -233,6 +232,7 @@ def generate_rationale(
     *,
     graph: SceneGraph | None = None,
     answer: str | None = None,
+    strict: bool = False,
 ) -> Rationale:
     """Produce a rationale for a reasoning prompt.
 
@@ -240,7 +240,7 @@ def generate_rationale(
     linearizes ``graph`` into one sentence per relation, then per attribute,
     with a conclusion naming ``answer`` when one is given.  The http-chat
     generator posts the prompt (plus optional image attachment) and parses
-    the reply, leniently unless ``cfg.strict`` is set; it ignores ``graph``
+    the reply, leniently unless ``strict`` is set; it ignores ``graph``
     and ``answer``.
     """
     if cfg.kind == "template":
@@ -248,7 +248,7 @@ def generate_rationale(
             raise ConfigError("the template generator needs the scene graph")
         return _template_rationale(graph, answer)
     content = _chat_completion(prompt, cfg, attachment)
-    return Rationale.parse(content, strict=cfg.strict)
+    return Rationale.parse(content, strict=strict)
 
 
 def generate_scene_graph_json(inst: Instance, cfg: GeneratorConfig) -> str:

@@ -26,7 +26,7 @@ from .errors import (
     WouldEmpty,
 )
 from .grounding import ResidualPool
-from .scene_graph import ElementKind, ElementRef, SceneGraph, referenced_entities
+from .scene_graph import SceneGraph, referenced_entities
 
 logger = logging.getLogger(__name__)
 
@@ -104,22 +104,21 @@ def from_jsonable(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _kind_size(sg: SceneGraph, kind: ElementKind) -> int:
-    if kind is ElementKind.ENTITY:
+def _kind_size(sg: SceneGraph, kind: str) -> int:
+    if kind == "entity":
         return len(sg.entities)
-    return len(sg.attributes) if kind is ElementKind.ATTRIBUTE else len(sg.relations)
+    return len(sg.attributes) if kind == "attribute" else len(sg.relations)
 
 
-def _check_ref(sg: SceneGraph, ref: ElementRef) -> None:
-    if not 0 <= ref.index < _kind_size(sg, ref.kind):
-        raise IndexOutOfRange(f"{ref.kind.value} index {ref.index} out of range")
+def _check_index(sg: SceneGraph, kind: str, index: int) -> None:
+    if not 0 <= index < _kind_size(sg, kind):
+        raise IndexOutOfRange(f"{kind} index {index} out of range")
 
 
-def _element_kind_of(tag: str, kind: str) -> ElementKind:
-    try:
-        return ElementKind(kind)
-    except ValueError:
-        raise UnsupportedKind(f"{tag} cannot target kind {kind!r}") from None
+def _element_kind_of(tag: str, kind: str) -> str:
+    if kind not in ("entity", "attribute", "relation"):
+        raise UnsupportedKind(f"{tag} cannot target kind {kind!r}")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ def _element_kind_of(tag: str, kind: str) -> ElementKind:
 
 
 def _swap(sg: SceneGraph, rel_index: int) -> tuple[SceneGraph, PerturbationOp]:
-    _check_ref(sg, ElementRef(ElementKind.RELATION, rel_index))
+    _check_index(sg, "relation", rel_index)
     subj, pred, obj = sg.relations[rel_index]
     if subj == obj:
         raise NoOpSwap(f"relation {rel_index} is reflexive")
@@ -215,9 +214,9 @@ def _replace_predicate(
 
 
 _REPLACERS = {
-    ElementKind.ENTITY: _replace_entity,
-    ElementKind.ATTRIBUTE: _replace_attribute,
-    ElementKind.RELATION: _replace_predicate,
+    "entity": _replace_entity,
+    "attribute": _replace_attribute,
+    "relation": _replace_predicate,
 }
 
 
@@ -242,10 +241,10 @@ def _cascade_size(sg: SceneGraph, entity: str) -> int:
     return 1 + incident_attrs + incident_rels
 
 
-def _shorten(sg: SceneGraph, ref: ElementRef) -> tuple[SceneGraph, PerturbationOp]:
-    _check_ref(sg, ref)
-    if ref.kind is ElementKind.ENTITY:
-        name = sg.entities[ref.index]
+def _shorten(sg: SceneGraph, kind: str, index: int) -> tuple[SceneGraph, PerturbationOp]:
+    _check_index(sg, kind, index)
+    if kind == "entity":
+        name = sg.entities[index]
         if sg.element_count - _cascade_size(sg, name) == 0:
             raise WouldEmpty(f"removing entity {name!r} would empty the graph")
         out = SceneGraph(
@@ -256,26 +255,26 @@ def _shorten(sg: SceneGraph, ref: ElementRef) -> tuple[SceneGraph, PerturbationO
         return out, PerturbationOp("shorten", "entity", name, None)
     if sg.element_count - 1 == 0:
         raise WouldEmpty("removing the sole element would empty the graph")
-    if ref.kind is ElementKind.ATTRIBUTE:
-        target = sg.attributes[ref.index]
-        attrs = sg.attributes[: ref.index] + sg.attributes[ref.index + 1 :]
+    if kind == "attribute":
+        target = sg.attributes[index]
+        attrs = sg.attributes[:index] + sg.attributes[index + 1 :]
         return SceneGraph(sg.entities, attrs, sg.relations), PerturbationOp(
             "shorten", "attribute", target, None
         )
-    target = sg.relations[ref.index]
-    rels = sg.relations[: ref.index] + sg.relations[ref.index + 1 :]
+    target = sg.relations[index]
+    rels = sg.relations[:index] + sg.relations[index + 1 :]
     return SceneGraph(sg.entities, sg.attributes, rels), PerturbationOp(
         "shorten", "relation", target, None
     )
 
 
-def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = None) -> ElementRef:
+def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = None) -> tuple[str, int]:
     """``rng.choice`` over the removable refs of ``kind`` (default: every kind), without listing them.
 
-    The refs run entities, then attributes, then relations, and one
-    ``rng.choice(range(n))`` draws the same index ``rng.choice(refs)`` would.
-    An entity is removable unless its cascade takes the whole graph, which can
-    happen only to a sole entity.
+    A ref is a ``(kind, index)`` pair.  The refs run entities, then
+    attributes, then relations, and one ``rng.choice(range(n))`` draws the
+    same index ``rng.choice(refs)`` would.  An entity is removable unless its
+    cascade takes the whole graph, which can happen only to a sole entity.
     """
     total = sg.element_count
     entities = len(sg.entities)
@@ -283,13 +282,13 @@ def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = Non
         entities = 0
     rows = total >= 2  # a lone attribute or relation leaves nothing behind
     counts = {
-        ElementKind.ENTITY: entities,
-        ElementKind.ATTRIBUTE: len(sg.attributes) if rows else 0,
-        ElementKind.RELATION: len(sg.relations) if rows else 0,
+        "entity": entities,
+        "attribute": len(sg.attributes) if rows else 0,
+        "relation": len(sg.relations) if rows else 0,
     }
     if kind is not None:
         only = _element_kind_of("shorten", kind)
-        counts = {k: n if k is only else 0 for k, n in counts.items()}
+        counts = {k: n if k == only else 0 for k, n in counts.items()}
     n = sum(counts.values())
     if not n:
         raise NoApplicableOperator(f"no removable {kind or 'element'}")
@@ -298,7 +297,7 @@ def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = Non
         if index < count:
             break
         index -= count
-    return ElementRef(element_kind, index)
+    return element_kind, index
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +349,7 @@ def _overthink(
 ) -> tuple[SceneGraph, PerturbationOp]:
     """Add ``pinned``, or an addable pool element drawn from those of kind ``only`` (default: any)."""
     if only is not None:
-        only = _element_kind_of("overthink", only).value
+        only = _element_kind_of("overthink", only)
     if pinned is not None:
         kind, element = _element_kind(pinned), tuple(pinned) if not isinstance(pinned, str) else pinned
         if only not in (None, kind):
@@ -444,12 +443,12 @@ def apply_operator(
             if not size:
                 raise NoApplicableOperator(f"no {kind} to replace")
             index = rng.randrange(size)
-        _check_ref(sg, ElementRef(element_kind, index))
+        _check_index(sg, element_kind, index)
         return _REPLACERS[element_kind](sg, index, pool, rng, replacement)
     if tag == "shorten":
         if index is not None:
-            return _shorten(sg, ElementRef(_element_kind_of(tag, kind), index))
-        return _shorten(sg, _draw_shorten_ref(sg, rng, kind))
+            return _shorten(sg, _element_kind_of(tag, kind), index)
+        return _shorten(sg, *_draw_shorten_ref(sg, rng, kind))
     if tag == "overthink":
         if index is not None:
             raise ConfigError("overthink takes no index; pin the element to add instead")

@@ -16,8 +16,9 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -166,36 +167,20 @@ def _workers(cfg: PipelineConfig) -> int:
 
 @dataclass
 class _CorpusLine:
-    """One non-blank corpus line while ``stage_parse`` settles it."""
+    """One non-blank corpus line: its normalized fields, then its graph or its drop reason."""
 
     line_no: int
     norm: dict | None = None  # the normalized line, None when it is not one
     reason: str | None = None  # why the line is dropped, once that is known
-    graph_value: object = None  # its inline or sidecar graph, unparsed
     graph: SceneGraph | None = None
-    request: Future | None = None  # its scene-graph request, once sent
 
-    def settle(self, cfg: PipelineConfig, send) -> bool:
-        """Resolve the graph or the drop reason; False while a sent request is unanswered."""
-        if self.graph is not None or self.reason is not None:
-            return True
-        if self.graph_value is None and cfg.generator.kind != "http-chat":
-            self.reason = "no scene graph available and no endpoint configured"
-            return True
-        if self.graph_value is None and self.request is None:
-            self.request = send(self.norm)
-            return False
-        try:
-            if self.graph_value is not None:
-                self.graph = parse_scene_graph(self.graph_value)
-            else:
-                self.graph = parse_scene_graph(self.request.result(), on_dangling="add")
-        except SceneAlignError as exc:
-            self.reason = f"bad scene graph: {exc}"
-        return True
+    @property
+    def id(self) -> str | None:
+        return self.norm["id"] if self.norm is not None else None
 
 
-def _read_line(line_no: int, line: str, sidecar: dict) -> _CorpusLine:
+def _read_line(line_no: int, line: str, sidecar: dict, cfg: PipelineConfig) -> _CorpusLine:
+    """Normalize a line and parse its inline or sidecar graph; a graph-less line is left to ask."""
     try:
         raw = json.loads(line)
     except ValueError as exc:
@@ -204,14 +189,37 @@ def _read_line(line_no: int, line: str, sidecar: dict) -> _CorpusLine:
         norm = _normalize_line(raw, line_no)
     except CorpusError as exc:
         return _CorpusLine(line_no, reason=exc.reason)
+    out = _CorpusLine(line_no, norm)
     graph_value = norm.pop("scene_graph", None)
     if graph_value is None:
         graph_value = sidecar.get(norm["id"])
-    return _CorpusLine(line_no, norm, graph_value=graph_value)
+    if graph_value is not None:
+        try:
+            out.graph = parse_scene_graph(graph_value)
+        except SceneAlignError as exc:
+            out.reason = f"bad scene graph: {exc}"
+    elif cfg.generator.kind != "http-chat":
+        out.reason = "no scene graph available and no endpoint configured"
+    return out
 
 
-def _fetched_graph(norm: dict, cfg: PipelineConfig) -> str:
-    return generate_scene_graph_json(_instance_from_obj(norm), cfg.generator)
+def _resolve(group: list[_CorpusLine], cfg: PipelineConfig) -> _CorpusLine | None:
+    """The first of one id's lines to get a graph, asking the endpoint for each line without one.
+
+    Under strict the group stops at its first failure, which the parse raises.
+    """
+    for line in group:
+        if line.graph is None and line.reason is None:
+            try:
+                reply = generate_scene_graph_json(_instance_from_obj(line.norm), cfg.generator)
+                line.graph = parse_scene_graph(reply, on_dangling="add")
+            except SceneAlignError as exc:
+                line.reason = f"bad scene graph: {exc}"
+        if line.graph is not None:
+            return line
+        if cfg.strict:
+            break
+    return None
 
 
 def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
@@ -220,65 +228,46 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
     Returns (work items, diagnostics for dropped lines).  In strict mode the
     first bad line raises :class:`CorpusError`; otherwise bad lines are
     reported and skipped so adversarial corpora cannot abort a run.  Lines
-    without a graph ask the chat endpoint for one, up to ``workers`` requests
-    at a time, and the replies are parsed in corpus order; a line dropped
-    before it would ask (bad JSON or shape, a duplicate id) sends no request.
+    without a graph ask the chat endpoint for one, up to ``workers`` ids at a
+    time.  An id's lines are tried in corpus order until one gets a graph;
+    the later lines of that id are duplicates, and a line dropped before it
+    would ask (bad JSON or shape, a duplicate id) sends no request.
     """
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(None, f"cannot read corpus: {exc}") from exc
     sidecar = _read_sidecar_graphs(cfg.graphs_path, cfg.strict) if cfg.graphs_path else {}
-    lines = [
-        _read_line(line_no, line, sidecar)
-        for line_no, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    fetcher: ThreadPoolExecutor | None = None
-
-    def send(norm: dict) -> Future:
-        nonlocal fetcher
-        fetcher = fetcher or ThreadPoolExecutor(max_workers=_workers(cfg))
-        return fetcher.submit(_fetched_graph, norm, cfg)
-
-    try:
-        while True:
-            # A sweep in corpus order settles every line it can and sends the
-            # requests it finds missing.  A line whose request is unanswered
-            # holds back the later lines with its id: they are duplicates
-            # only if it gets a graph.  Under strict, a bad line after it is
-            # raised only once the requests before that line are answered.
-            items: list[dict] = []
-            drops: list[dict] = []
-            seen_ids: set[str] = set()
-            waiting: set[str] = set()
-            for line in lines:
-                ident = line.norm["id"] if line.norm is not None else None
-                if ident in waiting:
-                    if cfg.strict:
-                        break  # this line fails whatever the reply, so no later line counts
-                    continue
-                if ident in seen_ids:
-                    reason = f"duplicate id {ident!r}"
-                elif ident is None or line.settle(cfg, send):
-                    reason = line.reason
-                else:
-                    waiting.add(ident)
-                    continue
-                if reason is None:
-                    seen_ids.add(ident)
-                    items.append({**line.norm, "scene_graph": line.graph})
-                elif not cfg.strict:
-                    drops.append({"line": line.line_no, "reason": reason})
-                elif waiting:
-                    break
-                else:
-                    raise CorpusError(line.line_no, reason)
-            if not waiting:
-                break
-    finally:
-        if fetcher is not None:
-            fetcher.shutdown(cancel_futures=True)
+    lines: list[_CorpusLine] = []
+    groups: dict[str, list[_CorpusLine]] = {}  # an id's lines, in corpus order
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        if not raw_line.strip():
+            continue
+        line = _read_line(line_no, raw_line, sidecar, cfg)
+        lines.append(line)
+        repeat = line.id in groups
+        if line.id is not None:
+            groups.setdefault(line.id, []).append(line)
+        if cfg.strict and (line.reason is not None or repeat):
+            break  # the parse fails at this line or at an earlier one
+    resolve = partial(_resolve, cfg=cfg)
+    if any(line.graph is None and line.reason is None for line in lines):
+        with ThreadPoolExecutor(max_workers=_workers(cfg)) as pool:
+            winners = dict(zip(groups, pool.map(resolve, groups.values())))
+    else:
+        winners = dict(zip(groups, map(resolve, groups.values())))
+    items: list[dict] = []
+    drops: list[dict] = []
+    for line in lines:
+        winner = winners.get(line.id)
+        if line is winner:
+            items.append({**line.norm, "scene_graph": line.graph})
+            continue
+        later = winner is not None and winner.line_no < line.line_no
+        reason = f"duplicate id {line.id!r}" if later else line.reason
+        if cfg.strict:
+            raise CorpusError(line.line_no, reason)
+        drops.append({"line": line.line_no, "reason": reason})
     for drop in drops:
         logger.warning("corpus line %d skipped: %s", drop["line"], drop["reason"])
     return items, drops
@@ -294,7 +283,7 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     sg_pos = item["scene_graph"]
     prompt = render_positive_cot_prompt(sg_pos, inst)  # raises MissingAnswer without an answer
     tau_pos = generate_rationale(
-        prompt, cfg.generator, attachment=inst.image_ref or None, graph=sg_pos, answer=inst.answer.strip()
+        prompt, cfg.generator, inst.image_ref or None, graph=sg_pos, answer=inst.answer.strip(), strict=cfg.strict
     )
     try:
         grounded = extract_grounded_subgraph(sg_pos, tau_pos)
@@ -327,7 +316,7 @@ def _fill_rationales(
     for cand in candidates:
         prompt = render_negative_cot_prompt(cand.graph, inst)
         try:
-            cand.rationale = generate_rationale(prompt, cfg.generator, attachment=None, graph=cand.graph)
+            cand.rationale = generate_rationale(prompt, cfg.generator, graph=cand.graph, strict=cfg.strict)
         except SceneAlignError as exc:
             logger.warning("instance %r: negative rationale failed (%s); candidate dropped", inst.id, exc)
             continue
@@ -341,11 +330,14 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
     candidates = item["candidates"]
 
     kept_idx, used_cfg, relax_steps = filter_with_shortfall(candidates, item["scene_graph"], cfg.selection)
+    m = cfg.selection.m
+    if len(kept_idx) < m:
+        logger.info("instance %r: shortfall: %d candidate(s) inside the band, wanted %d", inst.id, len(kept_idx), m)
     in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
 
     if in_band:
         embeddings = embed_texts([c.rationale.raw_text for c in in_band], cfg.embed)
-        chosen = select_diverse(embeddings, cfg.selection.m)
+        chosen = select_diverse(embeddings, m)
         selected = [in_band[i] for i in chosen]
     else:
         selected = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -30,20 +29,6 @@ SCHEMA_KEYS = (ENTITY_KEY, ATTRIBUTE_KEY, RELATION_KEY)
 # tags for universe members; attributes and entity pairs never collide
 _ATTR_TAG = "attr"
 _PAIR_TAG = "pair"
-
-
-class ElementKind(str, Enum):
-    ENTITY = "entity"
-    ATTRIBUTE = "attribute"
-    RELATION = "relation"
-
-
-@dataclass(frozen=True)
-class ElementRef:
-    """Position of one element within a scene graph's ordered sets."""
-
-    kind: ElementKind
-    index: int
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,6 @@ def filter_with_shortfall(
                 current.gamma_upper,
                 len(kept),
             )
-    if len(kept) < cfg.m:
-        logger.warning("shortfall: %d candidate(s) inside the band, wanted %d", len(kept), cfg.m)
     return kept, current, steps
 
 

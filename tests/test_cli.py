@@ -123,6 +123,22 @@ class TestRun:
         assert main(["run", "--input", str(path), "--output", str(out)]) == 0
         assert main(["run", "--input", str(path), "--output", str(out), "--strict"]) == 2
 
+    def test_shortfall_is_named_only_under_verbose(self, tmp_path, corpus):
+        # logging is configured by main, so the run goes through a fresh interpreter;
+        # 9 negatives wanted from 8 candidates is a shortfall whatever the band keeps
+        pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+        argv = [sys.executable, "-m", "scenealign.cli", "run", "--input", str(corpus), "--output", "out.jsonl"]
+        stderr = {}
+        for flags in ([], ["--verbose"]):
+            proc = subprocess.run(
+                [*argv, "--num-negatives", "9", *flags], capture_output=True, text=True, cwd=tmp_path, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            stderr[bool(flags)] = proc.stderr
+        assert "shortfall" not in stderr[False]
+        assert any("shortfall" in line and "'case-1'" in line for line in stderr[True].splitlines())
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -232,7 +248,6 @@ class TestConfigFlags:
         ("GeneratorConfig", "model"): (["--model", "m1"], "m1"),
         ("GeneratorConfig", "temperature"): (["--temperature", "0.5"], 0.5),
         ("GeneratorConfig", "cache_dir"): (["--cache-dir", "cache"], "cache"),
-        ("GeneratorConfig", "strict"): ([], True),  # set by --strict
         ("EmbedConfig", "provider"): (["--embed", "http"], "http"),
         ("EmbedConfig", "dimension"): (["--embed-dim", "8"], 8),
         ("EmbedConfig", "endpoint"): (["--embed-endpoint", "http://127.0.0.1:9/embed"], "http://127.0.0.1:9/embed"),

@@ -165,7 +165,7 @@ class TestHttpChatGenerator:
     def test_strict_parse_raises(self, mock_api):
         mock_api.handler = lambda p: self._reply("Just some prose.")
         with pytest.raises(UnparseableResponse):
-            generate_rationale("anything", self._cfg(mock_api, strict=True))
+            generate_rationale("anything", self._cfg(mock_api), strict=True)
 
     def test_bad_reply_shape(self, mock_api):
         mock_api.handler = lambda p: (200, {"choices": []})

@@ -33,8 +33,6 @@ from scenealign.perturb import (
     recompose,
 )
 from scenealign.scene_graph import (
-    ElementKind,
-    ElementRef,
     SceneGraph,
     encode_scene_graph,
     jaccard_counts,
@@ -283,18 +281,18 @@ class TestApplyOperator:
         assert d["payload"] == ["motorcycle", "look at", "man"]
 
 
-def _shorten_refs(sg: SceneGraph) -> list[ElementRef]:
-    """Every ref ``shorten`` may remove, listed: entities, attributes, relations."""
+def _shorten_refs(sg: SceneGraph) -> list[tuple[str, int]]:
+    """Every ``(kind, index)`` ``shorten`` may remove, listed: entities, attributes, relations."""
     total = sg.element_count
     refs = []
     for i, name in enumerate(sg.entities):
         cascade = 1 + sum(1 for e, _ in sg.attributes if e == name)
         cascade += sum(1 for s, _, o in sg.relations if name in (s, o))
         if total - cascade >= 1:
-            refs.append(ElementRef(ElementKind.ENTITY, i))
+            refs.append(("entity", i))
     if total >= 2:
-        refs += [ElementRef(ElementKind.ATTRIBUTE, i) for i in range(len(sg.attributes))]
-        refs += [ElementRef(ElementKind.RELATION, i) for i in range(len(sg.relations))]
+        refs += [("attribute", i) for i in range(len(sg.attributes))]
+        refs += [("relation", i) for i in range(len(sg.relations))]
     return refs
 
 
@@ -377,20 +375,20 @@ class TestShortenDraw:
             with pytest.raises(NoApplicableOperator):
                 apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn)
             return
-        assert apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn) == _shorten(sg, listed.choice(refs))
+        assert apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn) == _shorten(sg, *listed.choice(refs))
         assert drawn.getstate() == listed.getstate()
 
     @given(_graphs(), st.sampled_from(["entity", "attribute", "relation"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_a_kind_narrows_the_draw_to_its_refs(self, sg, kind, seed):
         drawn, listed = random.Random(seed), random.Random(seed)
-        refs = [ref for ref in _shorten_refs(sg) if ref.kind.value == kind]
+        refs = [ref for ref in _shorten_refs(sg) if ref[0] == kind]
         if not refs:
             with pytest.raises(NoApplicableOperator):
                 apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
             return
         graph, op = apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
-        assert (graph, op) == _shorten(sg, listed.choice(refs))
+        assert (graph, op) == _shorten(sg, *listed.choice(refs))
         assert op.kind == kind
         assert drawn.getstate() == listed.getstate()
 

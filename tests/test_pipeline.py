@@ -296,6 +296,68 @@ class TestStageParse:
         assert err.value.line_no == bad_at
         assert len(mock_api.requests) == requests
 
+    # corpus (as indices into three graph-less lines, with edits), strict,
+    # then the kept (id, graph) pairs, drops, raised error and requested images,
+    # each by index; an edit gives a line another line's id, a bad inline
+    # graph, or a reply that is a bad graph
+    PARSE_PINS = {
+        "failures-then-a-good-reply": (
+            [(0, {"reply": "bad"}), (1, {"id": 0, "scene_graph": "bad"}), (2, {"id": 0})],
+            False,
+            [(0, 2)],
+            [(1, "bad scene graph"), (2, "bad scene graph")],
+            None,
+            [0, 2],
+        ),
+        "strict-bad-graph-before-a-request": (
+            [(0, {"scene_graph": "bad"}), (1, {})],
+            True,
+            [],
+            [],
+            (1, "bad scene graph"),
+            [],
+        ),
+        "strict-duplicate-of-a-pending-line": (
+            [(0, {}), (1, {"id": 0})],
+            True,
+            [],
+            [],
+            (2, "duplicate id"),
+            [0],
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("pin", PARSE_PINS.values(), ids=PARSE_PINS.keys())
+    def test_items_drops_and_requests_are_pinned(self, tmp_path, mock_api, pin, workers):
+        corpus, strict, kept, dropped, raised, asked = pin
+        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(108)))
+        bad = {"entity": "not a list"}
+        out = []
+        for index, edits in corpus:
+            line = dict(lines[index])
+            if "id" in edits:
+                line["id"] = lines[edits["id"]]["id"]
+            if "scene_graph" in edits:
+                line["scene_graph"] = bad
+            if "reply" in edits:
+                graphs[line["image"]] = bad
+            out.append(line)
+        mock_api.handler = _MockProviders(graphs)
+        cfg = _cfg(tmp_path, out, strict=strict, **_remote_cfg(mock_api, workers=workers))
+        items, drops, error = [], [], None
+        try:
+            items, drops = stage_parse(cfg)
+        except CorpusError as exc:
+            error = (exc.line_no, exc.reason.split(" '")[0].split(":")[0])
+        assert [(item["id"], encode_scene_graph(item["scene_graph"])) for item in items] == [
+            (lines[i]["id"], graphs[lines[g]["image"]]) for i, g in kept
+        ]
+        assert [(d["line"], d["reason"].split(":")[0]) for d in drops] == dropped
+        assert error == raised
+        images = [r["payload"]["messages"][0]["content"][1]["image_url"]["url"] for r in mock_api.requests]
+        assert sorted(images) == sorted(lines[i]["image"] for i in asked)
+
     def test_unreadable_corpus(self, tmp_path):
         cfg = PipelineConfig(
             input_path=str(tmp_path / "absent.jsonl"), output_path=str(tmp_path / "out.jsonl")
@@ -555,6 +617,12 @@ class TestFullRun:
         records = import_jsonl(cfg.output_path)
         assert report.records_written == len(records) > 0
         assert {r.chosen for r in records} == {expected}
+
+    def test_strict_run_parses_chat_replies_strictly(self, tmp_path, case_corpus_line, mock_api):
+        mock_api.handler = lambda payload: (200, {"choices": [{"message": {"content": "Just some prose."}}]})
+        generator = GeneratorConfig(kind="http-chat", endpoint=f"{mock_api.url}/chat")
+        report = run_pipeline(_cfg(tmp_path, [case_corpus_line], generator=generator, strict=True))
+        assert report.drops == {"UnparseableResponse": 1}
 
     def test_bad_lines_reported_not_fatal(self, tmp_path, case_corpus_line):
         inp = tmp_path / "corpus.jsonl"

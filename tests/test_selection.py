@@ -100,14 +100,14 @@ class TestBandFilter:
 
 
 class TestShortfall:
-    def test_emit_fewer_warns_and_returns_survivors(self, case_graph, caplog):
+    def test_emit_fewer_returns_survivors_without_a_warning(self, case_graph, caplog):
         cand = _candidate(case_graph)  # J = 1.0, outside band
         with caplog.at_level(logging.WARNING):
             kept, used, steps = filter_with_shortfall([cand], case_graph)
         assert kept == []
         assert steps == 0
         assert used.gamma_lower == 0.3 and used.gamma_upper == 0.7
-        assert any("shortfall" in rec.message for rec in caplog.records)
+        assert caplog.records == []  # stage_select logs the shortfall, naming the instance
 
     def test_relax_bounds_widens_until_enough(self):
         positive = _attr_graph(8, 2)  # |U| = 10
