@@ -232,8 +232,19 @@ def _cmd_ground(args) -> int:
     return _run_item_stage(args, stage_ground, "grounded")
 
 
+# the flags --op mode reads; every other perturb flag belongs to stage mode
+_OP_MODE_DESTS = {"op", "graph", "pool", "kind", "index", "replacement", "element", "seed", "verbose"}
+
+
 def _cmd_perturb(args) -> int:
     if args.op:
+        defaults = vars(build_parser().parse_args(["perturb"]))
+        ignored = [
+            dest for dest, value in vars(args).items() if dest not in _OP_MODE_DESTS and value != defaults[dest]
+        ]
+        if ignored:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in ignored)
+            raise ConfigError(f"--op mode takes no stage-mode flag, got {flags}")
         return _cmd_perturb_single(args)
     if not args.input or not args.output:
         raise ConfigError("stage mode requires --input and --output")

@@ -514,11 +514,13 @@ def generate_negatives(
 
     Each candidate applies between ``edit_range[0]`` and ``edit_range[1]``
     edits, choosing uniformly among the operators applicable at each step,
-    then reattaches the residual remainder.  Candidates equal to the positive
-    graph or to an earlier candidate are rejected and resampled, so an
-    addition the remainder absorbs never survives; after ``k * 32`` attempts
-    the survivors are returned with a shortfall warning.  Every draw comes
-    from ``random.Random(seed)``, and each trace records ``seed``.
+    then reattaches the residual remainder, if there is one.  ``sg_c`` must
+    be closed and free of duplicates, as the parser and
+    :meth:`SceneGraph.from_parts` leave a graph.  Candidates equal to the
+    positive graph or to an earlier candidate are rejected and resampled, so
+    an addition the remainder absorbs never survives; after ``k * 32``
+    attempts the survivors are returned with a shortfall warning.  Every
+    draw comes from ``random.Random(seed)``, and each trace records ``seed``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -541,7 +543,9 @@ def generate_negatives(
         if result is None:
             continue
         edited, ops = result
-        recomposed = recompose(edited, pool)
+        # with an empty pool only swap and shorten apply, and both leave a
+        # closed, duplicate-free graph so, which is its own recomposition
+        recomposed = recompose(edited, pool) if pool.element_count else edited
         sig = recomposed.signature()
         if sig in seen:
             continue

@@ -49,7 +49,7 @@ from .scene_graph import (
     parse_scene_graph,
     schema_array,
 )
-from .selection import SelectionConfig, filter_with_shortfall, select_diverse
+from .selection import SelectionConfig, filter_with_shortfall, forced_choice, select_diverse
 
 logger = logging.getLogger(__name__)
 
@@ -335,12 +335,11 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
         logger.info("instance %r: shortfall: %d candidate(s) inside the band, wanted %d", inst.id, len(kept_idx), m)
     in_band = _fill_rationales([candidates[i] for i in kept_idx], inst, cfg)
 
-    if in_band:
-        embeddings = embed_texts([c.rationale.raw_text for c in in_band], cfg.embed)
-        chosen = select_diverse(embeddings, m)
-        selected = [in_band[i] for i in chosen]
-    else:
-        selected = []
+    # the rationales are embedded only when their distances decide the choice
+    chosen = forced_choice(len(in_band), m)
+    if chosen is None:
+        chosen = select_diverse(embed_texts([c.rationale.raw_text for c in in_band], cfg.embed), m)
+    selected = [in_band[i] for i in chosen]
 
     out = dict(item)
     out["selected"] = selected

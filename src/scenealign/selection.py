@@ -162,6 +162,21 @@ def _greedy_max_min(dist, n: int, m: int) -> list[int]:
     return sorted(selected)
 
 
+def forced_choice(n: int, m: int) -> list[int] | None:
+    """The indices :func:`select_diverse` picks from ``n`` points without a distance, or None.
+
+    With ``n <= m`` every point is kept.  With ``m == 1`` every singleton
+    has an empty pairwise set, so the lexicographic tie-break keeps ``[0]``.
+    Only when ``n > m >= 2`` do the distances decide, so a caller can skip
+    embedding the points whenever this returns a list.
+    """
+    if n <= m:
+        return list(range(n))
+    if m == 1:
+        return [0]
+    return None
+
+
 def select_diverse(embeddings: Sequence[Embedding], m: int) -> list[int]:
     """Pick ``m`` indices maximizing the minimal pairwise distance.
 
@@ -173,11 +188,9 @@ def select_diverse(embeddings: Sequence[Embedding], m: int) -> list[int]:
     n = len(embeddings)
     if m < 1:
         raise ConfigError("m must be at least 1")
-    if n <= m:
-        return list(range(n))
-    if m == 1:
-        # every singleton has an empty pairwise set; lexicographic tie-break
-        return [0]
+    forced = forced_choice(n, m)
+    if forced is not None:
+        return forced
     dist = distance_matrix(embeddings)
     if n <= _EXACT_THRESHOLD:
         return _exact_max_min(dist, n, m)

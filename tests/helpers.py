@@ -8,11 +8,13 @@ independent arithmetic rather than against themselves.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
@@ -209,6 +211,59 @@ class MockApi:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
+
+
+class MockProviders:
+    """Chat and embedding replies for ``MockApi`` that depend only on the request.
+
+    A scene-graph request gets the graph held for its image; a reasoning
+    prompt gets one step per relation and attribute at an even position of
+    the graph it shows, so grounding leaves a residual pool.  Requests that
+    are in flight at once are counted.
+    """
+
+    def __init__(self, graphs_by_image=None, delay=0.0):
+        self.graphs_by_image = graphs_by_image or {}
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.most_in_flight = 0
+
+    def __call__(self, payload):
+        with self.lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            return 200, self._reply(payload)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def _reply(self, payload):
+        if "input" in payload:
+            return {"data": [{"embedding": _text_vector(text)} for text in payload["input"]]}
+        content = payload["messages"][0]["content"]
+        prompt = content if isinstance(content, str) else content[0]["text"]
+        shown = prompt.rsplit("Scene Graph:", 1)[1].split("\n\n", 1)[0].strip()
+        if not shown:
+            text = json.dumps(self.graphs_by_image.get(content[1]["image_url"]["url"], "no graph"))
+        else:
+            graph = json.loads(shown)
+            steps = [f"The {s} {p} the {o}." for s, p, o in graph["relationships"][::2]]
+            steps += [f"The {e} is {v}." for e, v in graph["attribute pairs"][::2]] or ["The scene is plain."]
+            text = "\n".join(f"{i}. {step}" for i, step in enumerate(steps, start=1)) + "\nConclusion: It is so."
+        return {"choices": [{"message": {"content": text}}]}
+
+
+def _text_vector(text: str) -> list[float]:
+    return [byte / 255.0 for byte in hashlib.sha256(text.encode("utf-8")).digest()[:8]]
+
+
+def graph_less(lines: list[dict]) -> tuple[list[dict], dict]:
+    """The lines without their graphs, and the graphs by image."""
+    graphs = {line["image"]: line["scene_graph"] for line in lines}
+    return [{k: v for k, v in line.items() if k != "scene_graph"} for line in lines], graphs
 
 
 @st.composite

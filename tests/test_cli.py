@@ -386,7 +386,7 @@ class TestPerturbSingleOp:
 
     def test_swap(self, sub_graph_file, capsys):
         code = main(
-            ["perturb", "--input", "unused", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]
+            ["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]
         )
         assert code == 0
         obj = self._graph(capsys)
@@ -396,7 +396,7 @@ class TestPerturbSingleOp:
     def test_replace_entity(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb", "--input", "unused",
+                "perturb",
                 "--op", "replace",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -413,7 +413,7 @@ class TestPerturbSingleOp:
     def test_shorten_entity_cascades(self, sub_graph_file, capsys):
         code = main(
             [
-                "perturb", "--input", "unused",
+                "perturb",
                 "--op", "shorten",
                 "--graph", str(sub_graph_file),
                 "--kind", "entity",
@@ -428,7 +428,7 @@ class TestPerturbSingleOp:
     def test_overthink_with_pinned_element(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb", "--input", "unused",
+                "perturb",
                 "--op", "overthink",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -441,11 +441,31 @@ class TestPerturbSingleOp:
         assert "building" in obj["graph"]["entity"]
 
     def test_op_without_graph_is_a_config_error(self, capsys):
-        assert main(["perturb", "--input", "unused", "--op", "swap"]) == 1
+        assert main(["perturb", "--op", "swap"]) == 1
 
     def test_op_mode_needs_no_input(self, sub_graph_file, capsys):
         assert main(["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]) == 0
         assert self._graph(capsys)["graph"]["relationships"][0] == ["motorcycle", "look at", "man"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--candidates", "0"],
+            ["--edits", "2"],
+            ["--gamma-lower", "0.1"],
+            ["--generator", "http"],
+            ["--workers", "2"],
+            ["--strict"],
+            ["--input", "corpus.jsonl"],
+            ["--output", "out.jsonl"],
+        ],
+    )
+    def test_stage_mode_flag_is_a_config_error(self, sub_graph_file, flags, capsys):
+        argv = ["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0", *flags]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"config error: --op mode takes no stage-mode flag, got {flags[0]}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [[], ["--input", "corpus.jsonl"], ["--output", "out.jsonl"]])
     def test_stage_mode_still_needs_input_and_output(self, flags, capsys):
@@ -459,20 +479,20 @@ class TestPerturbSingleOpBadInput:
     def test_malformed_pool_file_is_a_corpus_error(self, tmp_path, sub_graph_file, capsys):
         pool = tmp_path / "pool.json"
         pool.write_text('{"entity": ["car"', encoding="utf-8")
-        argv = ["perturb", "--input", "unused", "--op", "overthink", "--graph", str(sub_graph_file)]
+        argv = ["perturb", "--op", "overthink", "--graph", str(sub_graph_file)]
         assert main(argv + ["--pool", str(pool)]) == 2
         assert "corpus error" in capsys.readouterr().err
 
     def test_malformed_graph_file_is_a_corpus_error(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_text('{"entity": ["man"], "relationships": []}', encoding="utf-8")
-        assert main(["perturb", "--input", "unused", "--op", "swap", "--graph", str(graph)]) == 2
+        assert main(["perturb", "--op", "swap", "--graph", str(graph)]) == 2
         assert "corpus error" in capsys.readouterr().err
 
     def test_malformed_element_is_a_config_error(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb", "--input", "unused",
+                "perturb",
                 "--op", "overthink",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -485,7 +505,7 @@ class TestPerturbSingleOpBadInput:
     def test_out_of_range_index_is_an_error(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb", "--input", "unused",
+                "perturb",
                 "--op", "replace",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -497,13 +517,13 @@ class TestPerturbSingleOpBadInput:
         assert "index 9 out of range" in capsys.readouterr().err
 
     def test_shorten_of_a_predicate_is_an_error(self, sub_graph_file, capsys):
-        argv = ["perturb", "--input", "unused", "--op", "shorten", "--graph", str(sub_graph_file)]
+        argv = ["perturb", "--op", "shorten", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "predicate", "--index", "0"]) == 1
         assert "shorten cannot target kind 'predicate'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", range(6))
     def test_shorten_kind_without_index_removes_that_kind(self, sub_graph_file, seed, capsys):
-        argv = ["perturb", "--input", "unused", "--op", "shorten", "--graph", str(sub_graph_file)]
+        argv = ["perturb", "--op", "shorten", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "attribute", "--seed", str(seed)]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["trace"][0]["kind"] == "attribute"
@@ -513,12 +533,12 @@ class TestPerturbSingleOpBadInput:
 
     @pytest.mark.parametrize("op", ["shorten", "replace"])
     def test_index_without_kind_is_a_usage_error(self, sub_graph_file, pool_file, op, capsys):
-        argv = ["perturb", "--input", "unused", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
         assert main(argv + ["--index", "1"]) == 1
         assert f"{op}: an index needs a kind" in capsys.readouterr().err
 
     def test_swap_of_an_entity_is_an_error(self, sub_graph_file, capsys):
-        argv = ["perturb", "--input", "unused", "--op", "swap", "--graph", str(sub_graph_file)]
+        argv = ["perturb", "--op", "swap", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "entity", "--index", "0"]) == 1
         assert "swap cannot target kind 'entity'" in capsys.readouterr().err
 

@@ -1,15 +1,13 @@
 import hashlib
 import json
 import random
-import threading
-import time
 
 import pytest
 
 from scenealign import pipeline
 from scenealign.cli import main
 from scenealign.dpo import import_jsonl
-from scenealign.embed import EmbedConfig
+from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import ConfigError, CorpusError
 from scenealign.generate import GeneratorConfig
 from scenealign.grounding import ResidualPool
@@ -28,60 +26,13 @@ from scenealign.pipeline import (
     stage_select,
 )
 from scenealign.scene_graph import SceneGraph, decode_scene_graph, encode_scene_graph
-from scenealign.selection import SelectionConfig
+from scenealign.selection import SelectionConfig, select_diverse
 
-from .helpers import synthetic_corpus_lines
+from .helpers import MockProviders, graph_less, synthetic_corpus_lines
 
 
 def _write_corpus(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-
-
-class _MockProviders:
-    """Chat and embedding replies for ``MockApi`` that depend only on the request.
-
-    A scene-graph request gets the graph held for its image; a reasoning
-    prompt gets one step per relation and attribute at an even position of
-    the graph it shows, so grounding leaves a residual pool.  Requests that
-    are in flight at once are counted.
-    """
-
-    def __init__(self, graphs_by_image=None, delay=0.0):
-        self.graphs_by_image = graphs_by_image or {}
-        self.delay = delay
-        self.lock = threading.Lock()
-        self.in_flight = 0
-        self.most_in_flight = 0
-
-    def __call__(self, payload):
-        with self.lock:
-            self.in_flight += 1
-            self.most_in_flight = max(self.most_in_flight, self.in_flight)
-        try:
-            time.sleep(self.delay)
-            return 200, self._reply(payload)
-        finally:
-            with self.lock:
-                self.in_flight -= 1
-
-    def _reply(self, payload):
-        if "input" in payload:
-            return {"data": [{"embedding": _text_vector(text)} for text in payload["input"]]}
-        content = payload["messages"][0]["content"]
-        prompt = content if isinstance(content, str) else content[0]["text"]
-        shown = prompt.rsplit("Scene Graph:", 1)[1].split("\n\n", 1)[0].strip()
-        if not shown:
-            text = json.dumps(self.graphs_by_image.get(content[1]["image_url"]["url"], "no graph"))
-        else:
-            graph = json.loads(shown)
-            steps = [f"The {s} {p} the {o}." for s, p, o in graph["relationships"][::2]]
-            steps += [f"The {e} is {v}." for e, v in graph["attribute pairs"][::2]] or ["The scene is plain."]
-            text = "\n".join(f"{i}. {step}" for i, step in enumerate(steps, start=1)) + "\nConclusion: It is so."
-        return {"choices": [{"message": {"content": text}}]}
-
-
-def _text_vector(text: str) -> list[float]:
-    return [byte / 255.0 for byte in hashlib.sha256(text.encode("utf-8")).digest()[:8]]
 
 
 def _remote_cfg(api, **kw) -> dict:
@@ -90,12 +41,6 @@ def _remote_cfg(api, **kw) -> dict:
         embed=EmbedConfig(provider="http", endpoint=f"{api.url}/embed", dimension=8),
         **kw,
     )
-
-
-def _graph_less(lines: list[dict]) -> tuple[list[dict], dict]:
-    """The lines without their graphs, and the graphs by image."""
-    graphs = {line["image"]: line["scene_graph"] for line in lines}
-    return [{k: v for k, v in line.items() if k != "scene_graph"} for line in lines], graphs
 
 
 def _cfg(tmp_path, lines, name="corpus", **kw):
@@ -238,8 +183,8 @@ class TestStageParse:
         assert err.value.line_no == 1
 
     def test_scene_graph_requests_overlap(self, tmp_path, mock_api):
-        lines, graphs = _graph_less(synthetic_corpus_lines(6, random.Random(105)))
-        mock_api.handler = providers = _MockProviders(graphs, delay=0.05)
+        lines, graphs = graph_less(synthetic_corpus_lines(6, random.Random(105)))
+        mock_api.handler = providers = MockProviders(graphs, delay=0.05)
         items, drops = stage_parse(_cfg(tmp_path, lines, **_remote_cfg(mock_api, workers=4)))
         assert drops == []
         assert [item["id"] for item in items] == [line["id"] for line in lines]
@@ -247,7 +192,7 @@ class TestStageParse:
         assert 2 <= providers.most_in_flight <= 4
 
     def test_lines_dropped_before_asking_send_no_request(self, tmp_path, mock_api):
-        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(106)))
+        lines, graphs = graph_less(synthetic_corpus_lines(3, random.Random(106)))
         first, second, third = lines
         graphs[second["image"]] = {"entity": "not a list"}  # its reply is a bad graph
         corpus = [
@@ -260,7 +205,7 @@ class TestStageParse:
         ]
         inp = tmp_path / "corpus.jsonl"
         inp.write_text("\n".join(corpus) + "\n", encoding="utf-8")
-        mock_api.handler = _MockProviders(graphs)
+        mock_api.handler = MockProviders(graphs)
         cfg = PipelineConfig(input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), **_remote_cfg(mock_api, workers=4))
         items, drops = stage_parse(cfg)
         assert [item["id"] for item in items] == [first["id"], second["id"]]
@@ -280,14 +225,14 @@ class TestStageParse:
         ids=["bad-json-after-a-request", "failed-reply-before-a-bad-line"],
     )
     def test_strict_raises_at_the_first_bad_line_in_corpus_order(self, tmp_path, mock_api, bad_line, bad_at, requests):
-        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(107)))
+        lines, graphs = graph_less(synthetic_corpus_lines(3, random.Random(107)))
         if bad_line is None:  # the second line's reply is the first failure
             graphs[lines[1]["image"]] = {"entity": "not a list"}
             bad_line = json.dumps(lines[1])
         corpus = [json.dumps(lines[0]), bad_line, "{broken", json.dumps(lines[2])]
         inp = tmp_path / "corpus.jsonl"
         inp.write_text("\n".join(corpus) + "\n", encoding="utf-8")
-        mock_api.handler = _MockProviders(graphs)
+        mock_api.handler = MockProviders(graphs)
         cfg = PipelineConfig(
             input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), strict=True, **_remote_cfg(mock_api, workers=4)
         )
@@ -331,7 +276,7 @@ class TestStageParse:
     @pytest.mark.parametrize("pin", PARSE_PINS.values(), ids=PARSE_PINS.keys())
     def test_items_drops_and_requests_are_pinned(self, tmp_path, mock_api, pin, workers):
         corpus, strict, kept, dropped, raised, asked = pin
-        lines, graphs = _graph_less(synthetic_corpus_lines(3, random.Random(108)))
+        lines, graphs = graph_less(synthetic_corpus_lines(3, random.Random(108)))
         bad = {"entity": "not a list"}
         out = []
         for index, edits in corpus:
@@ -343,7 +288,7 @@ class TestStageParse:
             if "reply" in edits:
                 graphs[line["image"]] = bad
             out.append(line)
-        mock_api.handler = _MockProviders(graphs)
+        mock_api.handler = MockProviders(graphs)
         cfg = _cfg(tmp_path, out, strict=strict, **_remote_cfg(mock_api, workers=workers))
         items, drops, error = [], [], None
         try:
@@ -449,6 +394,68 @@ class TestPerInstanceStages:
         assert records == stage_build(in_process)
 
 
+class TestSelectEmbedsOnlyToChoose:
+    """Rationales are embedded only when their distances decide which ``m`` are kept."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_embed_call_exactly_when_more_than_m_are_in_band(self, tmp_path, case_corpus_line, monkeypatch, m):
+        lines = [case_corpus_line] + synthetic_corpus_lines(8, random.Random(110))
+        cfg = _cfg(tmp_path, lines, seed=7, selection=SelectionConfig(m=m))
+        calls = []
+
+        def recording(texts, embed_cfg):
+            calls.append(list(texts))
+            return embed_texts(texts, embed_cfg)
+
+        monkeypatch.setattr(pipeline, "embed_texts", recording)
+        sizes = []
+        for item in stage_parse(cfg)[0]:
+            perturbed = stage_perturb(stage_ground(item, cfg), cfg)
+            calls.clear()
+            out = stage_select(perturbed, cfg)
+            # the band filter gives rationales to the in-band candidates only
+            in_band = [cand for cand in perturbed["candidates"] if cand.rationale is not None]
+            texts = [cand.rationale.raw_text for cand in in_band]
+            sizes.append(len(texts))
+            assert calls == ([texts] if len(texts) > m >= 2 else [])
+            chosen = select_diverse(embed_texts(texts, cfg.embed), m)
+            assert out["selected"] == [in_band[i] for i in chosen]
+        # both branches ran: some instance had to choose, another kept all it had
+        assert any(n > m for n in sizes) and any(0 < n <= m for n in sizes)
+
+    def test_remote_run_sends_one_embed_request_per_instance_that_must_choose(self, tmp_path, mock_api):
+        mock_api.handler = MockProviders()
+        cfg = _cfg(tmp_path, synthetic_corpus_lines(8, random.Random(111)), seed=5, **_remote_cfg(mock_api, workers=2))
+        report = run_pipeline(cfg)
+        m = cfg.selection.m
+        in_band = [summary["filtered"] for summary in report.instances]
+        assert any(n > m for n in in_band) and any(0 < n <= m for n in in_band)
+        batches = [len(r["payload"]["input"]) for r in mock_api.requests if r["path"] == "/embed"]
+        assert sorted(batches) == sorted(n for n in in_band if n > m)
+
+
+class TestDeterminismPin:
+    """The bytes every change must keep: one corpus and seed, one sha256, however it is run."""
+
+    # run on synthetic_corpus_lines(300, random.Random(0)) at seed 0: 700 records
+    SHA256 = "05e42171bae6d0c129074f2b89e867c3623afe8aee4e4baf390d44ba77a03721"
+
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_run_keeps_its_sha256(self, tmp_path, workers):
+        cfg = _cfg(tmp_path, synthetic_corpus_lines(300, random.Random(0)), seed=0, workers=workers)
+        assert run_pipeline(cfg).records_written == 700
+        assert hashlib.sha256((tmp_path / "corpus.out.jsonl").read_bytes()).hexdigest() == self.SHA256
+
+    def test_staged_chain_keeps_its_sha256(self, tmp_path):
+        src = tmp_path / "corpus.jsonl"
+        _write_corpus(src, synthetic_corpus_lines(300, random.Random(0)))
+        for command in ("parse", "ground", "perturb", "select", "build"):
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst), "--seed", "0"]) == 0
+            src = dst
+        assert hashlib.sha256(src.read_bytes()).hexdigest() == self.SHA256
+
+
 class TestFullRun:
     def test_case_run_counts_and_output(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
@@ -516,9 +523,9 @@ class TestFullRun:
 
     def test_worker_count_does_not_change_remote_output(self, tmp_path, mock_api):
         lines = synthetic_corpus_lines(8, random.Random(108))
-        graph_less, graphs = _graph_less(lines[:3])
-        lines = graph_less + lines[3:]
-        mock_api.handler = _MockProviders(graphs)
+        without_graphs, graphs = graph_less(lines[:3])
+        lines = without_graphs + lines[3:]
+        mock_api.handler = MockProviders(graphs)
         run_pipeline(_cfg(tmp_path, lines, name="serial", seed=5, **_remote_cfg(mock_api, workers=1)))
         run_pipeline(_cfg(tmp_path, lines, name="pool", seed=5, **_remote_cfg(mock_api, workers=4)))
         serial = (tmp_path / "serial.out.jsonl").read_bytes()

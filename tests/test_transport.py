@@ -8,6 +8,7 @@ from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import RemoteError
 from scenealign.generate import GeneratorConfig, generate_rationale
 from scenealign.pipeline import PipelineConfig, run_pipeline
+from scenealign.selection import SelectionConfig
 from scenealign.transport import CHAT_TIMEOUT_S, post_json
 
 NOT_JSON = b"<html><body>502 from a proxy, served as 200</body></html>"
@@ -61,6 +62,8 @@ class TestNonJsonReply:
             input_path=str(corpus),
             output_path=str(tmp_path / "out.jsonl"),
             embed=_embed_cfg(mock_api),
+            # three candidates land in the band; with m=2 their distances decide, so they are embedded
+            selection=SelectionConfig(m=2),
             workers=1,
         )
         report = run_pipeline(cfg)
