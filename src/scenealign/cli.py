@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages (``parse``, ``ground``, ``perturb``,
-``select``, ``build``), plus ``run`` for the whole chain, ``dpo-check`` for
-the loss/gradient self-test, and ``stats`` for dataset summaries.
+``select``, ``build``), plus ``run`` for the whole chain, ``edit`` for one
+operator on a graph file, ``dpo-check`` for the loss/gradient self-test, and
+``stats`` for dataset summaries.  Every flag must be spelled in full.
 
 Exit codes: 0 success, 1 configuration or operational error, 2 corpus error,
 3 I/O error.
@@ -36,7 +37,7 @@ from .embed import EmbedConfig
 from .errors import ConfigError, CorpusError, SceneAlignError
 from .generate import GeneratorConfig
 from .grounding import ResidualPool
-from .perturb import apply_operator
+from .perturb import OPERATOR_TAGS, apply_operator
 from .pipeline import (
     STAGE_FIELDS,
     PipelineConfig,
@@ -66,6 +67,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags only in full: no prefix of another subcommand's flag is read as one of ours
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad flags; remap to the config code
     def error(self, message):
         raise _UsageError(message)
@@ -82,9 +87,9 @@ def _parse_edit_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"invalid --edits value {text!r}; use N or LO..HI") from exc
 
 
-def _add_common_flags(p: argparse.ArgumentParser, *, paths_required: bool = True) -> None:
-    p.add_argument("--input", required=paths_required, help="input JSONL path")
-    p.add_argument("--output", required=paths_required, help="output path")
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="input JSONL path")
+    p.add_argument("--output", required=True, help="output path")
     p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
     p.add_argument("--strict", action="store_true", help="fail fast on malformed input")
     p.add_argument("--verbose", action="store_true", help="info-level logging")
@@ -184,13 +189,11 @@ def _map_stage(lines: list[tuple[int, str]], fields: tuple[str, ...], fn, strict
                 out.append(fn(decode_item(obj, fields), obj))
             except KeyError as exc:  # a line written by another stage, or by hand
                 raise CorpusError(None, f"instance {obj.get('id')!r} has no {exc} key") from exc
-        except CorpusError as exc:
+        except CorpusError as exc:  # a malformed stage line
             if strict:
                 raise CorpusError(line_no, exc.reason) from exc
             logger.warning("line %d skipped: %s", line_no, exc.reason)
-        except SceneAlignError as exc:
-            if strict:
-                raise
+        except SceneAlignError as exc:  # the instance drops, as under run, strict or not
             logger.warning("line %d skipped: %s", line_no, exc)
     return out
 
@@ -232,28 +235,11 @@ def _cmd_ground(args) -> int:
     return _run_item_stage(args, stage_ground, "grounded")
 
 
-# the flags --op mode reads; every other perturb flag belongs to stage mode
-_OP_MODE_DESTS = {"op", "graph", "pool", "kind", "index", "replacement", "element", "seed", "verbose"}
-
-
 def _cmd_perturb(args) -> int:
-    if args.op:
-        defaults = vars(build_parser().parse_args(["perturb"]))
-        ignored = [
-            dest for dest, value in vars(args).items() if dest not in _OP_MODE_DESTS and value != defaults[dest]
-        ]
-        if ignored:
-            flags = ", ".join("--" + dest.replace("_", "-") for dest in ignored)
-            raise ConfigError(f"--op mode takes no stage-mode flag, got {flags}")
-        return _cmd_perturb_single(args)
-    if not args.input or not args.output:
-        raise ConfigError("stage mode requires --input and --output")
     return _run_item_stage(args, stage_perturb, "perturbed")
 
 
-def _cmd_perturb_single(args) -> int:
-    if not args.graph:
-        raise ConfigError("--op mode requires --graph")
+def _cmd_edit(args) -> int:
     try:
         graph = parse_scene_graph(Path(args.graph).read_text(encoding="utf-8"))
     except (OSError, SceneAlignError) as exc:
@@ -389,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scenealign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def full(p, *, paths_required=True):
-        _add_common_flags(p, paths_required=paths_required)
+    def full(p):
+        _add_common_flags(p)
         p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
         p.add_argument("--report", default=None, help="run report path")
         p.add_argument("--workers", type=int, default=0, help="instances in flight when a provider is remote (0 = CPUs)")
@@ -412,17 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ground.set_defaults(func=_cmd_ground)
 
     p_perturb = sub.add_parser("perturb", help="sample negative candidates")
-    full(p_perturb, paths_required=False)  # --op mode reads --graph instead
-    p_perturb.add_argument("--op", choices=["swap", "replace", "shorten", "overthink"],
-                           help="apply a single operator to --graph instead of running the stage")
-    p_perturb.add_argument("--graph", default=None, help="scene graph JSON file for --op mode")
-    p_perturb.add_argument("--pool", default=None, help="residual pool JSON file for --op mode")
-    p_perturb.add_argument("--kind", choices=["entity", "attribute", "relation", "predicate"],
-                           default=None, help="target element kind for --op mode")
-    p_perturb.add_argument("--index", type=int, default=None, help="target element index")
-    p_perturb.add_argument("--replacement", default=None, help="pinned replacement payload")
-    p_perturb.add_argument("--element", default=None, help="pinned element to add (JSON)")
+    full(p_perturb)
     p_perturb.set_defaults(func=_cmd_perturb)
+
+    p_edit = sub.add_parser("edit", help="apply one operator to a scene graph file")
+    p_edit.add_argument("--op", required=True, choices=OPERATOR_TAGS, help="operator to apply")
+    p_edit.add_argument("--graph", required=True, help="scene graph JSON file")
+    p_edit.add_argument("--pool", default=None, help="residual pool JSON file")
+    p_edit.add_argument("--kind", choices=["entity", "attribute", "relation", "predicate"], help="target element kind")
+    p_edit.add_argument("--index", type=int, default=None, help="target element index")
+    p_edit.add_argument("--replacement", default=None, help="pinned replacement payload")
+    p_edit.add_argument("--element", default=None, help="pinned element to add (JSON)")
+    p_edit.add_argument("--seed", type=int, default=0, help="seed for targeting left out (default 0)")
+    p_edit.add_argument("--verbose", action="store_true", help="info-level logging")
+    p_edit.set_defaults(func=_cmd_edit)
 
     p_select = sub.add_parser("select", help="band-filter and diversify candidates")
     full(p_select)

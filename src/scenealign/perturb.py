@@ -173,51 +173,28 @@ def _replace_entity(
     raise DuplicateCollision(f"no usable replacement for entity {old!r}")
 
 
-def _replace_attribute(
-    sg: SceneGraph, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
+def _replace_field(
+    sg: SceneGraph, kind: str, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
 ) -> tuple[SceneGraph, PerturbationOp]:
-    values = pool.attribute_values()
+    """Set field 1 of attribute or relation ``index`` (its value, or predicate) to a new pool value."""
+    if kind == "attribute":
+        rows, values, label = sg.attributes, pool.attribute_values(), "attribute value"
+    else:
+        rows, values, label, kind = sg.relations, pool.predicates(), "predicate", "predicate"  # the op's kind
     if not values and pinned is None:
-        raise EmptyPoolForKind("residual pool holds no attribute values")
-    entity, old_value = sg.attributes[index]
-    present = set(sg.attributes)
+        raise EmptyPoolForKind(f"residual pool holds no {label}s")
+    old = rows[index]
+    present = set(rows)
     attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
     for _ in range(attempts):
-        new_value = pinned if pinned is not None else rng.choice(values)
-        if new_value == old_value or (entity, new_value) in present:
+        value = pinned if pinned is not None else rng.choice(values)
+        new = (old[0], value, *old[2:])
+        if value == old[1] or new in present:
             continue
-        attrs = list(sg.attributes)
-        attrs[index] = (entity, new_value)
-        out = SceneGraph(sg.entities, tuple(attrs), sg.relations)
-        return out, PerturbationOp("replace", "attribute", (entity, old_value), (entity, new_value))
-    raise DuplicateCollision(f"no usable replacement value for attribute {[entity, old_value]}")
-
-
-def _replace_predicate(
-    sg: SceneGraph, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
-) -> tuple[SceneGraph, PerturbationOp]:
-    predicates = pool.predicates()
-    if not predicates and pinned is None:
-        raise EmptyPoolForKind("residual pool holds no predicates")
-    subj, old_pred, obj = sg.relations[index]
-    present = set(sg.relations)
-    attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
-    for _ in range(attempts):
-        new_pred = pinned if pinned is not None else rng.choice(predicates)
-        if new_pred == old_pred or (subj, new_pred, obj) in present:
-            continue
-        rels = list(sg.relations)
-        rels[index] = (subj, new_pred, obj)
-        out = SceneGraph(sg.entities, sg.attributes, tuple(rels))
-        return out, PerturbationOp("replace", "predicate", (subj, old_pred, obj), (subj, new_pred, obj))
-    raise DuplicateCollision(f"no usable replacement predicate for {[subj, old_pred, obj]}")
-
-
-_REPLACERS = {
-    "entity": _replace_entity,
-    "attribute": _replace_attribute,
-    "relation": _replace_predicate,
-}
+        edited = rows[:index] + (new,) + rows[index + 1 :]
+        attrs, rels = (edited, sg.relations) if kind == "attribute" else (sg.attributes, edited)
+        return SceneGraph(sg.entities, attrs, rels), PerturbationOp("replace", kind, old, new)
+    raise DuplicateCollision(f"no usable replacement {label} for {list(old)}")
 
 
 def _replace_kinds(sg: SceneGraph, pool: ResidualPool) -> list[str]:
@@ -444,7 +421,9 @@ def apply_operator(
                 raise NoApplicableOperator(f"no {kind} to replace")
             index = rng.randrange(size)
         _check_index(sg, element_kind, index)
-        return _REPLACERS[element_kind](sg, index, pool, rng, replacement)
+        if element_kind == "entity":
+            return _replace_entity(sg, index, pool, rng, replacement)
+        return _replace_field(sg, element_kind, index, pool, rng, replacement)
     if tag == "shorten":
         if index is not None:
             return _shorten(sg, _element_kind_of(tag, kind), index)

@@ -481,9 +481,9 @@ STAGE_FIELDS = {
 def pool_from_obj(obj: dict) -> ResidualPool:
     """Decode a pool whose rows follow the graph schema; a missing set is empty."""
     return ResidualPool(
-        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY, strict=False)),
-        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY, strict=False)),
-        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY, strict=False)),
+        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY)),
+        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY)),
+        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY)),
     )
 
 

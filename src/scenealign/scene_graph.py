@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DanglingReference, MalformedJson, SchemaViolation
@@ -52,11 +51,11 @@ class SceneGraph:
 
         ``on_dangling`` is either ``"error"`` (raise :class:`DanglingReference`)
         or ``"add"`` (append missing entities in first-reference order).
-        Duplicates are dropped with a warning; :meth:`validate` raises on them.
+        Duplicates are dropped with a warning.
         """
-        ents = _clean_names(entities, ENTITY_KEY, strict=False)
-        attrs = _clean_rows(attributes, 2, ATTRIBUTE_KEY, strict=False)
-        rels = _clean_rows(relations, 3, RELATION_KEY, strict=False)
+        ents = _clean_names(entities, ENTITY_KEY)
+        attrs = _clean_rows(attributes, 2, ATTRIBUTE_KEY)
+        rels = _clean_rows(relations, 3, RELATION_KEY)
 
         known = set(ents)
         appended: list[str] = []
@@ -70,16 +69,6 @@ class SceneGraph:
         if appended:
             logger.warning("added %d dangling entity name(s): %s", len(appended), appended)
         return cls(tuple(ents) + tuple(appended), tuple(attrs), tuple(rels))
-
-    def validate(self) -> None:
-        """Re-check all invariants; raises on the first violation."""
-        _clean_names(self.entities, ENTITY_KEY, strict=True)
-        _clean_rows(self.attributes, 2, ATTRIBUTE_KEY, strict=True)
-        _clean_rows(self.relations, 3, RELATION_KEY, strict=True)
-        known = set(self.entities)
-        for name in referenced_entities(self.attributes, self.relations):
-            if name not in known:
-                raise DanglingReference(name)
 
     # -- element-set views ---------------------------------------------------
 
@@ -100,7 +89,7 @@ class SceneGraph:
         return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-def _clean_names(values: Iterable, key: str, strict: bool) -> list[str]:
+def _clean_names(values: Iterable, key: str) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     dropped = 0
@@ -111,8 +100,6 @@ def _clean_names(values: Iterable, key: str, strict: bool) -> list[str]:
         if not name:
             raise SchemaViolation(key, "empty string")
         if name in seen:
-            if strict:
-                raise SchemaViolation(key, f"duplicate {name!r}")
             dropped += 1
             continue
         seen.add(name)
@@ -122,7 +109,7 @@ def _clean_names(values: Iterable, key: str, strict: bool) -> list[str]:
     return out
 
 
-def _clean_rows(rows: Iterable, arity: int, key: str, strict: bool) -> list[tuple]:
+def _clean_rows(rows: Iterable, arity: int, key: str) -> list[tuple]:
     out: list[tuple] = []
     seen: set[tuple] = set()
     dropped = 0
@@ -142,8 +129,6 @@ def _clean_rows(rows: Iterable, arity: int, key: str, strict: bool) -> list[tupl
             cleaned.append(item)
         tup = tuple(cleaned)
         if tup in seen:
-            if strict:
-                raise SchemaViolation(key, f"duplicate {list(tup)!r}")
             dropped += 1
             continue
         seen.add(tup)
@@ -227,29 +212,14 @@ def element_universe(g: SceneGraph) -> frozenset[tuple[str, str, str]]:
     return frozenset(members)
 
 
-def jaccard_counts(a: SceneGraph, b: SceneGraph) -> tuple[int, int]:
-    """Return exact (intersection, union) sizes of the two universes."""
-    ua = element_universe(a)
-    ub = element_universe(b)
-    return len(ua & ub), len(ua | ub)
+def universe_overlap(ua: frozenset, ub: frozenset) -> tuple[int, int]:
+    """Exact (intersection, union) sizes of two element universes; both empty counts as (1, 1), J = 1."""
+    inter = len(ua & ub)
+    union = len(ua) + len(ub) - inter
+    return (inter, union) if union else (1, 1)
 
 
 def jaccard_overlap(g_neg: SceneGraph, g_pos: SceneGraph) -> float:
-    """Jaccard overlap of the two element universes.
-
-    Both universes empty is defined as 1.0 (logged); exactly one empty yields
-    0.0 through the plain ratio.
-    """
-    inter, union = jaccard_counts(g_neg, g_pos)
-    if union == 0:
-        logger.debug("both element universes empty; defining overlap as 1.0")
-        return 1.0
+    """Jaccard overlap of the two graphs' element universes (see :func:`universe_overlap`)."""
+    inter, union = universe_overlap(element_universe(g_neg), element_universe(g_pos))
     return inter / union
-
-
-def jaccard_fraction(a: SceneGraph, b: SceneGraph) -> Fraction:
-    """Exact rational Jaccard overlap, for drift-free band comparisons."""
-    inter, union = jaccard_counts(a, b)
-    if union == 0:
-        return Fraction(1)
-    return Fraction(inter, union)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .embed import Embedding, distance_matrix
 from .errors import ConfigError
 from .perturb import NegativeCandidate
-from .scene_graph import SceneGraph, element_universe
+from .scene_graph import SceneGraph, element_universe, universe_overlap
 
 logger = logging.getLogger(__name__)
 
@@ -54,25 +54,6 @@ def _band_fraction(bound: float) -> Fraction:
     return Fraction(str(bound))
 
 
-def _overlap_counts(candidates: Sequence[NegativeCandidate], sg_pos: SceneGraph) -> list[tuple[int, int]]:
-    """Each candidate's (intersection, union) with the positive; sets its ``jaccard``.
-
-    Both universes empty counts as (1, 1), J = 1.  Int true division is
-    correctly rounded, so ``inter / union`` is the float of the exact ratio.
-    """
-    positive = element_universe(sg_pos)
-    counts = []
-    for cand in candidates:
-        members = element_universe(cand.graph)
-        inter = len(members & positive)
-        union = len(members) + len(positive) - inter
-        if union == 0:
-            inter = union = 1
-        cand.jaccard = inter / union
-        counts.append((inter, union))
-    return counts
-
-
 def _in_band(counts: Sequence[tuple[int, int]], cfg: SelectionConfig) -> list[int]:
     """Indices whose exact ratio lies in the inclusive band, compared on integers."""
     lo = _band_fraction(cfg.gamma_lower)
@@ -98,7 +79,11 @@ def filter_with_shortfall(
     least ``m`` candidates survive or the band covers [0, 1].  Returns the
     retained indices, the bounds actually used, and the relaxation step count.
     """
-    counts = _overlap_counts(candidates, sg_pos)
+    positive = element_universe(sg_pos)
+    counts = [universe_overlap(element_universe(cand.graph), positive) for cand in candidates]
+    for cand, (inter, union) in zip(candidates, counts):
+        # int true division is correctly rounded: the float of the exact ratio
+        cand.jaccard = inter / union
     kept = _in_band(counts, cfg)
     steps = 0
     current = cfg

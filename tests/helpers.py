@@ -96,18 +96,45 @@ def naive_universe(graph: SceneGraph) -> list[tuple]:
 
 
 def naive_jaccard_counts(a: SceneGraph, b: SceneGraph) -> tuple[int, int]:
+    """(intersection, union) of the two universes; both empty counts as (1, 1), J = 1."""
     ua = naive_universe(a)
     ub = naive_universe(b)
     inter = sum(1 for item in ua if item in ub)
     union = len(ua) + sum(1 for item in ub if item not in ua)
+    if union == 0:
+        return 1, 1
     return inter, union
 
 
 def naive_jaccard(a: SceneGraph, b: SceneGraph) -> float:
     inter, union = naive_jaccard_counts(a, b)
-    if union == 0:
-        return 1.0
     return inter / union
+
+
+def assert_valid_graph(graph: SceneGraph) -> None:
+    """Fail unless ``graph`` keeps the parser's invariants.
+
+    Every name is a non-blank string with no surrounding whitespace, rows
+    have the right arity, no element repeats, and every entity an attribute
+    or relation names is listed.  Checked element by element, without the
+    package's cleaning code, so a fault there cannot hide itself.
+    """
+    kinds = (
+        ("entity", [(name,) for name in graph.entities], 1),
+        ("attribute", list(graph.attributes), 2),
+        ("relation", list(graph.relations), 3),
+    )
+    for kind, rows, arity in kinds:
+        for i, row in enumerate(rows):
+            assert isinstance(row, tuple) and len(row) == arity, f"{kind} {row!r} is not {arity} strings"
+            for name in row:
+                assert isinstance(name, str) and name and name == name.strip(), f"{kind} {row!r}: bad name {name!r}"
+            assert row not in rows[:i], f"duplicate {kind} {row!r}"
+    for entity, _value in graph.attributes:
+        assert entity in graph.entities, f"attribute names dangling entity {entity!r}"
+    for subject, _pred, obj in graph.relations:
+        for entity in (subject, obj):
+            assert entity in graph.entities, f"relation names dangling entity {entity!r}"
 
 
 def naive_distance_matrix(vectors: Sequence[Sequence[float]]) -> list[list[float]]:

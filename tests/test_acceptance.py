@@ -45,11 +45,12 @@ from scenealign.perturb import (
     recompose,
 )
 from scenealign.pipeline import PipelineConfig, run_pipeline
-from scenealign.scene_graph import jaccard_counts, jaccard_overlap
+from scenealign.scene_graph import element_universe, jaccard_overlap, universe_overlap
 from scenealign.selection import filter_with_shortfall, select_diverse
 from tests.helpers import _golden
 
 from .helpers import (
+    assert_valid_graph,
     brute_force_max_min,
     graph_subset,
     naive_distance_matrix,
@@ -81,7 +82,7 @@ def test_worked_example_operators(case_subgraph, case_pool):
     with _verdict("worked-example-operators", 1.0):
         swapped = apply_operator(case_subgraph, case_pool, "swap", index=0)[0]
         assert swapped.relations[0] == ("motorcycle", "look at", "man")
-        swapped.validate()
+        assert_valid_graph(swapped)
 
         replaced = apply_operator(
             case_subgraph, case_pool, "replace", kind="entity", index=2, replacement="window"
@@ -89,18 +90,18 @@ def test_worked_example_operators(case_subgraph, case_pool):
         assert "paper" not in replaced.entities
         assert ("man", "hold", "window") in replaced.relations
         assert ("man", "hold", "paper") not in replaced.relations
-        replaced.validate()
+        assert_valid_graph(replaced)
 
         shortened = apply_operator(case_subgraph, case_pool, "shorten", kind="entity", index=0)[0]
         assert "man" not in shortened.entities
         assert len(case_subgraph.relations) - len(shortened.relations) == 3
         assert shortened.relations == (("motorcycle", "stand on", "ground"),)
-        shortened.validate()
+        assert_valid_graph(shortened)
 
         grown = apply_operator(case_subgraph, case_pool, "overthink", element=("building", "behind", "motorcycle"))[0]
         assert ("building", "behind", "motorcycle") in grown.relations
         assert "building" in grown.entities
-        grown.validate()
+        assert_valid_graph(grown)
 
 
 def test_overlap_oracle(case_graph, case_subgraph, case_pool):
@@ -109,12 +110,12 @@ def test_overlap_oracle(case_graph, case_subgraph, case_pool):
         for _ in range(1000):
             a = random_scene_graph(rng)
             b = random_scene_graph(rng)
-            assert jaccard_counts(a, b) == naive_jaccard_counts(a, b)
+            assert universe_overlap(element_universe(a), element_universe(b)) == naive_jaccard_counts(a, b)
             assert jaccard_overlap(a, b) == naive_jaccard(a, b)
             assert jaccard_overlap(a, a) == 1.0
 
         negative = _swap_candidate(case_subgraph, case_pool)
-        assert jaccard_counts(negative.graph, case_graph) == (12, 14)
+        assert universe_overlap(element_universe(negative.graph), element_universe(case_graph)) == (12, 14)
         assert Fraction(12, 14) > Fraction("0.7")
         assert filter_with_shortfall([negative], case_graph)[0] == []
 
@@ -258,7 +259,7 @@ def test_negative_well_formedness_fuzz():
             except NoApplicableOperator:
                 continue
             for candidate in out:
-                candidate.graph.validate()
+                assert_valid_graph(candidate.graph)
                 assert candidate.graph.signature() != parent.signature()
                 emitted += 1
         assert emitted > 10_000  # the sweep actually exercised the operators

@@ -3,6 +3,7 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -153,8 +154,41 @@ class TestUsageErrors:
 
     def test_help_lists_subcommands(self):
         text = build_parser().format_help()
-        for name in ("run", "parse", "ground", "perturb", "select", "build", "dpo-check", "stats"):
+        for name in ("run", "parse", "ground", "perturb", "edit", "select", "build", "dpo-check", "stats"):
             assert name in text
+
+    EDIT_FLAGS = {"--op", "--graph", "--pool", "--kind", "--index", "--replacement", "--element", "--seed", "--verbose"}
+
+    def test_perturb_and_edit_each_list_only_their_own_flags(self, capsys):
+        flags = {}
+        for command in ("perturb", "edit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            flags[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert flags["edit"] == self.EDIT_FLAGS
+        assert not flags["perturb"] & (self.EDIT_FLAGS - {"--seed", "--verbose"})
+        assert {"--input", "--output", "--candidates", "--graphs"} <= flags["perturb"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # --graph is not perturb's --graphs spelled short: the stage must not run
+            ["perturb", "--input", "{input}", "--output", "{output}", "--kind", "entity", "--index", "99",
+             "--graph", "nonexistent.json"],
+            ["perturb", "--input", "{input}", "--output", "{output}", "--cand", "3"],
+            ["edit", "--op", "swap", "--graph", "{graph}", "--index", "0", "--candidates", "3"],
+        ],
+        ids=["perturb-with-edit-flags", "perturb-abbreviated-flag", "edit-with-a-stage-flag"],
+    )
+    def test_flags_must_be_spelled_out_and_belong_to_the_subcommand(self, tmp_path, sub_graph_file, argv, capsys):
+        src, out = tmp_path / "grounded.jsonl", tmp_path / "perturbed.jsonl"
+        src.write_text("", encoding="utf-8")
+        paths = {"input": src, "output": out, "graph": sub_graph_file}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestStagedChain:
@@ -173,6 +207,22 @@ class TestStagedChain:
         assert main(["build", "--input", str(selected), "--output", str(built)]) == 0
         assert main(["run", "--input", str(corpus), "--output", str(ran), *seed]) == 0
         assert built.read_bytes() == ran.read_bytes()
+
+    def test_strict_chain_drops_an_instance_as_run_does(self, tmp_path, case_corpus_line, capsys):
+        lines = [dict(case_corpus_line, id=f"case-{i}") for i in range(3)]
+        del lines[1]["answer"]  # run --strict drops it as MissingAnswer and goes on
+        corpus = tmp_path / "corpus.jsonl"
+        _write_corpus(corpus, lines)
+        strict = ["--seed", "5", "--strict"]
+        src = corpus
+        for command in ("parse", "ground", "perturb", "select", "build"):
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst), *strict]) == 0, command
+            src = dst
+        ran = tmp_path / "ran.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(ran), *strict]) == 0
+        assert src.read_bytes() == ran.read_bytes()
+        assert {json.loads(line)["meta"]["instance_id"] for line in ran.read_text().splitlines()} == {"case-0", "case-2"}
 
     # sha256 of each stage file the chain writes from the corpus fixture at seed 13
     STAGE_FILE_SHA256 = {
@@ -386,7 +436,7 @@ class TestPerturbSingleOp:
 
     def test_swap(self, sub_graph_file, capsys):
         code = main(
-            ["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]
+            ["edit", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]
         )
         assert code == 0
         obj = self._graph(capsys)
@@ -396,7 +446,7 @@ class TestPerturbSingleOp:
     def test_replace_entity(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb",
+                "edit",
                 "--op", "replace",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -413,7 +463,7 @@ class TestPerturbSingleOp:
     def test_shorten_entity_cascades(self, sub_graph_file, capsys):
         code = main(
             [
-                "perturb",
+                "edit",
                 "--op", "shorten",
                 "--graph", str(sub_graph_file),
                 "--kind", "entity",
@@ -428,7 +478,7 @@ class TestPerturbSingleOp:
     def test_overthink_with_pinned_element(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb",
+                "edit",
                 "--op", "overthink",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -441,10 +491,11 @@ class TestPerturbSingleOp:
         assert "building" in obj["graph"]["entity"]
 
     def test_op_without_graph_is_a_config_error(self, capsys):
-        assert main(["perturb", "--op", "swap"]) == 1
+        assert main(["edit", "--op", "swap"]) == 1
+        assert "error: the following arguments are required: --graph" in capsys.readouterr().err
 
     def test_op_mode_needs_no_input(self, sub_graph_file, capsys):
-        assert main(["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]) == 0
+        assert main(["edit", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0"]) == 0
         assert self._graph(capsys)["graph"]["relationships"][0] == ["motorcycle", "look at", "man"]
 
     @pytest.mark.parametrize(
@@ -461,38 +512,38 @@ class TestPerturbSingleOp:
         ],
     )
     def test_stage_mode_flag_is_a_config_error(self, sub_graph_file, flags, capsys):
-        argv = ["perturb", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0", *flags]
+        argv = ["edit", "--op", "swap", "--graph", str(sub_graph_file), "--index", "0", *flags]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert f"config error: --op mode takes no stage-mode flag, got {flags[0]}" in captured.err
+        assert f"error: unrecognized arguments: {flags[0]}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [[], ["--input", "corpus.jsonl"], ["--output", "out.jsonl"]])
     def test_stage_mode_still_needs_input_and_output(self, flags, capsys):
         assert main(["perturb", *flags]) == 1
-        assert "stage mode requires --input and --output" in capsys.readouterr().err
+        assert "error: the following arguments are required: --" in capsys.readouterr().err
 
 
 class TestPerturbSingleOpBadInput:
-    """Bad ``--op`` input ends with an exit code and a message, never a traceback."""
+    """Bad ``edit`` input ends with an exit code and a message, never a traceback."""
 
     def test_malformed_pool_file_is_a_corpus_error(self, tmp_path, sub_graph_file, capsys):
         pool = tmp_path / "pool.json"
         pool.write_text('{"entity": ["car"', encoding="utf-8")
-        argv = ["perturb", "--op", "overthink", "--graph", str(sub_graph_file)]
+        argv = ["edit", "--op", "overthink", "--graph", str(sub_graph_file)]
         assert main(argv + ["--pool", str(pool)]) == 2
         assert "corpus error" in capsys.readouterr().err
 
     def test_malformed_graph_file_is_a_corpus_error(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_text('{"entity": ["man"], "relationships": []}', encoding="utf-8")
-        assert main(["perturb", "--op", "swap", "--graph", str(graph)]) == 2
+        assert main(["edit", "--op", "swap", "--graph", str(graph)]) == 2
         assert "corpus error" in capsys.readouterr().err
 
     def test_malformed_element_is_a_config_error(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb",
+                "edit",
                 "--op", "overthink",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -505,7 +556,7 @@ class TestPerturbSingleOpBadInput:
     def test_out_of_range_index_is_an_error(self, sub_graph_file, pool_file, capsys):
         code = main(
             [
-                "perturb",
+                "edit",
                 "--op", "replace",
                 "--graph", str(sub_graph_file),
                 "--pool", str(pool_file),
@@ -517,13 +568,13 @@ class TestPerturbSingleOpBadInput:
         assert "index 9 out of range" in capsys.readouterr().err
 
     def test_shorten_of_a_predicate_is_an_error(self, sub_graph_file, capsys):
-        argv = ["perturb", "--op", "shorten", "--graph", str(sub_graph_file)]
+        argv = ["edit", "--op", "shorten", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "predicate", "--index", "0"]) == 1
         assert "shorten cannot target kind 'predicate'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", range(6))
     def test_shorten_kind_without_index_removes_that_kind(self, sub_graph_file, seed, capsys):
-        argv = ["perturb", "--op", "shorten", "--graph", str(sub_graph_file)]
+        argv = ["edit", "--op", "shorten", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "attribute", "--seed", str(seed)]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["trace"][0]["kind"] == "attribute"
@@ -533,24 +584,24 @@ class TestPerturbSingleOpBadInput:
 
     @pytest.mark.parametrize("op", ["shorten", "replace"])
     def test_index_without_kind_is_a_usage_error(self, sub_graph_file, pool_file, op, capsys):
-        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        argv = ["edit", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
         assert main(argv + ["--index", "1"]) == 1
         assert f"{op}: an index needs a kind" in capsys.readouterr().err
 
     def test_swap_of_an_entity_is_an_error(self, sub_graph_file, capsys):
-        argv = ["perturb", "--op", "swap", "--graph", str(sub_graph_file)]
+        argv = ["edit", "--op", "swap", "--graph", str(sub_graph_file)]
         assert main(argv + ["--kind", "entity", "--index", "0"]) == 1
         assert "swap cannot target kind 'entity'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("op", ["swap", "shorten", "overthink"])
     def test_replacement_outside_replace_is_a_config_error(self, sub_graph_file, pool_file, op, capsys):
-        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        argv = ["edit", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
         assert main(argv + ["--replacement", "window", "--kind", "relation"]) == 1
         assert f"{op} takes no replacement" in capsys.readouterr().err
 
     @pytest.mark.parametrize("op", ["swap", "shorten", "replace"])
     def test_element_outside_overthink_is_a_config_error(self, sub_graph_file, pool_file, op, capsys):
-        argv = ["perturb", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
+        argv = ["edit", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file)]
         assert main(argv + ["--element", '"car"']) == 1
         assert f"{op} takes no element" in capsys.readouterr().err
 

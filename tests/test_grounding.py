@@ -11,7 +11,7 @@ from scenealign.grounding import _phrase_pattern, extract_grounded_subgraph, res
 from scenealign.rationale import Rationale
 from scenealign.scene_graph import SceneGraph, encode_scene_graph
 
-from .helpers import graph_subset, random_scene_graph, scene_graphs
+from .helpers import assert_valid_graph, graph_subset, random_scene_graph, scene_graphs
 
 
 class TestCaseStudy:
@@ -152,7 +152,7 @@ def test_grounded_output_is_valid_and_contained():
         if not mention:
             mention = [graph.entities[0]]
         grounded = extract_grounded_subgraph(graph, _rationale_mentioning(graph, mention))
-        grounded.validate()
+        assert_valid_graph(grounded)
         assert graph.contains_elements_of(grounded)
         pool = residual_pool(graph, grounded)
         assert grounded.element_count + pool.element_count == graph.element_count

@@ -34,11 +34,12 @@ from scenealign.perturb import (
 )
 from scenealign.scene_graph import (
     SceneGraph,
+    element_universe,
     encode_scene_graph,
-    jaccard_counts,
+    universe_overlap,
 )
 
-from .helpers import graph_subset, random_scene_graph
+from .helpers import assert_valid_graph, graph_subset, random_scene_graph
 
 EMPTY_POOL = ResidualPool()
 
@@ -50,7 +51,7 @@ class TestSwap:
         assert out.relations[1:] == case_subgraph.relations[1:]
         assert out.entities == case_subgraph.entities
         assert out.attributes == case_subgraph.attributes
-        out.validate()
+        assert_valid_graph(out)
 
     def test_swap_is_an_involution(self):
         rng = random.Random(3)
@@ -98,7 +99,7 @@ class TestReplace:
         assert ("window", "white") in out.attributes
         assert ("man", "hold", "window") in out.relations
         assert "paper" not in out.entities
-        out.validate()
+        assert_valid_graph(out)
         # exactly one element of each kind changed
         assert len(set(out.entities) ^ set(case_subgraph.entities)) == 2
         assert len(set(out.attributes) ^ set(case_subgraph.attributes)) == 2
@@ -148,18 +149,18 @@ class TestShorten:
         assert out.attributes == case_subgraph.attributes
         assert out.relations == (("motorcycle", "stand on", "ground"),)
         assert len(case_subgraph.relations) - len(out.relations) == 3
-        out.validate()
+        assert_valid_graph(out)
 
     def test_single_attribute_removal(self, case_subgraph):
         out = apply_operator(case_subgraph, EMPTY_POOL, "shorten", kind="attribute", index=3)[0]
         assert ("ground", "paved") not in out.attributes
         assert out.entities == case_subgraph.entities
-        out.validate()
+        assert_valid_graph(out)
 
     def test_single_relation_removal(self, case_subgraph):
         out = apply_operator(case_subgraph, EMPTY_POOL, "shorten", kind="relation", index=3)[0]
         assert ("motorcycle", "stand on", "ground") not in out.relations
-        out.validate()
+        assert_valid_graph(out)
 
     def test_would_empty_entity(self):
         g = SceneGraph.from_parts(["a"], [["a", "red"]], [])
@@ -181,7 +182,7 @@ class TestShorten:
                 out = apply_operator(g, EMPTY_POOL, "shorten", kind=kind, index=index)[0]
             except WouldEmpty:
                 continue
-            out.validate()
+            assert_valid_graph(out)
             assert out.element_count < g.element_count
 
 
@@ -190,7 +191,7 @@ class TestOverthink:
         out = apply_operator(case_subgraph, case_pool, "overthink", element=("building", "behind", "motorcycle"))[0]
         assert ("building", "behind", "motorcycle") in out.relations
         assert "building" in out.entities
-        out.validate()
+        assert_valid_graph(out)
 
     def test_entity_addition(self, case_subgraph, case_pool):
         out = apply_operator(case_subgraph, case_pool, "overthink", element="car")[0]
@@ -201,12 +202,12 @@ class TestOverthink:
         out = apply_operator(case_subgraph, case_pool, "overthink", element=("window", "glass"))[0]
         assert ("window", "glass") in out.attributes
         assert "window" in out.entities
-        out.validate()
+        assert_valid_graph(out)
 
     def test_sampled_addition_grows_graph(self, case_subgraph, case_pool):
         out = apply_operator(case_subgraph, case_pool, "overthink", rng=random.Random(2))[0]
         assert out.element_count > case_subgraph.element_count
-        out.validate()
+        assert_valid_graph(out)
 
     def test_nothing_addable_raises(self, case_graph):
         with pytest.raises(EmptyPool):
@@ -216,13 +217,13 @@ class TestOverthink:
 class TestRecompose:
     def test_case_swap_negative_overlap(self, case_graph, case_subgraph, case_pool):
         negative = recompose(apply_operator(case_subgraph, case_pool, "swap", index=0)[0], case_pool)
-        negative.validate()
-        assert jaccard_counts(negative, case_graph) == (12, 14)
+        assert_valid_graph(negative)
+        assert universe_overlap(element_universe(negative), element_universe(case_graph)) == (12, 14)
 
     def test_case_shorten_negative_overlap(self, case_graph, case_subgraph, case_pool):
         negative = recompose(apply_operator(case_subgraph, case_pool, "shorten", kind="entity", index=0)[0], case_pool)
-        negative.validate()
-        assert jaccard_counts(negative, case_graph) == (10, 13)
+        assert_valid_graph(negative)
+        assert universe_overlap(element_universe(negative), element_universe(case_graph)) == (10, 13)
 
     def test_untouched_subgraph_restores_positive(self, case_graph, case_subgraph, case_pool):
         assert recompose(case_subgraph, case_pool).signature() == case_graph.signature()
@@ -235,7 +236,7 @@ class TestRecompose:
         out = recompose(shortened, pool)
         assert "b" in out.entities
         assert ("b", "on", "c") in out.relations
-        out.validate()
+        assert_valid_graph(out)
 
     def test_union_duplicates_are_silent(self, case_subgraph, case_pool, caplog):
         edited = apply_operator(case_subgraph, case_pool, "overthink", element="building")[0]
@@ -472,7 +473,7 @@ class TestGenerateNegatives:
         signatures = {c.graph.signature() for c in out}
         assert len(signatures) == 8
         for cand in out:
-            cand.graph.validate()
+            assert_valid_graph(cand.graph)
             assert cand.graph.signature() != case_graph.signature()
             assert 1 <= len(cand.trace.ops) <= 3
             assert cand.trace.seed == 42
@@ -533,7 +534,7 @@ class TestGenerateNegatives:
             except NoApplicableOperator:
                 continue
             for cand in out:
-                cand.graph.validate()
+                assert_valid_graph(cand.graph)
                 assert cand.graph.signature() != parent.signature()
                 produced += 1
         assert produced > 100

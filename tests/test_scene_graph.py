@@ -11,14 +11,24 @@ from scenealign.errors import DanglingReference, MalformedJson, SchemaViolation
 from scenealign.scene_graph import (
     SceneGraph,
     element_universe,
-    jaccard_counts,
-    jaccard_fraction,
     jaccard_overlap,
     parse_scene_graph,
     serialize_scene_graph,
+    universe_overlap,
 )
 
-from .helpers import naive_jaccard, naive_jaccard_counts, naive_universe, random_scene_graph, scene_graphs
+from .helpers import (
+    assert_valid_graph,
+    naive_jaccard,
+    naive_jaccard_counts,
+    naive_universe,
+    random_scene_graph,
+    scene_graphs,
+)
+
+
+def _counts(a, b):
+    return universe_overlap(element_universe(a), element_universe(b))
 
 
 class TestParsing:
@@ -106,18 +116,28 @@ class TestParsing:
         )
         g = parse_scene_graph(text, on_dangling="add")
         assert g.entities == ("a", "b", "c", "d")
-        g.validate()
+        assert_valid_graph(g)
 
     def test_validate_rejects_hand_built_dangling(self):
         g = SceneGraph(("a",), (("b", "red"),), ())
-        with pytest.raises(DanglingReference):
-            g.validate()
+        with pytest.raises(AssertionError, match="dangling"):
+            assert_valid_graph(g)
 
     def test_validate_rejects_hand_built_duplicates(self):
-        # the decoders drop duplicates with a warning; validate is the strict check
+        # the decoders drop duplicates with a warning; the invariant check rejects one left in
         g = SceneGraph(("a", "a"), (), ())
-        with pytest.raises(SchemaViolation):
-            g.validate()
+        with pytest.raises(AssertionError, match="duplicate"):
+            assert_valid_graph(g)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [SceneGraph(("a", ""), (), ()), SceneGraph(("a", " b"), (), ()), SceneGraph(("a",), (("a", "red "),), ())],
+        ids=["blank", "unstripped", "unstripped-value"],
+    )
+    def test_validate_rejects_blank_or_unstripped_names(self, graph):
+        # the decoders strip names and reject blank ones
+        with pytest.raises(AssertionError, match="bad name"):
+            assert_valid_graph(graph)
 
 
 class TestElementViews:
@@ -172,11 +192,11 @@ class TestJaccard:
         assert jaccard_overlap(a, b) == 1.0
 
     def test_subgraph_against_case_graph(self, case_graph, case_subgraph):
-        assert jaccard_counts(case_subgraph, case_graph) == (8, 13)
+        assert _counts(case_subgraph, case_graph) == (8, 13)
         assert jaccard_overlap(case_subgraph, case_graph) == pytest.approx(8 / 13)
 
     def test_fraction_matches_counts(self, case_graph, case_subgraph):
-        assert jaccard_fraction(case_subgraph, case_graph) == Fraction(8, 13)
+        assert Fraction(*_counts(case_subgraph, case_graph)) == Fraction(8, 13)
 
     def test_fraction_hits_band_bounds_exactly(self):
         a = SceneGraph.from_parts(["e"], [["e", f"v{i}"] for i in range(3)], [])
@@ -185,21 +205,21 @@ class TestJaccard:
             [["e", f"v{i}"] for i in range(3)] + [["e", f"w{i}"] for i in range(7)],
             [],
         )
-        assert jaccard_fraction(a, b) == Fraction("0.3")
+        assert Fraction(*_counts(a, b)) == Fraction("0.3")
 
     def test_thousand_random_pairs_match_oracle(self):
         rng = random.Random(20240817)
         for _ in range(1000):
             a = random_scene_graph(rng)
             b = random_scene_graph(rng)
-            assert jaccard_counts(a, b) == naive_jaccard_counts(a, b)
+            assert _counts(a, b) == naive_jaccard_counts(a, b)
             assert jaccard_overlap(a, b) == naive_jaccard(a, b)
 
 
 @given(scene_graphs(), scene_graphs())
 @settings(max_examples=200, deadline=None)
 def test_jaccard_matches_naive_oracle(a, b):
-    assert jaccard_counts(a, b) == naive_jaccard_counts(a, b)
+    assert _counts(a, b) == naive_jaccard_counts(a, b)
 
 
 @given(scene_graphs(), scene_graphs())

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from scenealign.embed import Embedding
 from scenealign.errors import ConfigError
 from scenealign.perturb import EditTrace, NegativeCandidate, PerturbationOp, apply_operator, recompose
-from scenealign.scene_graph import SceneGraph, jaccard_fraction
+from scenealign.scene_graph import SceneGraph
 from scenealign.selection import (
     SelectionConfig,
     filter_with_shortfall,
     select_diverse,
 )
 
-from .helpers import brute_force_max_min, naive_distance_matrix, random_unit_vectors, scene_graphs
+from .helpers import brute_force_max_min, naive_distance_matrix, naive_jaccard_counts, random_unit_vectors, scene_graphs
 
 
 def _candidate(graph: SceneGraph, *ops: PerturbationOp) -> NegativeCandidate:
@@ -165,7 +165,7 @@ _BOUNDS = st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.35, 0.5, 0.65, 0.7, 0.75
 
 
 class TestBandOracle:
-    """The integer band test keeps what the exact ``jaccard_fraction`` keeps."""
+    """The integer band test keeps what the exact ratio of the naive counts keeps."""
 
     @given(
         _GRAPHS,
@@ -177,7 +177,7 @@ class TestBandOracle:
     @settings(max_examples=300, deadline=None)
     def test_indices_and_jaccard_match_the_fraction_oracle(self, positive, graphs, bounds, m, policy):
         cfg = SelectionConfig(gamma_lower=bounds[0], gamma_upper=bounds[1], m=m, on_shortfall=policy)
-        values = [jaccard_fraction(graph, positive) for graph in graphs]
+        values = [Fraction(*naive_jaccard_counts(graph, positive)) for graph in graphs]
         bands = _oracle_bands(cfg, values)
         for lo, hi in bands:  # every relaxation step on its own
             candidates = [_candidate(graph) for graph in graphs]
