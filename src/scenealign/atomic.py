@@ -1,12 +1,19 @@
-"""Atomic file replacement for every file the package writes."""
+"""Every file the package reads or writes: atomic writes, checked reads.
+
+A JSONL file splits at ``\\n`` only: ``json.dumps(..., ensure_ascii=False)``
+writes U+0085, U+2028 and U+2029 raw, and each is a line break to Python.
+"""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
+
+from .errors import CorpusError
 
 
 @contextmanager
@@ -26,3 +33,27 @@ def atomic_open(path: Union[str, Path]) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: Union[str, Path], what: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded is a corpus error naming ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(None, f"cannot read {what}: {exc}") from exc
+
+
+def read_lines(path: Union[str, Path], what: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a JSONL file as (line number, text) pairs, numbered from 1."""
+    return [(n, line) for n, line in enumerate(read_text(path, what).split("\n"), start=1) if line.strip()]
+
+
+def loads_object(line: str) -> dict:
+    """The JSON object on one JSONL line; invalid JSON or another type is a corpus error."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise CorpusError(None, f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CorpusError(None, f"expected an object, got {type(obj).__name__}")
+    return obj

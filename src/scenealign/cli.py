@@ -18,11 +18,10 @@ import math
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, loads_object, read_lines, read_text
 from .dpo import (
     DpoConfig,
     PreferenceRecord,
@@ -160,15 +159,6 @@ def _pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _read_jsonl(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a JSONL file as (line number, text) pairs."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(None, f"cannot read {path}: {exc}") from exc
-    return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     with atomic_open(path) as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -179,12 +169,7 @@ def _map_stage(lines: list[tuple[int, str]], fields: tuple[str, ...], fn, strict
     out = []
     for line_no, line in lines:
         try:
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a torn line: skipped like a bad corpus line
-                raise CorpusError(None, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(None, f"expected a work item object, got {type(obj).__name__}")
+            obj = loads_object(line)  # a torn line is skipped like a bad corpus line
             try:
                 out.append(fn(decode_item(obj, fields), obj))
             except KeyError as exc:  # a line written by another stage, or by hand
@@ -222,7 +207,7 @@ def _cmd_parse(args) -> int:
 
 def _run_item_stage(args, stage, verb: str) -> int:
     cfg = _pipeline_config(args)
-    lines = _read_jsonl(args.input)
+    lines = read_lines(args.input, "input")
     fields = STAGE_FIELDS[args.command]
     # the fields the stage read go back out as the JSON they came in as
     out = _map_stage(lines, fields, lambda item, obj: encode_item(stage(item, cfg), obj, fields), args.strict)
@@ -240,15 +225,17 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_edit(args) -> int:
+    text = read_text(args.graph, "--graph file")
     try:
-        graph = parse_scene_graph(Path(args.graph).read_text(encoding="utf-8"))
-    except (OSError, SceneAlignError) as exc:
+        graph = parse_scene_graph(text)
+    except SceneAlignError as exc:
         raise CorpusError(None, f"bad --graph file: {exc}") from exc
     pool = ResidualPool()
     if args.pool:
+        text = read_text(args.pool, "--pool file")
         try:
-            pool = pool_from_obj(json.loads(Path(args.pool).read_text(encoding="utf-8")))
-        except (OSError, ValueError, TypeError, AttributeError, SceneAlignError) as exc:
+            pool = pool_from_obj(json.loads(text))
+        except (ValueError, TypeError, AttributeError, SceneAlignError) as exc:
             raise CorpusError(None, f"bad --pool file: {exc}") from exc
     element = _parse_element(args.element) if args.element else None
 
@@ -284,7 +271,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_build(args) -> int:
     PipelineConfig(args.input, args.output).validate()
-    built = _map_stage(_read_jsonl(args.input), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
+    built = _map_stage(read_lines(args.input, "input"), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
     records = [record for item_records in built for record in item_records]
     export_jsonl(records, args.output)
     print(f"built {len(records)} record(s) -> {args.output}")

@@ -11,16 +11,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Protocol, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, loads_object, read_lines
 from .errors import (
     ConfigError,
+    CorpusError,
     MissingRationale,
     NonFiniteLogProb,
     OutOfVocabulary,
@@ -123,7 +123,7 @@ def record_to_json(record: PreferenceRecord) -> str:
 
 
 def record_from_json(line: str) -> PreferenceRecord:
-    obj = json.loads(line)
+    obj = loads_object(line)
     question, sep, graph_json = obj["prompt"].rpartition(_PROMPT_GRAPH_SEP)
     if not sep:
         question, graph_json = obj["prompt"], ""
@@ -138,25 +138,28 @@ def record_from_json(line: str) -> PreferenceRecord:
     )
 
 
-def export_jsonl(records: Sequence[PreferenceRecord], sink: Union[str, Path, IO[str]]) -> int:
+def export_jsonl(records: Sequence[PreferenceRecord], path: Union[str, Path]) -> int:
     """Write one JSON object per record; returns the line count.
 
-    A path is replaced atomically: a failure mid-way leaves any earlier file
+    The file is replaced atomically: a failure mid-way leaves any earlier file
     there untouched.
     """
-    stream = nullcontext(sink) if hasattr(sink, "write") else atomic_open(sink)
-    with stream as fh:
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(record_to_json(record) + "\n")
     return len(records)
 
 
-def import_jsonl(source: Union[str, Path, IO[str]]) -> list[PreferenceRecord]:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    return [record_from_json(line) for line in lines if line.strip()]
+def import_jsonl(path: Union[str, Path]) -> list[PreferenceRecord]:
+    """The records of a dataset file; a line that holds no record is a corpus error naming it."""
+    records = []
+    for line_no, line in read_lines(path, "dataset"):
+        try:
+            records.append(record_from_json(line))
+        except (CorpusError, LookupError, TypeError, AttributeError) as exc:
+            reason = exc.reason if isinstance(exc, CorpusError) else f"not a preference record: {exc!r}"
+            raise CorpusError(line_no, reason) from exc
+    return records
 
 
 # ---------------------------------------------------------------------------

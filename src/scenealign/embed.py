@@ -11,7 +11,6 @@ import hashlib
 import logging
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +21,6 @@ from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError
 logger = logging.getLogger(__name__)
 
 _HTTP_BATCH = 16
-_MAX_IN_FLIGHT = 4  # concurrent requests per batch on the http provider
 _NGRAM_LENGTHS = range(3, 6)  # character n-grams the offline provider hashes
 _WINDOW = _NGRAM_LENGTHS[-1]
 # windows each per-dimension table keeps; past it a window is hashed every time
@@ -194,20 +192,15 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
 def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[Embedding]:
     """Embed a batch, preserving input order.
 
-    The HTTP provider chunks the batch and issues bounded concurrent requests;
-    results are reassembled by request index.
+    The HTTP provider sends the batch in chunks of 16 texts, one request
+    after another.
     """
     for text in texts:
         if not text or not text.strip():
             raise EmptyText("cannot embed empty text")
     if cfg.provider == "hashed-ngram":
         return [Embedding(tuple(_hashed_ngram_vector(t, cfg).tolist())) for t in texts]
-    chunks = [texts[i : i + _HTTP_BATCH] for i in range(0, len(texts), _HTTP_BATCH)]
-    if len(chunks) <= 1:
-        return _http_embed_batch(texts, cfg) if texts else []
-    with ThreadPoolExecutor(max_workers=_MAX_IN_FLIGHT) as pool:
-        results = list(pool.map(lambda chunk: _http_embed_batch(chunk, cfg), chunks))
-    return [emb for chunk in results for emb in chunk]
+    return [emb for i in range(0, len(texts), _HTTP_BATCH) for emb in _http_embed_batch(texts[i : i + _HTTP_BATCH], cfg)]
 
 
 def pairwise_distance(a: Embedding, b: Embedding) -> float:

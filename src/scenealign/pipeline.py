@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .atomic import atomic_open
+from .atomic import atomic_open, loads_object, read_lines
 from .dpo import PreferenceRecord, build_preference_records, export_jsonl
 from .embed import EmbedConfig, embed_texts
 from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError
@@ -44,7 +44,6 @@ from .scene_graph import (
     SceneGraph,
     _clean_names,
     _clean_rows,
-    decode_scene_graph,
     encode_scene_graph,
     parse_scene_graph,
     schema_array,
@@ -114,9 +113,7 @@ def _instance_from_obj(obj: dict) -> Instance:
 # corpus loading (the parse stage)
 
 
-def _normalize_line(obj, line_no: int) -> dict:
-    if not isinstance(obj, dict):
-        raise CorpusError(line_no, f"expected an object, got {type(obj).__name__}")
+def _normalize_line(obj: dict, line_no: int) -> dict:
     if "id" not in obj:
         raise CorpusError(line_no, "missing 'id'")
     ident = obj["id"]
@@ -143,21 +140,16 @@ def _normalize_line(obj, line_no: int) -> dict:
 
 def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
     """Graphs by instance id; a malformed line is skipped unless ``strict``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(None, f"cannot read graphs file: {exc}") from exc
     graphs: dict[str, object] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in read_lines(path, "graphs file"):
         try:
-            obj = json.loads(line)
+            obj = loads_object(line)
             graphs[str(obj["id"]).strip()] = obj["scene_graph"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (CorpusError, KeyError) as exc:
+            reason = exc.reason if isinstance(exc, CorpusError) else f"no {exc} key"
             if strict:
-                raise CorpusError(None, f"graphs file line {line_no}: {exc}") from exc
-            logger.warning("graphs file line %d skipped: %s", line_no, exc)
+                raise CorpusError(None, f"graphs file line {line_no}: {reason}") from exc
+            logger.warning("graphs file line %d skipped: %s", line_no, reason)
     return graphs
 
 
@@ -182,11 +174,7 @@ class _CorpusLine:
 def _read_line(line_no: int, line: str, sidecar: dict, cfg: PipelineConfig) -> _CorpusLine:
     """Normalize a line and parse its inline or sidecar graph; a graph-less line is left to ask."""
     try:
-        raw = json.loads(line)
-    except ValueError as exc:
-        return _CorpusLine(line_no, reason=f"invalid JSON: {exc}")
-    try:
-        norm = _normalize_line(raw, line_no)
+        norm = _normalize_line(loads_object(line), line_no)
     except CorpusError as exc:
         return _CorpusLine(line_no, reason=exc.reason)
     out = _CorpusLine(line_no, norm)
@@ -233,16 +221,11 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
     the later lines of that id are duplicates, and a line dropped before it
     would ask (bad JSON or shape, a duplicate id) sends no request.
     """
-    try:
-        text = Path(cfg.input_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(None, f"cannot read corpus: {exc}") from exc
+    corpus = read_lines(cfg.input_path, "corpus")
     sidecar = _read_sidecar_graphs(cfg.graphs_path, cfg.strict) if cfg.graphs_path else {}
     lines: list[_CorpusLine] = []
     groups: dict[str, list[_CorpusLine]] = {}  # an id's lines, in corpus order
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        if not raw_line.strip():
-            continue
+    for line_no, raw_line in corpus:
         line = _read_line(line_no, raw_line, sidecar, cfg)
         lines.append(line)
         repeat = line.id in groups
@@ -368,15 +351,6 @@ def stage_build(item: dict) -> list[PreferenceRecord]:
 
 
 @dataclass
-class InstanceOutcome:
-    id: str
-    records: list[PreferenceRecord] = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    relax_steps: int = 0
-    drop_reason: str | None = None
-
-
-@dataclass
 class RunReport:
     instances_total: int = 0
     instances_processed: int = 0
@@ -397,20 +371,18 @@ class RunReport:
             fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _process_item(item: dict, cfg: PipelineConfig) -> InstanceOutcome:
-    outcome = InstanceOutcome(id=item["id"])
+def _process_item(item: dict, cfg: PipelineConfig) -> tuple[list[PreferenceRecord], dict]:
+    """The instance's records and its report summary: its counts, or the error that dropped it."""
     try:
-        grounded = stage_ground(item, cfg)
-        perturbed = stage_perturb(grounded, cfg)
-        selected = stage_select(perturbed, cfg)
-        outcome.records = stage_build(selected)
-        outcome.counts = dict(selected["counts"])
-        outcome.counts["records"] = len(outcome.records)
-        outcome.relax_steps = selected["band"]["relax_steps"]
+        selected = stage_select(stage_perturb(stage_ground(item, cfg), cfg), cfg)
+        records = stage_build(selected)
     except SceneAlignError as exc:
         logger.warning("instance %r dropped: %s", item["id"], exc)
-        outcome.drop_reason = type(exc).__name__
-    return outcome
+        return [], {"id": item["id"], "drop": type(exc).__name__}
+    summary = {"id": item["id"], **selected["counts"], "records": len(records)}
+    if selected["band"]["relax_steps"]:
+        summary["relax_steps"] = selected["band"]["relax_steps"]
+    return records, summary
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -440,22 +412,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         report.drops["corpus_line"] = len(line_drops)
     records: list[PreferenceRecord] = []
     totals = {"candidates": 0, "filtered": 0, "selected": 0, "records": 0}
-    for outcome in outcomes:
-        summary = {"id": outcome.id}
-        if outcome.drop_reason:
-            report.drops[outcome.drop_reason] = report.drops.get(outcome.drop_reason, 0) + 1
-            summary["drop"] = outcome.drop_reason
+    for item_records, summary in outcomes:
+        if "drop" in summary:
+            report.drops[summary["drop"]] = report.drops.get(summary["drop"], 0) + 1
         else:
             report.instances_processed += 1
-            records.extend(outcome.records)
+            records.extend(item_records)
             for key in totals:
-                totals[key] += outcome.counts.get(key, 0)
-            summary.update(outcome.counts)
-            if outcome.relax_steps:
-                report.relaxed_instances += 1
-                summary["relax_steps"] = outcome.relax_steps
-            if outcome.counts.get("records", 0) < cfg.selection.m:
-                report.shortfall_instances += 1
+                totals[key] += summary[key]
+            report.relaxed_instances += "relax_steps" in summary
+            report.shortfall_instances += summary["records"] < cfg.selection.m
         report.instances.append(summary)
     report.stage_counts = totals
     report.records_written = len(records)
@@ -488,7 +454,7 @@ def pool_from_obj(obj: dict) -> ResidualPool:
 
 
 def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandidate:
-    graph = decode_scene_graph(obj["graph"]) if decode_graph else obj["graph"]
+    graph = parse_scene_graph(obj["graph"]) if decode_graph else obj["graph"]
     cand = NegativeCandidate(graph, EditTrace.from_dict(obj["trace"]), obj.get("jaccard"))
     if "rationale" in obj:
         cand.rationale = Rationale.parse(obj["rationale"])
@@ -496,8 +462,8 @@ def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandida
 
 
 _DECODERS = {
-    "scene_graph": decode_scene_graph,
-    "grounded": decode_scene_graph,
+    "scene_graph": parse_scene_graph,
+    "grounded": parse_scene_graph,
     "pool": pool_from_obj,
     # stays text for stage_build to parse; a non-string or blank value raises
     "positive_rationale": lambda text: text if text.strip() else Rationale.parse(text),

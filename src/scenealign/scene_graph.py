@@ -155,26 +155,8 @@ def schema_array(obj: dict, key: str) -> list:
     return value
 
 
-def decode_scene_graph(obj, *, on_dangling: str = "error") -> SceneGraph:
-    """Decode the strict three-field object into a :class:`SceneGraph`.
-
-    The object must carry exactly the keys ``"entity"``, ``"attribute pairs"``,
-    and ``"relationships"``, each an array.  Duplicates are dropped with a
-    warning; dangling entity references follow ``on_dangling``.
-    """
-    if not isinstance(obj, dict):
-        raise MalformedJson(f"top-level value is {type(obj).__name__}, not an object")
-    for key in SCHEMA_KEYS:
-        if key not in obj:
-            raise SchemaViolation(key, "missing key")
-    for key in obj:
-        if key not in SCHEMA_KEYS:
-            raise SchemaViolation(key, "unexpected key")
-    return SceneGraph.from_parts(*(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling)
-
-
 def encode_scene_graph(g) -> dict:
-    """Inverse of :func:`decode_scene_graph`; also encodes a residual pool."""
+    """Inverse of :func:`parse_scene_graph`; also encodes a residual pool."""
     return {
         ENTITY_KEY: list(g.entities),
         ATTRIBUTE_KEY: [list(a) for a in g.attributes],
@@ -185,7 +167,9 @@ def encode_scene_graph(g) -> dict:
 def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> SceneGraph:
     """Parse the strict three-field JSON object, as text or already decoded.
 
-    See :func:`decode_scene_graph` for the schema and ``on_dangling``.
+    The object must carry exactly the keys ``"entity"``, ``"attribute pairs"``,
+    and ``"relationships"``, each an array.  Duplicates are dropped with a
+    warning; dangling entity references follow ``on_dangling``.
     """
     obj = source
     if isinstance(source, str):
@@ -193,7 +177,15 @@ def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> Scen
             obj = json.loads(source)
         except json.JSONDecodeError as exc:
             raise MalformedJson(str(exc)) from exc
-    return decode_scene_graph(obj, on_dangling=on_dangling)
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"top-level value is {type(obj).__name__}, not an object")
+    for key in SCHEMA_KEYS:
+        if key not in obj:
+            raise SchemaViolation(key, "missing key")
+    for key in obj:
+        if key not in SCHEMA_KEYS:
+            raise SchemaViolation(key, "unexpected key")
+    return SceneGraph.from_parts(*(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling)
 
 
 def serialize_scene_graph(g: SceneGraph) -> str:

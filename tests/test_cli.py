@@ -3,6 +3,7 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from scenealign.cli import _pipeline_config, build_parser, main
 
 from .conftest import CASE_SUBGRAPH_OBJ
+from .helpers import synthetic_corpus_lines
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -224,6 +226,27 @@ class TestStagedChain:
         assert src.read_bytes() == ran.read_bytes()
         assert {json.loads(line)["meta"]["instance_id"] for line in ran.read_text().splitlines()} == {"case-0", "case-2"}
 
+    @pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "raw"])
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_a_unicode_line_break_in_a_question_stays_in_its_line(self, tmp_path, capsys, char, ensure_ascii):
+        # json.dumps(ensure_ascii=False) writes these raw in every stage file and in the dataset
+        lines = synthetic_corpus_lines(3, random.Random(1))
+        lines[1]["question"] += char
+        lines[2]["question"] = char + lines[2]["question"]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(line, ensure_ascii=ensure_ascii) + "\n" for line in lines), encoding="utf-8")
+        src = corpus
+        for command in ("parse", "ground", "perturb", "select", "build"):
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst)]) == 0, command
+            src = dst
+        ran = tmp_path / "ran.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(ran)]) == 0
+        assert src.read_bytes() == ran.read_bytes()
+        capsys.readouterr()
+        assert main(["stats", "--input", str(ran)]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 3
+
     # sha256 of each stage file the chain writes from the corpus fixture at seed 13
     STAGE_FILE_SHA256 = {
         "parse": "28cb19c2ca1d7d37449d4476050d3e2e4c76237f611a85204a102876ca3ab9f7",
@@ -428,6 +451,39 @@ class TestStagedWrongInput:
         argv = [command, "--input", str(src), "--output", str(tmp_path / "out.jsonl"), "--strict"]
         assert main(argv) == 2
         assert "corpus error: corpus line 3: invalid JSON" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """A file that cannot be read or is not UTF-8, or a line that holds no record, is a corpus error."""
+
+    NOT_UTF8 = [
+        ["run", "--input", "{bad}", "--output", "{out}"],
+        ["ground", "--input", "{bad}", "--output", "{out}"],
+        ["run", "--input", "{corpus}", "--output", "{out}", "--graphs", "{bad}"],
+        ["stats", "--input", "{bad}"],
+        ["edit", "--op", "swap", "--graph", "{bad}"],
+    ]
+
+    @pytest.mark.parametrize("argv", NOT_UTF8, ids=["run-corpus", "ground-input", "run-graphs", "stats", "edit-graph"])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, corpus, capsys, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff" + corpus.read_bytes())
+        paths = {"bad": bad, "corpus": corpus, "out": tmp_path / "out.jsonl"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "corpus error" in err
+        assert "Traceback" not in err
+
+    def test_missing_dataset_is_a_corpus_error(self, tmp_path, capsys):
+        assert main(["stats", "--input", str(tmp_path / "missing.jsonl")]) == 2
+        assert "corpus error: corpus: cannot read dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "dpo-check"])
+    def test_dataset_line_without_a_prompt_exits_2_naming_the_line(self, tmp_path, capsys, command):
+        dataset = tmp_path / "pairs.jsonl"
+        dataset.write_text(json.dumps({"id": "a#1", "chosen": "x", "rejected": "y"}) + "\n", encoding="utf-8")
+        assert main([command, "--input", str(dataset)]) == 2
+        assert "corpus error: corpus line 1:" in capsys.readouterr().err
 
 
 class TestPerturbSingleOp:

@@ -1,4 +1,3 @@
-import io
 import json
 import logging
 import math
@@ -142,12 +141,11 @@ class TestJsonl:
         assert text.endswith("\n")
         assert import_jsonl(path) == records
 
-    def test_stream_round_trip(self):
-        records = [_record("a"), _record("b")]
-        buf = io.StringIO()
-        export_jsonl(records, buf)
-        buf.seek(0)
-        assert import_jsonl(buf) == records
+    def test_unicode_line_breaks_stay_inside_a_record(self, tmp_path):
+        records = [_record("a", chosen="one\u2028two"), _record("b", rejected="three\u0085four\u2029")]
+        path = tmp_path / "pairs.jsonl"
+        export_jsonl(records, path)
+        assert import_jsonl(path) == records
 
     def test_failed_export_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
         path = tmp_path / "out.jsonl"

@@ -25,7 +25,7 @@ from scenealign.pipeline import (
     stage_perturb,
     stage_select,
 )
-from scenealign.scene_graph import SceneGraph, decode_scene_graph, encode_scene_graph
+from scenealign.scene_graph import SceneGraph, encode_scene_graph, parse_scene_graph
 from scenealign.selection import SelectionConfig, select_diverse
 
 from .helpers import MockProviders, graph_less, synthetic_corpus_lines
@@ -70,7 +70,7 @@ class TestSeeds:
 
 class TestGraphObjects:
     def test_round_trip(self, case_graph):
-        assert decode_scene_graph(encode_scene_graph(case_graph)) == case_graph
+        assert parse_scene_graph(encode_scene_graph(case_graph)) == case_graph
 
 
 class TestStageParse:
@@ -571,7 +571,7 @@ class TestFullRun:
 
         monkeypatch.setattr(pipeline, "_DECODERS", dict.fromkeys(pipeline._DECODERS, codec))
         for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "pool_from_obj",
-                     "decode_scene_graph", "encode_scene_graph"):
+                     "encode_scene_graph"):
             monkeypatch.setattr(pipeline, name, codec)
         run_pipeline(_cfg(tmp_path, lines, name="guarded", seed=5))
         assert (tmp_path / "plain.out.jsonl").read_bytes() == (tmp_path / "guarded.out.jsonl").read_bytes()
