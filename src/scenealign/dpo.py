@@ -123,18 +123,27 @@ def record_to_json(record: PreferenceRecord) -> str:
 
 
 def record_from_json(line: str) -> PreferenceRecord:
+    """The record on one dataset line; a field of the wrong type is a corpus error naming it."""
     obj = loads_object(line)
+    for key in ("id", "prompt", "chosen", "rejected"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(None, f"{key!r} is {type(obj[key]).__name__}, not a string")
+    images, meta = obj.get("images", []), obj.get("meta", {})
+    if not isinstance(images, list) or not all(isinstance(image, str) for image in images):
+        raise CorpusError(None, "'images' is not a list of strings")
+    if not isinstance(meta, dict):
+        raise CorpusError(None, f"'meta' is {type(meta).__name__}, not an object")
     question, sep, graph_json = obj["prompt"].rpartition(_PROMPT_GRAPH_SEP)
     if not sep:
         question, graph_json = obj["prompt"], ""
     return PreferenceRecord(
         id=obj["id"],
-        image_ref=obj["images"][0] if obj.get("images") else "",
+        image_ref=images[0] if images else "",
         question=question,
         scene_graph_json=graph_json,
         chosen=obj["chosen"],
         rejected=obj["rejected"],
-        meta=obj.get("meta", {}),
+        meta=meta,
     )
 
 

@@ -104,14 +104,73 @@ def from_jsonable(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _kind_size(sg: SceneGraph, kind: str) -> int:
+class _Draft:
+    """A graph under edit: its own entity, attribute and relation lists, plus a set of its relations.
+
+    The operators below edit a draft in place.  A draft keeps its swappable
+    relation indices and removable counts until an edit replaces them (none
+    changes them in place), so every copy of one start draft shares them.
+    """
+
+    __slots__ = ("entities", "attributes", "relations", "present", "swaps", "removable")
+
+    def __init__(self, entities: list, attributes: list, relations: list, present: set, swaps=None, removable=None):
+        self.entities, self.attributes, self.relations, self.present = entities, attributes, relations, present
+        self.swaps: list[int] | None = swaps  # None: not built since the last edit that can change it
+        self.removable: dict[str, int] | None = removable
+
+    @classmethod
+    def of(cls, sg: SceneGraph) -> "_Draft":
+        return cls(list(sg.entities), list(sg.attributes), list(sg.relations), set(sg.relations))
+
+    def copy(self) -> "_Draft":
+        return _Draft(
+            self.entities[:], self.attributes[:], self.relations[:], self.present.copy(), self.swaps, self.removable
+        )
+
+    @property
+    def element_count(self) -> int:
+        return len(self.entities) + len(self.attributes) + len(self.relations)
+
+    def graph(self) -> SceneGraph:
+        return SceneGraph(tuple(self.entities), tuple(self.attributes), tuple(self.relations))
+
+    def swap_indices(self) -> list[int]:
+        """The relations that are not reflexive and whose reverse is absent, by index."""
+        if self.swaps is None:
+            present = self.present
+            self.swaps = [i for i, (s, p, o) in enumerate(self.relations) if s != o and (o, p, s) not in present]
+        return self.swaps
+
+    def removable_counts(self) -> dict[str, int]:
+        """How many elements of each kind ``shorten`` may remove, keyed in ref order.
+
+        An entity is removable unless its cascade takes the whole graph, which
+        happens only to a sole entity that every row names; a lone attribute
+        or relation leaves nothing behind.
+        """
+        if self.removable is None:
+            entities, rows = len(self.entities), self.element_count >= 2
+            if entities == 1:
+                name = self.entities[0]
+                named = all(a[0] == name for a in self.attributes) and all(name in (r[0], r[2]) for r in self.relations)
+                entities = 0 if named else 1
+            self.removable = {
+                "entity": entities,
+                "attribute": len(self.attributes) if rows else 0,
+                "relation": len(self.relations) if rows else 0,
+            }
+        return self.removable
+
+
+def _kind_size(d: _Draft, kind: str) -> int:
     if kind == "entity":
-        return len(sg.entities)
-    return len(sg.attributes) if kind == "attribute" else len(sg.relations)
+        return len(d.entities)
+    return len(d.attributes) if kind == "attribute" else len(d.relations)
 
 
-def _check_index(sg: SceneGraph, kind: str, index: int) -> None:
-    if not 0 <= index < _kind_size(sg, kind):
+def _check_index(d: _Draft, kind: str, index: int) -> None:
+    if not 0 <= index < _kind_size(d, kind):
         raise IndexOutOfRange(f"{kind} index {index} out of range")
 
 
@@ -125,85 +184,106 @@ def _element_kind_of(tag: str, kind: str) -> str:
 # swap
 
 
-def _swap(sg: SceneGraph, rel_index: int) -> tuple[SceneGraph, PerturbationOp]:
-    _check_index(sg, "relation", rel_index)
-    subj, pred, obj = sg.relations[rel_index]
+def _swap(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+    if kind not in (None, "relation"):
+        raise UnsupportedKind(f"swap cannot target kind {kind!r}")
+    if index is None:
+        choices = d.swap_indices()
+        if not choices:
+            raise NoApplicableOperator("no swappable relation")
+        index = rng.choice(choices)
+    _check_index(d, "relation", index)
+    old = subj, pred, obj = d.relations[index]
     if subj == obj:
-        raise NoOpSwap(f"relation {rel_index} is reflexive")
+        raise NoOpSwap(f"relation {index} is reflexive")
     swapped = (obj, pred, subj)
-    if swapped in sg.relations:
+    if swapped in d.present:
         raise DuplicateCollision(f"swapped triple {list(swapped)} already present")
-    rels = list(sg.relations)
-    rels[rel_index] = swapped
-    out = SceneGraph(sg.entities, sg.attributes, tuple(rels))
-    return out, PerturbationOp("swap", "relation", (subj, pred, obj), swapped)
-
-
-def _swap_indices(sg: SceneGraph) -> list[int]:
-    present = set(sg.relations)
-    return [
-        i for i, (s, p, o) in enumerate(sg.relations) if s != o and (o, p, s) not in present
-    ]
+    d.relations[index] = swapped
+    d.present.discard(old)
+    d.present.add(swapped)
+    # the swapped triple's reverse is the triple it replaced, now gone, and no
+    # other relation is either one, so the swappable indices stay as they are
+    return PerturbationOp("swap", "relation", old, swapped)
 
 
 # ---------------------------------------------------------------------------
 # replace
 
 
-def _replace_entity(
-    sg: SceneGraph, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
-) -> tuple[SceneGraph, PerturbationOp]:
+def _replace(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+    if kind is None:
+        kinds = _replace_kinds(d, pool)
+        if not kinds:
+            raise NoApplicableOperator("no replaceable element with pool support")
+        kind = rng.choice(kinds)
+    element_kind = _element_kind_of("replace", "relation" if kind == "predicate" else kind)
+    if index is None:
+        size = _kind_size(d, element_kind)
+        if not size:
+            raise NoApplicableOperator(f"no {kind} to replace")
+        index = rng.randrange(size)
+    _check_index(d, element_kind, index)
+    if element_kind == "entity":
+        return _replace_entity(d, index, pool, rng, payload)
+    return _replace_field(d, element_kind, index, pool, rng, payload)
+
+
+def _replace_entity(d: _Draft, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None) -> PerturbationOp:
     if not pool.entities and pinned is None:
         raise EmptyPoolForKind("residual pool holds no entities")
-    old = sg.entities[index]
+    old = d.entities[index]
     attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
     for _ in range(attempts):
         new = pinned if pinned is not None else rng.choice(pool.entities)
-        if new == old or new in sg.entities:
+        if new == old or new in d.entities:
             continue
-        entities = tuple(new if e == old else e for e in sg.entities)
-        attrs = tuple((new if e == old else e, v) for e, v in sg.attributes)
-        rels = tuple(
-            (new if s == old else s, p, new if o == old else o) for s, p, o in sg.relations
-        )
-        if len(set(attrs)) != len(attrs) or len(set(rels)) != len(rels):
+        attrs = [(new if e == old else e, v) for e, v in d.attributes]
+        rels = [(new if s == old else s, p, new if o == old else o) for s, p, o in d.relations]
+        present = set(rels)
+        if len(set(attrs)) != len(attrs) or len(present) != len(rels):
             continue  # rewrite collapsed two elements into one
-        out = SceneGraph(entities, attrs, rels)
-        return out, PerturbationOp("replace", "entity", old, new)
+        d.entities[index] = new
+        d.attributes, d.relations, d.present = attrs, rels, present
+        d.swaps = d.removable = None
+        return PerturbationOp("replace", "entity", old, new)
     raise DuplicateCollision(f"no usable replacement for entity {old!r}")
 
 
 def _replace_field(
-    sg: SceneGraph, kind: str, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
-) -> tuple[SceneGraph, PerturbationOp]:
+    d: _Draft, kind: str, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
+) -> PerturbationOp:
     """Set field 1 of attribute or relation ``index`` (its value, or predicate) to a new pool value."""
     if kind == "attribute":
-        rows, values, label = sg.attributes, pool.attribute_values(), "attribute value"
+        rows, present, values, label = d.attributes, d.attributes, pool.attribute_values(), "attribute value"
     else:
-        rows, values, label, kind = sg.relations, pool.predicates(), "predicate", "predicate"  # the op's kind
+        rows, present, values, label, kind = d.relations, d.present, pool.predicates(), "predicate", "predicate"
     if not values and pinned is None:
         raise EmptyPoolForKind(f"residual pool holds no {label}s")
     old = rows[index]
-    present = set(rows)
     attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
     for _ in range(attempts):
         value = pinned if pinned is not None else rng.choice(values)
         new = (old[0], value, *old[2:])
         if value == old[1] or new in present:
             continue
-        edited = rows[:index] + (new,) + rows[index + 1 :]
-        attrs, rels = (edited, sg.relations) if kind == "attribute" else (sg.attributes, edited)
-        return SceneGraph(sg.entities, attrs, rels), PerturbationOp("replace", kind, old, new)
+        rows[index] = new
+        if kind == "predicate":
+            d.present.discard(old)
+            d.present.add(new)
+            d.swaps = None
+        return PerturbationOp("replace", kind, old, new)
     raise DuplicateCollision(f"no usable replacement {label} for {list(old)}")
 
 
-def _replace_kinds(sg: SceneGraph, pool: ResidualPool) -> list[str]:
+def _replace_kinds(d: _Draft, pool: ResidualPool) -> list[str]:
+    # a pool has attribute values (predicates) exactly when it has attributes (relations)
     kinds = []
-    if sg.entities and pool.entities:
+    if pool.entities and d.entities:
         kinds.append("entity")
-    if sg.attributes and pool.attribute_values():
+    if pool.attributes and d.attributes:
         kinds.append("attribute")
-    if sg.relations and pool.predicates():
+    if pool.relations and d.relations:
         kinds.append("predicate")
     return kinds
 
@@ -212,57 +292,43 @@ def _replace_kinds(sg: SceneGraph, pool: ResidualPool) -> list[str]:
 # shorten
 
 
-def _cascade_size(sg: SceneGraph, entity: str) -> int:
-    incident_attrs = sum(1 for e, _ in sg.attributes if e == entity)
-    incident_rels = sum(1 for s, _, o in sg.relations if entity in (s, o))
-    return 1 + incident_attrs + incident_rels
-
-
-def _shorten(sg: SceneGraph, kind: str, index: int) -> tuple[SceneGraph, PerturbationOp]:
-    _check_index(sg, kind, index)
+def _shorten(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+    if index is None:
+        kind, index = _draw_shorten_ref(d, rng, kind)
+    else:
+        kind = _element_kind_of("shorten", kind)
+    _check_index(d, kind, index)
     if kind == "entity":
-        name = sg.entities[index]
-        if sg.element_count - _cascade_size(sg, name) == 0:
+        name = d.entities[index]
+        attrs = [a for a in d.attributes if a[0] != name]
+        rels = [r for r in d.relations if name not in (r[0], r[2])]
+        if len(d.entities) == 1 and not attrs and not rels:  # the cascade took everything
             raise WouldEmpty(f"removing entity {name!r} would empty the graph")
-        out = SceneGraph(
-            tuple(e for e in sg.entities if e != name),
-            tuple(a for a in sg.attributes if a[0] != name),
-            tuple(r for r in sg.relations if name not in (r[0], r[2])),
-        )
-        return out, PerturbationOp("shorten", "entity", name, None)
-    if sg.element_count - 1 == 0:
+        del d.entities[index]
+        d.attributes = attrs
+        if len(rels) != len(d.relations):
+            d.relations, d.present, d.swaps = rels, set(rels), None
+        d.removable = None
+        return PerturbationOp("shorten", "entity", name, None)
+    if d.element_count - 1 == 0:
         raise WouldEmpty("removing the sole element would empty the graph")
+    d.removable = None
     if kind == "attribute":
-        target = sg.attributes[index]
-        attrs = sg.attributes[:index] + sg.attributes[index + 1 :]
-        return SceneGraph(sg.entities, attrs, sg.relations), PerturbationOp(
-            "shorten", "attribute", target, None
-        )
-    target = sg.relations[index]
-    rels = sg.relations[:index] + sg.relations[index + 1 :]
-    return SceneGraph(sg.entities, sg.attributes, rels), PerturbationOp(
-        "shorten", "relation", target, None
-    )
+        return PerturbationOp("shorten", "attribute", d.attributes.pop(index), None)
+    target = d.relations.pop(index)
+    d.present.discard(target)
+    d.swaps = None
+    return PerturbationOp("shorten", "relation", target, None)
 
 
-def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = None) -> tuple[str, int]:
+def _draw_shorten_ref(d: _Draft, rng: random.Random, kind: str | None = None) -> tuple[str, int]:
     """``rng.choice`` over the removable refs of ``kind`` (default: every kind), without listing them.
 
     A ref is a ``(kind, index)`` pair.  The refs run entities, then
     attributes, then relations, and one ``rng.choice(range(n))`` draws the
-    same index ``rng.choice(refs)`` would.  An entity is removable unless its
-    cascade takes the whole graph, which can happen only to a sole entity.
+    same index ``rng.choice(refs)`` would.
     """
-    total = sg.element_count
-    entities = len(sg.entities)
-    if entities == 1 and total - _cascade_size(sg, sg.entities[0]) < 1:
-        entities = 0
-    rows = total >= 2  # a lone attribute or relation leaves nothing behind
-    counts = {
-        "entity": entities,
-        "attribute": len(sg.attributes) if rows else 0,
-        "relation": len(sg.relations) if rows else 0,
-    }
+    counts = d.removable_counts()
     if kind is not None:
         only = _element_kind_of("shorten", kind)
         counts = {k: n if k == only else 0 for k, n in counts.items()}
@@ -272,9 +338,8 @@ def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = Non
     index = rng.choice(range(n))
     for element_kind, count in counts.items():
         if index < count:
-            break
+            return element_kind, index
         index -= count
-    return element_kind, index
 
 
 # ---------------------------------------------------------------------------
@@ -282,72 +347,54 @@ def _draw_shorten_ref(sg: SceneGraph, rng: random.Random, kind: str | None = Non
 
 
 def _element_kind(element) -> str:
-    if isinstance(element, str):
-        return "entity"
-    if len(element) == 2:
-        return "attribute"
-    return "relation"
+    return "entity" if isinstance(element, str) else "attribute" if len(element) == 2 else "relation"
 
 
-def _add_element(sg: SceneGraph, element) -> SceneGraph:
-    kind = _element_kind(element)
-    entities, attrs, rels = list(sg.entities), list(sg.attributes), list(sg.relations)
-    needed: list[str] = []
-    if kind == "entity":
-        needed = [element]
-    elif kind == "attribute":
-        attrs.append(tuple(element))
-        needed = [element[0]]
+def _addable_elements(d: _Draft, pool: ResidualPool) -> list[tuple[str, object]]:
+    present = {"entity": set(d.entities), "attribute": set(d.attributes), "relation": d.present}
+    return [(kind, element) for kind, element in pool.all_elements() if element not in present[kind]]
+
+
+def _overthink(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+    """Add ``payload``, or an addable pool element drawn from those of ``kind`` (default: any)."""
+    if index is not None:
+        raise ConfigError("overthink takes no index; pin the element to add instead")
+    if kind is not None:
+        kind = _element_kind_of("overthink", kind)
+    if payload is not None:
+        element = tuple(payload) if not isinstance(payload, str) else payload
+        if kind not in (None, _element_kind(element)):
+            raise UnsupportedKind(f"overthink element {to_jsonable(element)!r} is not of kind {kind!r}")
+        kind = _element_kind(element)
     else:
-        rels.append(tuple(element))
-        needed = [element[0], element[2]]
-    for name in needed:  # entity closure for the new element
-        if name not in entities:
-            entities.append(name)
-    return SceneGraph(tuple(entities), tuple(attrs), tuple(rels))
-
-
-def _addable_elements(sg: SceneGraph, pool: ResidualPool) -> list[tuple[str, object]]:
-    ents, attrs, rels = set(sg.entities), set(sg.attributes), set(sg.relations)
-    out = []
-    for kind, element in pool.all_elements():
-        if kind == "entity" and element in ents:
-            continue
-        if kind == "attribute" and element in attrs:
-            continue
-        if kind == "relation" and element in rels:
-            continue
-        out.append((kind, element))
-    return out
-
-
-def _overthink(
-    sg: SceneGraph, pool: ResidualPool, rng: random.Random, pinned=None, only: str | None = None
-) -> tuple[SceneGraph, PerturbationOp]:
-    """Add ``pinned``, or an addable pool element drawn from those of kind ``only`` (default: any)."""
-    if only is not None:
-        only = _element_kind_of("overthink", only)
-    if pinned is not None:
-        kind, element = _element_kind(pinned), tuple(pinned) if not isinstance(pinned, str) else pinned
-        if only not in (None, kind):
-            raise UnsupportedKind(f"overthink element {to_jsonable(element)!r} is not of kind {only!r}")
-    else:
-        addable = _addable_elements(sg, pool)
-        if only is not None:
-            addable = [pair for pair in addable if pair[0] == only]
+        addable = _addable_elements(d, pool)
+        if kind is not None:
+            addable = [pair for pair in addable if pair[0] == kind]
         if not addable:
-            raise EmptyPool(f"residual pool holds no {only or 'element'} addable to this graph")
+            raise EmptyPool(f"residual pool holds no {kind or 'element'} addable to this graph")
         kind, element = rng.choice(addable)
-    return _add_element(sg, element), PerturbationOp("overthink", kind, None, element)
+    if kind == "entity":
+        needed = (element,)
+    elif kind == "attribute":
+        d.attributes.append(element)
+        needed = (element[0],)
+    else:
+        d.relations.append(element)
+        d.present.add(element)
+        d.swaps = None
+        needed = (element[0], element[2])
+    for name in needed:  # entity closure for the new element
+        if name not in d.entities:
+            d.entities.append(name)
+    d.removable = None
+    return PerturbationOp("overthink", kind, None, element)
 
 
 # ---------------------------------------------------------------------------
 # recomposition
 
 
-def recompose(
-    perturbed: SceneGraph, remainder: Union[ResidualPool, SceneGraph]
-) -> SceneGraph:
+def recompose(perturbed: Union[SceneGraph, _Draft], remainder: Union[ResidualPool, SceneGraph]) -> SceneGraph:
     """Element-wise union of the perturbed subgraph with the residual remainder.
 
     Entities are unified by name and the union is closed: an entity referenced
@@ -356,19 +403,20 @@ def recompose(
     """
     # overlap between the two sides is expected union behavior, so dedup
     # silently here instead of letting from_parts warn about it
-    entities = list(_ordered_union(perturbed.entities, remainder.entities))
     attrs = _ordered_union(perturbed.attributes, remainder.attributes)
     rels = _ordered_union(perturbed.relations, remainder.relations)
-    known = set(entities)
-    for name in referenced_entities(attrs, rels):
-        if name not in known:
-            entities.append(name)
-            known.add(name)
-    return SceneGraph(tuple(entities), attrs, rels)
+    entities = (*perturbed.entities, *remainder.entities, *referenced_entities(attrs, rels))
+    return SceneGraph(tuple(dict.fromkeys(entities)), attrs, rels)
 
 
 def _ordered_union(first: Sequence, second: Sequence) -> tuple:
     return tuple(dict.fromkeys((*first, *second)))
+
+
+# in OPERATOR_TAGS order.  Each operator edits a draft in place and returns its
+# op, drawing from ``rng`` the targeting (kind, index, payload) it is not given;
+# the sampler gives it none.
+_OPERATORS = {"swap": _swap, "replace": _replace, "shorten": _shorten, "overthink": _overthink}
 
 
 def apply_operator(
@@ -390,7 +438,7 @@ def apply_operator(
     ``replacement`` is for ``replace`` only and an ``element`` for
     ``overthink`` only.  Replacing an entity renames every occurrence,
     removing one removes everything incident, and an added element brings
-    in the entities it names.
+    in the entities it names.  The sampler edits with the same functions.
     """
     rng = rng if rng is not None else random.Random(0)
     if replacement is not None and tag != "replace":
@@ -399,86 +447,52 @@ def apply_operator(
         raise ConfigError(f"{tag} takes no element to add; only overthink does")
     if index is not None and kind is None and tag in ("replace", "shorten"):
         raise ConfigError(f"{tag}: an index needs a kind")
-    if tag == "swap":
-        if kind not in (None, "relation"):
-            raise UnsupportedKind(f"swap cannot target kind {kind!r}")
-        if index is None:
-            choices = _swap_indices(sg)
-            if not choices:
-                raise NoApplicableOperator("no swappable relation")
-            index = rng.choice(choices)
-        return _swap(sg, index)
-    if tag == "replace":
-        if kind is None:
-            kinds = _replace_kinds(sg, pool)
-            if not kinds:
-                raise NoApplicableOperator("no replaceable element with pool support")
-            kind = rng.choice(kinds)
-        element_kind = _element_kind_of(tag, "relation" if kind == "predicate" else kind)
-        if index is None:
-            size = _kind_size(sg, element_kind)
-            if not size:
-                raise NoApplicableOperator(f"no {kind} to replace")
-            index = rng.randrange(size)
-        _check_index(sg, element_kind, index)
-        if element_kind == "entity":
-            return _replace_entity(sg, index, pool, rng, replacement)
-        return _replace_field(sg, element_kind, index, pool, rng, replacement)
-    if tag == "shorten":
-        if index is not None:
-            return _shorten(sg, _element_kind_of(tag, kind), index)
-        return _shorten(sg, *_draw_shorten_ref(sg, rng, kind))
-    if tag == "overthink":
-        if index is not None:
-            raise ConfigError("overthink takes no index; pin the element to add instead")
-        return _overthink(sg, pool, rng, element, kind)
-    raise ValueError(f"unknown operator tag {tag!r}")
+    operator = _OPERATORS.get(tag)
+    if operator is None:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    draft = _Draft.of(sg)
+    op = operator(draft, pool, rng, kind, index, replacement if element is None else element)
+    return draft.graph(), op
 
 
 # ---------------------------------------------------------------------------
 # candidate generation
 
 
-def _applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
-    """The operators with at least one target, in ``OPERATOR_TAGS`` order.
-
-    Each test answers whether its choice (``_swap_indices``,
-    ``_replace_kinds``, ``_draw_shorten_ref``, ``_addable_elements``) would
-    have anything to draw from, without building it.
-    """
+def _applicable_tags(d: _Draft, pool: ResidualPool) -> list[str]:
+    """The operators with at least one target, in ``OPERATOR_TAGS`` order; only the swap list is built."""
     tags = []
-    present = set(sg.relations)
-    if any(s != o and (o, p, s) not in present for s, p, o in sg.relations):
+    if d.swap_indices():
         tags.append("swap")
-    if _replace_kinds(sg, pool):
+    if _replace_kinds(d, pool):
         tags.append("replace")
     # some removal leaves an element exactly when there are two to start with
-    if sg.element_count >= 2:
+    if d.element_count >= 2:
         tags.append("shorten")
     if (
-        not set(sg.entities).issuperset(pool.entities)
-        or not set(sg.attributes).issuperset(pool.attributes)
-        or not present.issuperset(pool.relations)
+        (pool.entities and not set(d.entities).issuperset(pool.entities))
+        or (pool.attributes and not set(d.attributes).issuperset(pool.attributes))
+        or (pool.relations and not d.present.issuperset(pool.relations))
     ):
         tags.append("overthink")
     return tags
 
 
 def _attempt_candidate(
-    graph: SceneGraph, pool: ResidualPool, lo: int, hi: int, rng: random.Random, start_tags: list[str]
-):
-    """Edit ``graph``, whose applicable operators are ``start_tags``, ``lo`` to ``hi`` times."""
+    start: _Draft, pool: ResidualPool, lo: int, hi: int, rng: random.Random, start_tags: list[str]
+) -> tuple[_Draft, tuple[PerturbationOp, ...]] | None:
+    """Edit a copy of ``start``, whose applicable operators are ``start_tags``, ``lo`` to ``hi`` times."""
+    draft = start.copy()
     ops: list[PerturbationOp] = []
     for step in range(rng.randint(lo, hi)):
-        tags = _applicable_tags(graph, pool) if step else start_tags
+        tags = _applicable_tags(draft, pool) if step else start_tags
         if not tags:
             return None
         try:
-            graph, op = apply_operator(graph, pool, rng.choice(tags), rng=rng)
+            ops.append(_OPERATORS[rng.choice(tags)](draft, pool, rng))
         except (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty):
             return None
-        ops.append(op)
-    return graph, tuple(ops)
+    return draft, tuple(ops)
 
 
 def generate_negatives(
@@ -491,15 +505,16 @@ def generate_negatives(
 ) -> list[NegativeCandidate]:
     """Sample up to ``k`` distinct recomposed negatives from the subgraph.
 
-    Each candidate applies between ``edit_range[0]`` and ``edit_range[1]``
-    edits, choosing uniformly among the operators applicable at each step,
-    then reattaches the residual remainder, if there is one.  ``sg_c`` must
-    be closed and free of duplicates, as the parser and
-    :meth:`SceneGraph.from_parts` leave a graph.  Candidates equal to the
+    Each attempt copies ``sg_c``'s element lists and applies between
+    ``edit_range[0]`` and ``edit_range[1]`` edits to them in place, choosing
+    uniformly among the operators applicable at each step; it then
+    reattaches the residual remainder, if there is one, and only then builds
+    a graph.  ``sg_c`` must be closed and free of duplicates, as the parser
+    and :meth:`SceneGraph.from_parts` leave a graph.  Candidates equal to the
     positive graph or to an earlier candidate are rejected and resampled, so
     an addition the remainder absorbs never survives; after ``k * 32``
-    attempts the survivors are returned with a shortfall warning.  Every
-    draw comes from ``random.Random(seed)``, and each trace records ``seed``.
+    attempts the survivors are returned with a shortfall warning.  Every draw
+    comes from ``random.Random(seed)``, and each trace records ``seed``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -508,7 +523,11 @@ def generate_negatives(
         raise ValueError(f"invalid edit range {edit_range!r}")
 
     rng = random.Random(seed)
-    start_tags = _applicable_tags(sg_c, pool)
+    # the start graph's choice lists are built once, here; each attempt's
+    # copy shares them until one of its edits changes what they depend on
+    start = _Draft.of(sg_c)
+    start.removable_counts()
+    start_tags = _applicable_tags(start, pool)
     if not start_tags:
         raise NoApplicableOperator("no operator applies to this subgraph/pool")
 
@@ -518,13 +537,13 @@ def generate_negatives(
     attempts = 0
     while len(out) < k and attempts < max_attempts:
         attempts += 1
-        result = _attempt_candidate(sg_c, pool, lo, hi, rng, start_tags)
+        result = _attempt_candidate(start, pool, lo, hi, rng, start_tags)
         if result is None:
             continue
         edited, ops = result
-        # with an empty pool only swap and shorten apply, and both leave a
-        # closed, duplicate-free graph so, which is its own recomposition
-        recomposed = recompose(edited, pool) if pool.element_count else edited
+        # with an empty pool only swap and shorten apply, and both keep a
+        # closed, duplicate-free graph so; such a graph is its own recomposition
+        recomposed = recompose(edited, pool) if pool.element_count else edited.graph()
         sig = recomposed.signature()
         if sig in seen:
             continue

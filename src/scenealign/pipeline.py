@@ -17,7 +17,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -364,7 +364,8 @@ class RunReport:
     instances: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields already hold plain JSON values, so they are shared, not deep-copied as by asdict
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def save(self, path: str) -> None:
         with atomic_open(path) as fh:

@@ -485,6 +485,26 @@ class TestUnreadableInput:
         assert main([command, "--input", str(dataset)]) == 2
         assert "corpus error: corpus line 1:" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_line_dataset(tmp_path, **fields):
+        record = {"id": "a#1", "images": ["a.jpg"], "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
+        dataset = tmp_path / "pairs.jsonl"
+        dataset.write_text(json.dumps({**record, **fields}) + "\n", encoding="utf-8")
+        return dataset
+
+    def test_stats_on_a_meta_that_is_not_an_object_exits_2_naming_the_line(self, tmp_path, capsys):
+        assert main(["stats", "--input", str(self._one_line_dataset(tmp_path, meta=[]))]) == 2
+        assert "corpus error: corpus line 1: 'meta' is list, not an object" in capsys.readouterr().err
+
+    def test_dpo_check_on_a_chosen_that_is_not_a_string_exits_2_naming_the_line(self, tmp_path, capsys):
+        assert main(["dpo-check", "--input", str(self._one_line_dataset(tmp_path, chosen=5))]) == 2
+        assert "corpus error: corpus line 1: 'chosen' is int, not a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("images", [None, "a.jpg", [1]])
+    def test_images_that_are_not_a_list_of_strings_exit_2(self, tmp_path, capsys, images):
+        assert main(["stats", "--input", str(self._one_line_dataset(tmp_path, images=images))]) == 2
+        assert "corpus error: corpus line 1: 'images' is not a list of strings" in capsys.readouterr().err
+
 
 class TestPerturbSingleOp:
     def _graph(self, capsys):

@@ -20,14 +20,13 @@ from scenealign.errors import (
 )
 from scenealign.grounding import ResidualPool, residual_pool
 from scenealign.perturb import (
+    _OPERATORS,
     OPERATOR_TAGS,
     EditTrace,
     PerturbationOp,
-    _addable_elements,
     _applicable_tags,
-    _replace_kinds,
-    _shorten,
-    _swap_indices,
+    _attempt_candidate,
+    _Draft,
     apply_operator,
     generate_negatives,
     recompose,
@@ -297,15 +296,71 @@ def _shorten_refs(sg: SceneGraph) -> list[tuple[str, int]]:
     return refs
 
 
+def _swap_indices(sg: SceneGraph) -> list[int]:
+    return [i for i, (s, p, o) in enumerate(sg.relations) if s != o and (o, p, s) not in sg.relations]
+
+
 def _listed_applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     """The operators whose choice lists are non-empty, in ``OPERATOR_TAGS`` order."""
+    targets = (
+        ("entity", sg.entities, pool.entities),
+        ("attribute", sg.attributes, pool.attribute_values()),
+        ("predicate", sg.relations, pool.predicates()),
+    )
     choices = {
         "swap": _swap_indices(sg),
-        "replace": _replace_kinds(sg, pool),
+        "replace": [kind for kind, rows, material in targets if rows and material],
         "shorten": _shorten_refs(sg),
-        "overthink": _addable_elements(sg, pool),
+        "overthink": [e for e in pool.entities if e not in sg.entities]
+        + [a for a in pool.attributes if a not in sg.attributes]
+        + [r for r in pool.relations if r not in sg.relations],
     }
     return [tag for tag in OPERATOR_TAGS if choices[tag]]
+
+
+_SAMPLER_ERRORS = (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty)
+
+
+def _reference_attempt(graph, pool, lo, hi, rng, start_tags):
+    """One attempt, step by step: list the applicable operators after each edit, then ``apply_operator``."""
+    ops = []
+    for step in range(rng.randint(lo, hi)):
+        tags = _listed_applicable_tags(graph, pool) if step else start_tags
+        if not tags:
+            return None
+        try:
+            graph, op = apply_operator(graph, pool, rng.choice(tags), rng=rng)
+        except _SAMPLER_ERRORS:
+            return None
+        ops.append(op)
+    return graph, tuple(ops)
+
+
+def _reference_negatives(sg_pos, sg_c, pool, k, edit_range, seed):
+    """``generate_negatives`` as ``(graph, trace)`` pairs, built from :func:`_reference_attempt`."""
+    rng = random.Random(seed)
+    start_tags = _listed_applicable_tags(sg_c, pool)
+    if not start_tags:
+        raise NoApplicableOperator("nothing applies")
+    seen, out, attempts = {sg_pos.signature()}, [], 0
+    while len(out) < k and attempts < k * 32:
+        attempts += 1
+        result = _reference_attempt(sg_c, pool, *edit_range, rng, start_tags)
+        if result is None:
+            continue
+        edited, ops = result
+        recomposed = recompose(edited, pool) if pool.element_count else edited
+        if recomposed.signature() not in seen:
+            seen.add(recomposed.signature())
+            out.append((recomposed, EditTrace(ops, seed)))
+    return out
+
+
+def _start(sg: SceneGraph, pool: ResidualPool) -> tuple[_Draft, list[str]]:
+    """The start draft and its applicable operators, prepared as ``generate_negatives`` prepares them."""
+    start = _Draft.of(sg)
+    start.removable_counts()
+    return start, _applicable_tags(start, pool)
 
 
 # a small vocabulary, so pool elements often already sit in the graph
@@ -341,27 +396,54 @@ _POOLS = st.one_of(
 )
 
 
+_EDGE_GRAPHS = pytest.mark.parametrize(
+    "sg",
+    [
+        SceneGraph(("man",)),
+        SceneGraph(("man",), (("man", "tall"),)),  # the sole entity's cascade empties the graph
+        SceneGraph(("man",), (), (("man", "on", "man"),)),
+        SceneGraph(("man", "dog"), (), (("man", "on", "dog"), ("dog", "on", "man"))),
+        SceneGraph((), (("man", "tall"),)),
+        SceneGraph(),
+    ],
+    ids=["one-entity", "entity-and-attribute", "reflexive", "reversed-parallel", "unclosed", "empty"],
+)
+
+
+def _edge_pools(case_pool: ResidualPool) -> tuple[ResidualPool, ...]:
+    return (EMPTY_POOL, case_pool, ResidualPool(entities=("man",)))
+
+
 class TestApplicableTags:
     @given(_graphs(), _POOLS)
     @settings(max_examples=500, deadline=None)
     def test_same_tags_as_the_choice_lists(self, sg, pool):
-        assert _applicable_tags(sg, pool) == _listed_applicable_tags(sg, pool)
+        assert _applicable_tags(_Draft.of(sg), pool) == _listed_applicable_tags(sg, pool)
 
-    @pytest.mark.parametrize(
-        "sg",
-        [
-            SceneGraph(("man",)),
-            SceneGraph(("man",), (("man", "tall"),)),
-            SceneGraph(("man",), (), (("man", "on", "man"),)),
-            SceneGraph(("man", "dog"), (), (("man", "on", "dog"), ("dog", "on", "man"))),
-            SceneGraph((), (("man", "tall"),)),
-            SceneGraph(),
-        ],
-        ids=["one-entity", "entity-and-attribute", "reflexive", "reversed-parallel", "unclosed", "empty"],
-    )
+    @_EDGE_GRAPHS
     def test_edge_graphs_with_and_without_a_pool(self, sg, case_pool):
-        for pool in (EMPTY_POOL, case_pool, ResidualPool(entities=("man",))):
-            assert _applicable_tags(sg, pool) == _listed_applicable_tags(sg, pool)
+        for pool in _edge_pools(case_pool):
+            assert _applicable_tags(_Draft.of(sg), pool) == _listed_applicable_tags(sg, pool)
+
+    @given(_graphs(), _POOLS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_the_kept_state_matches_the_graph_after_each_edit(self, sg, pool, seed):
+        rng = random.Random(seed)
+        draft, tags = _start(sg, pool)
+        for _ in range(5):
+            graph = draft.graph()
+            assert tags == _listed_applicable_tags(graph, pool)
+            assert draft.present == set(graph.relations)
+            assert draft.swap_indices() == _swap_indices(graph)
+            refs = _shorten_refs(graph)
+            assert draft.removable_counts() == {kind: sum(ref[0] == kind for ref in refs) for kind in draft.removable}
+            if not tags:
+                return
+            try:
+                _OPERATORS[rng.choice(tags)](draft, pool, rng)
+            except _SAMPLER_ERRORS:
+                return
+            tags = _applicable_tags(draft, pool)
 
 
 class TestShortenDraw:
@@ -376,7 +458,10 @@ class TestShortenDraw:
             with pytest.raises(NoApplicableOperator):
                 apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn)
             return
-        assert apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn) == _shorten(sg, *listed.choice(refs))
+        kind, index = listed.choice(refs)
+        assert apply_operator(sg, EMPTY_POOL, "shorten", rng=drawn) == apply_operator(
+            sg, EMPTY_POOL, "shorten", kind=kind, index=index
+        )
         assert drawn.getstate() == listed.getstate()
 
     @given(_graphs(), st.sampled_from(["entity", "attribute", "relation"]), st.integers(0, 2**32 - 1))
@@ -389,7 +474,7 @@ class TestShortenDraw:
                 apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
             return
         graph, op = apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, rng=drawn)
-        assert (graph, op) == _shorten(sg, *listed.choice(refs))
+        assert (graph, op) == apply_operator(sg, EMPTY_POOL, "shorten", kind=kind, index=listed.choice(refs)[1])
         assert op.kind == kind
         assert drawn.getstate() == listed.getstate()
 
@@ -423,6 +508,59 @@ class TestTargeting:
             apply_operator(case_subgraph, case_pool, "overthink", kind="entity", index=0)
         with pytest.raises(UnsupportedKind):
             apply_operator(case_subgraph, case_pool, "overthink", kind="entity", element=("window", "glass"))
+
+
+class TestSamplerAgainstReference:
+    """The stateful sampler draws and edits exactly as the step-by-step algorithm does."""
+
+    @staticmethod
+    def _attempts_match(sg, pool, edit_range, seed, attempts=16):
+        start, start_tags = _start(sg, pool)
+        assert start_tags == _listed_applicable_tags(sg, pool)
+        if not start_tags:
+            return
+        kept, reference = random.Random(seed), random.Random(seed)
+        for _ in range(attempts):
+            got = _attempt_candidate(start, pool, *edit_range, kept, start_tags)
+            want = _reference_attempt(sg, pool, *edit_range, reference, start_tags)
+            assert (got and (got[0].graph(), got[1])) == want
+            assert kept.getstate() == reference.getstate()
+
+    @staticmethod
+    def _negatives_match(sg, pool, edit_range, seed):
+        positive = recompose(sg, pool)
+        try:
+            want = _reference_negatives(positive, sg, pool, 4, edit_range, seed)
+        except NoApplicableOperator:
+            with pytest.raises(NoApplicableOperator):
+                generate_negatives(positive, sg, pool, k=4, edit_range=edit_range, seed=seed)
+            return
+        got = generate_negatives(positive, sg, pool, k=4, edit_range=edit_range, seed=seed)
+        assert [(c.graph, c.trace) for c in got] == want
+
+    @given(_graphs(), _POOLS, st.sampled_from([(1, 1), (1, 3), (3, 5)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_same_attempts_and_rng_state(self, sg, pool, edit_range, seed):
+        self._attempts_match(sg, pool, edit_range, seed)
+
+    @given(_graphs(), _POOLS, st.sampled_from([(1, 3), (3, 5)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_candidates_and_traces(self, sg, pool, edit_range, seed):
+        self._negatives_match(sg, pool, edit_range, seed)
+
+    def test_a_rename_into_an_unclosed_row_rebuilds_the_swaps(self):
+        # renaming "man" to "car" makes the two relations each other's reverse
+        sg = SceneGraph(("man",), (), (("man", "on", "dog"), ("dog", "on", "car")))
+        for seed in range(16):
+            self._attempts_match(sg, ResidualPool(entities=("car",)), (2, 3), seed)
+
+    @_EDGE_GRAPHS
+    def test_edge_graphs_with_and_without_a_pool(self, sg, case_pool, caplog):
+        with caplog.at_level(logging.ERROR):
+            for pool in _edge_pools(case_pool):
+                for seed in range(8):
+                    self._attempts_match(sg, pool, (1, 3), seed)
+                    self._negatives_match(sg, pool, (1, 3), seed)
 
 
 def _candidates_digest(edit_range: tuple[int, int]) -> tuple[str, int]:

@@ -446,6 +446,14 @@ class TestDeterminismPin:
         assert run_pipeline(cfg).records_written == 700
         assert hashlib.sha256((tmp_path / "corpus.out.jsonl").read_bytes()).hexdigest() == self.SHA256
 
+    def test_the_2000_instance_run_keeps_its_sha256(self, tmp_path):
+        # the corpus the ROADMAP's measurements run on: 4,612 records, 808 of its instances short of m
+        cfg = _cfg(tmp_path, synthetic_corpus_lines(2000, random.Random(0)), seed=0, workers=1)
+        report = run_pipeline(cfg)
+        assert (report.records_written, report.shortfall_instances) == (4612, 808)
+        digest = hashlib.sha256((tmp_path / "corpus.out.jsonl").read_bytes()).hexdigest()
+        assert digest == "e649f89678a7aaf6c852696fb691b55ae649dfbf9b1071828c384cb2297bc442"
+
     def test_staged_chain_keeps_its_sha256(self, tmp_path):
         src = tmp_path / "corpus.jsonl"
         _write_corpus(src, synthetic_corpus_lines(300, random.Random(0)))
