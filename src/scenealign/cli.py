@@ -366,7 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
         p.add_argument("--report", default=None, help="run report path")
-        p.add_argument("--workers", type=int, default=0, help="instances in flight when a provider is remote (0 = CPUs)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=0,
+            help="instances in flight when a provider is remote (0 = CPUs); each sends its negatives' chat "
+            "requests together, so up to workers x candidates requests are in flight",
+        )
         _add_perturb_flags(p)
         _add_selection_flags(p)
         _add_generator_flags(p)

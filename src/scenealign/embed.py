@@ -103,9 +103,9 @@ class EmbedConfig:
         if self.dimension < 2:
             raise ConfigError("embedding dimension must be at least 2")
         if self.provider == "http":
-            if not self.endpoint:
-                raise ConfigError("http embedding provider requires an endpoint")
-            from . import transport  # noqa: F401  (load the HTTP stack during set-up)
+            from . import transport  # loads the HTTP stack during set-up
+
+            transport.check_endpoint(self.endpoint, "http embedding provider")
 
 
 @dataclass(frozen=True)

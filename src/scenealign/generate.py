@@ -98,9 +98,9 @@ class GeneratorConfig:
         if self.kind not in ("template", "http-chat"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if self.kind == "http-chat":
-            if not self.endpoint:
-                raise ConfigError("http-chat generator requires an endpoint")
-            from . import transport  # noqa: F401  (load the HTTP stack during set-up)
+            from . import transport  # loads the HTTP stack during set-up
+
+            transport.check_endpoint(self.endpoint, "http-chat generator")
 
 
 def _require_answer(inst: Instance) -> str:

@@ -294,15 +294,32 @@ def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
 def _fill_rationales(
     candidates: Sequence[NegativeCandidate], inst: Instance, cfg: PipelineConfig
 ) -> list[NegativeCandidate]:
+    """The candidates whose rationale came back, each holding it; a failure drops only its candidate.
+
+    A chat endpoint gets the prompts together, one thread per candidate, so
+    a run has at most ``workers`` times ``candidates`` requests in flight.
+    The failures are logged here, in candidate order, once all have returned.
+    """
     # negative prompts carry neither the gold answer nor an image attachment
-    kept = []
-    for cand in candidates:
-        prompt = render_negative_cot_prompt(cand.graph, inst)
+    prompts = [render_negative_cot_prompt(cand.graph, inst) for cand in candidates]
+
+    def rationale(cand: NegativeCandidate, prompt: str) -> Rationale | SceneAlignError:
         try:
-            cand.rationale = generate_rationale(prompt, cfg.generator, graph=cand.graph, strict=cfg.strict)
+            return generate_rationale(prompt, cfg.generator, graph=cand.graph, strict=cfg.strict)
         except SceneAlignError as exc:
-            logger.warning("instance %r: negative rationale failed (%s); candidate dropped", inst.id, exc)
+            return exc
+
+    if cfg.generator.kind == "http-chat" and len(candidates) > 1:
+        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
+            results = list(pool.map(rationale, candidates, prompts))
+    else:
+        results = list(map(rationale, candidates, prompts))
+    kept = []
+    for cand, result in zip(candidates, results):
+        if isinstance(result, SceneAlignError):
+            logger.warning("instance %r: negative rationale failed (%s); candidate dropped", inst.id, result)
             continue
+        cand.rationale = result
         kept.append(cand)
     return kept
 
@@ -393,8 +410,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     processed on the calling thread: the work is all Python, and threads
     would only take turns at the interpreter lock.  When a provider is
     remote, up to ``workers`` instances are in flight at once, so their
-    requests overlap.  Output order and all sampling depend only on the
-    corpus content and the seed, never on scheduling.
+    requests overlap; with a chat endpoint each instance also sends its
+    in-band negatives' requests together, so at most ``workers`` times
+    ``candidates`` requests are in flight, and the log lines of different
+    instances may interleave.  Output order and all sampling depend only on
+    the corpus content and the seed, never on scheduling.
     """
     cfg.validate()
     started = time.monotonic()

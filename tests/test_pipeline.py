@@ -1,6 +1,10 @@
 import hashlib
 import json
+import logging
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -25,8 +29,8 @@ from scenealign.pipeline import (
     stage_perturb,
     stage_select,
 )
-from scenealign.scene_graph import SceneGraph, encode_scene_graph, parse_scene_graph
-from scenealign.selection import SelectionConfig, select_diverse
+from scenealign.scene_graph import SceneGraph, encode_scene_graph, parse_scene_graph, serialize_scene_graph
+from scenealign.selection import SelectionConfig, filter_with_shortfall, select_diverse
 
 from .helpers import MockProviders, graph_less, synthetic_corpus_lines
 
@@ -677,6 +681,96 @@ class TestFullRun:
         report = run_pipeline(cfg)
         assert report.instances_total == 0
         assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == ""
+
+
+class _Throttled:
+    """Answers each payload's odd-numbered attempts with 429 and its even-numbered ones through ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.attempts: dict[str, int] = {}
+
+    def __call__(self, payload):
+        key = json.dumps(payload, sort_keys=True)
+        with self.lock:
+            self.attempts[key] = self.attempts.get(key, 0) + 1
+            throttled = self.attempts[key] % 2 == 1
+        return (429, {"error": "slow down"}) if throttled else self.inner(payload)
+
+
+class TestConcurrentNegatives:
+    """A chat endpoint gets an instance's in-band negative requests together."""
+
+    def test_one_instances_negative_requests_overlap(self, tmp_path, mock_api, case_corpus_line):
+        mock_api.handler = providers = MockProviders(delay=0.05)
+        report = run_pipeline(_cfg(tmp_path, [case_corpus_line], **_remote_cfg(mock_api, workers=1)))
+        assert report.instances[0]["filtered"] >= 2
+        assert providers.most_in_flight >= 2
+
+    def test_requests_in_flight_stay_within_workers_times_in_band(self, tmp_path, mock_api):
+        workers = 4
+        lines = synthetic_corpus_lines(12, random.Random(109))
+        mock_api.handler = providers = MockProviders(delay=0.02)
+        report = run_pipeline(_cfg(tmp_path, lines, **_remote_cfg(mock_api, workers=workers)))
+        in_band = max(summary["filtered"] for summary in report.instances)
+        assert in_band >= 2
+        assert 2 <= providers.most_in_flight <= workers * in_band <= workers * PipelineConfig.candidates
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_429_storm_gives_the_bytes_of_a_clean_run(self, tmp_path, mock_api, workers):
+        lines = synthetic_corpus_lines(8, random.Random(110))
+        without_graphs, graphs = graph_less(lines[:2])
+        lines = without_graphs + lines[2:]
+        mock_api.handler = MockProviders(graphs)
+        run_pipeline(_cfg(tmp_path, lines, name="clean", **_remote_cfg(mock_api, workers=workers)))
+        clean_requests = len(mock_api.requests)
+        mock_api.requests.clear()
+        mock_api.handler = _Throttled(MockProviders(graphs))
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+        try:
+            report = run_pipeline(_cfg(tmp_path, lines, name="storm", **_remote_cfg(mock_api, workers=workers)))
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert report.drops == {}
+        assert (tmp_path / "storm.out.jsonl").read_bytes() == (tmp_path / "clean.out.jsonl").read_bytes()
+        assert len(mock_api.requests) == 2 * clean_requests
+
+    def test_a_failed_negative_drops_only_its_candidate_and_warns_in_candidate_order(self, tmp_path, mock_api, caplog):
+        providers = MockProviders()
+        mock_api.handler = providers
+        cfg = _cfg(tmp_path, synthetic_corpus_lines(10, random.Random(111)), **_remote_cfg(mock_api, workers=1))
+        for parsed in stage_parse(cfg)[0]:  # the first instance with three candidates in band
+            grounded = stage_ground(parsed, cfg)
+            item = stage_perturb(grounded, cfg)
+            kept_idx, _, _ = filter_with_shortfall(item["candidates"], item["scene_graph"], cfg.selection)
+            in_band = [item["candidates"][i] for i in kept_idx]
+            if len(in_band) >= 3:
+                break
+        assert len(in_band) >= 3
+        # the first failure answers last, so a warning logged as a request returns would come second
+        failing = {serialize_scene_graph(in_band[0].graph): 0.2, serialize_scene_graph(in_band[2].graph): 0.0}
+
+        def handler(payload):
+            prompt = payload["messages"][0]["content"] if "messages" in payload else None
+            for n, (shown, delay) in enumerate(failing.items()):
+                if isinstance(prompt, str) and f"Scene Graph: {shown}\n" in prompt:
+                    time.sleep(delay)
+                    return 400, {"failed": n}
+            return providers(payload)
+
+        mock_api.handler = handler
+        with caplog.at_level(logging.WARNING, logger="scenealign.pipeline"):
+            out = stage_select(stage_perturb(grounded, cfg), cfg)
+        warnings = [r.getMessage() for r in caplog.records if "negative rationale failed" in r.getMessage()]
+        assert len(warnings) == 2
+        assert '"failed": 0' in warnings[0] and '"failed": 1' in warnings[1]
+        assert out["counts"]["filtered"] == len(in_band) - 2
+        survivors = [serialize_scene_graph(c.graph) for c in in_band if serialize_scene_graph(c.graph) not in failing]
+        selected = [serialize_scene_graph(c.graph) for c in out["selected"]]
+        assert set(selected) <= set(survivors)
+        assert len(selected) == min(len(survivors), cfg.selection.m)
 
 
 class TestConfigValidation:

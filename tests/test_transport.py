@@ -1,15 +1,20 @@
 """The HTTP transport both remote providers share: one retry policy, one error mapping."""
 
 import json
+import time
 
 import pytest
 
+from scenealign import transport
+from scenealign.cli import main
 from scenealign.embed import EmbedConfig, embed_texts
-from scenealign.errors import RemoteError
+from scenealign.errors import ConfigError, RemoteError
 from scenealign.generate import GeneratorConfig, generate_rationale
 from scenealign.pipeline import PipelineConfig, run_pipeline
 from scenealign.selection import SelectionConfig
 from scenealign.transport import CHAT_TIMEOUT_S, post_json
+
+from .helpers import MockApi
 
 NOT_JSON = b"<html><body>502 from a proxy, served as 200</body></html>"
 
@@ -34,6 +39,88 @@ class TestPostJson:
         assert err.value.status == 200
         assert "not JSON" in err.value.detail
         assert len(mock_api.requests) == 1
+
+
+    @pytest.mark.parametrize("endpoint", ["localhost:9/x", "ftp://127.0.0.1:9/x", "http://[::1/x"])
+    def test_a_url_no_attempt_can_reach_fails_at_once(self, monkeypatch, endpoint):
+        monkeypatch.setattr(transport, "BACKOFF_BASE_S", 10.0)  # a retry would take 10 s
+        started = time.monotonic()
+        with pytest.raises(RemoteError) as err:
+            post_json({}, endpoint, CHAT_TIMEOUT_S)
+        assert time.monotonic() - started < 5.0
+        assert err.value.status is None
+
+
+BAD_ENDPOINTS = ["localhost:8000/v1/chat/completions", "ftp://127.0.0.1/x", "http:///x", "//127.0.0.1/x", "http://[::1/x"]
+
+
+class TestEndpointCheck:
+    @pytest.mark.parametrize("endpoint", BAD_ENDPOINTS)
+    def test_both_configs_reject_an_endpoint_without_an_http_scheme_and_a_host(self, endpoint):
+        with pytest.raises(ConfigError):
+            GeneratorConfig(kind="http-chat", endpoint=endpoint)
+        with pytest.raises(ConfigError):
+            EmbedConfig(provider="http", endpoint=endpoint)
+
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1:9/chat", "https://api.example.com/v1/chat/completions"])
+    def test_both_configs_accept_an_http_or_https_url(self, endpoint):
+        assert GeneratorConfig(kind="http-chat", endpoint=endpoint).endpoint == endpoint
+        assert EmbedConfig(provider="http", endpoint=endpoint).endpoint == endpoint
+
+    @pytest.mark.parametrize("flags", [["--generator", "http", "--endpoint"], ["--embed", "http", "--embed-endpoint"]])
+    def test_run_exits_1_on_a_schemeless_endpoint(self, tmp_path, capsys, flags):
+        code = main(
+            ["run", "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl"), *flags, "localhost:8000/v1"]
+        )
+        assert code == 1
+        assert "http:// or https://" in capsys.readouterr().err
+
+
+PROXY_VARIABLES = ["http_proxy", "https_proxy", "all_proxy", "no_proxy"]
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """No proxy setting but those a test makes, and the endpoint settings read afresh before and after."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    transport._environment_settings.cache_clear()
+    yield monkeypatch
+    transport._environment_settings.cache_clear()
+
+
+class TestEnvironmentProxies:
+    ENDPOINT = "http://scenealign.invalid/v1/chat/completions"
+
+    def test_http_proxy_receives_the_absolute_form_path(self, mock_api, proxy_env):
+        proxy_env.setenv("HTTP_PROXY", mock_api.url)
+        # the request must go to the proxy: a direct one would look the host up
+        assert transport._environment_settings(self.ENDPOINT)[0].get("http") == mock_api.url
+        mock_api.handler = lambda payload: _chat_reply("1. A step.")
+        generate_rationale("1. prompt", GeneratorConfig(kind="http-chat", endpoint=self.ENDPOINT))
+        assert [r["path"] for r in mock_api.requests] == [self.ENDPOINT]
+
+    def test_no_proxy_bypasses_the_proxy(self, mock_api, proxy_env):
+        proxy = MockApi()
+        try:
+            proxy_env.setenv("HTTP_PROXY", proxy.url)
+            proxy_env.setenv("NO_PROXY", "127.0.0.1")
+            mock_api.handler = lambda payload: _chat_reply("1. A step.")
+            generate_rationale("1. prompt", _chat_cfg(mock_api))
+            assert proxy.requests == []
+            assert [r["path"] for r in mock_api.requests] == ["/chat"]
+        finally:
+            proxy.close()
+
+    def test_settings_are_read_once_per_endpoint(self, mock_api, proxy_env):
+        mock_api.handler = lambda payload: _chat_reply("1. A step.")
+        cfg = _chat_cfg(mock_api)
+        generate_rationale("1. prompt", cfg)
+        proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # read only by an endpoint not yet posted to
+        generate_rationale("1. prompt", cfg)
+        assert len(mock_api.requests) == 2
+        assert transport._environment_settings.cache_info().misses == 1
 
 
 class TestNonJsonReply:
