@@ -237,7 +237,7 @@ def _cmd_edit(args) -> int:
             pool = pool_from_obj(json.loads(text))
         except (ValueError, TypeError, AttributeError, SceneAlignError) as exc:
             raise CorpusError(None, f"bad --pool file: {exc}") from exc
-    element = _parse_element(args.element) if args.element else None
+    element = _parse_element(args.element) if args.element is not None else None
 
     result, op = apply_operator(
         graph,
@@ -258,11 +258,9 @@ def _parse_element(text: str):
         value = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"--element is not JSON: {exc}") from exc
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list) and len(value) in (2, 3) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise ConfigError("--element must be an entity name or a 2- or 3-item list of strings")
+    if value is None:  # to apply_operator, None is no element; it checks any other value
+        raise ConfigError("--element is null; pin an element or leave the flag out")
+    return value
 
 
 def _cmd_select(args) -> int:

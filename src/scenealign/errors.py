@@ -57,36 +57,12 @@ class NotASubgraph(SceneAlignError):
 # perturbation operators
 
 
-class IndexOutOfRange(SceneAlignError):
-    """Element reference points outside the graph's ordered sets."""
-
-
-class NoOpSwap(SceneAlignError):
-    """Swapping a reflexive relation would leave the graph unchanged."""
-
-
-class EmptyPoolForKind(SceneAlignError):
-    """Residual pool has no material of the kind required by the edit."""
-
-
-class DuplicateCollision(SceneAlignError):
-    """Every sampled payload collided with an element already present."""
-
-
-class WouldEmpty(SceneAlignError):
-    """Removal would leave a graph with zero elements."""
-
-
-class EmptyPool(SceneAlignError):
-    """Residual pool holds nothing that could be added to the graph."""
+class EditError(SceneAlignError):
+    """This operator cannot make this edit on this graph and pool."""
 
 
 class NoApplicableOperator(SceneAlignError):
     """No perturbation operator applies to the subgraph/pool combination."""
-
-
-class UnsupportedKind(SceneAlignError):
-    """An operator was asked to target an element kind it cannot edit."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,16 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (
-    ConfigError,
-    DuplicateCollision,
-    EmptyPool,
-    EmptyPoolForKind,
-    IndexOutOfRange,
-    NoApplicableOperator,
-    NoOpSwap,
-    UnsupportedKind,
-    WouldEmpty,
-)
+from .errors import ConfigError, EditError, NoApplicableOperator, SchemaViolation
 from .grounding import ResidualPool
-from .scene_graph import SceneGraph, referenced_entities
+from .scene_graph import SceneGraph, _clean_names, _clean_rows, referenced_entities
 
 logger = logging.getLogger(__name__)
 
 # canonical operator order; sampling iterates this so runs are reproducible
 OPERATOR_TAGS = ("swap", "replace", "shorten", "overthink")
 
-# payload resampling budget before an edit gives up with DuplicateCollision
+# payload resampling budget before an edit gives up with EditError
 _RESAMPLE_LIMIT = 8
 
 # candidate attempts per requested negative before emitting fewer
@@ -135,6 +125,10 @@ class _Draft:
     def graph(self) -> SceneGraph:
         return SceneGraph(tuple(self.entities), tuple(self.attributes), tuple(self.relations))
 
+    def rows(self, kind: str) -> list:
+        """The list of ``kind``'s elements; "predicate" names the relations."""
+        return self.entities if kind == "entity" else self.attributes if kind == "attribute" else self.relations
+
     def swap_indices(self) -> list[int]:
         """The relations that are not reflexive and whose reverse is absent, by index."""
         if self.swaps is None:
@@ -163,42 +157,20 @@ class _Draft:
         return self.removable
 
 
-def _kind_size(d: _Draft, kind: str) -> int:
-    if kind == "entity":
-        return len(d.entities)
-    return len(d.attributes) if kind == "attribute" else len(d.relations)
-
-
-def _check_index(d: _Draft, kind: str, index: int) -> None:
-    if not 0 <= index < _kind_size(d, kind):
-        raise IndexOutOfRange(f"{kind} index {index} out of range")
-
-
-def _element_kind_of(tag: str, kind: str) -> str:
-    if kind not in ("entity", "attribute", "relation"):
-        raise UnsupportedKind(f"{tag} cannot target kind {kind!r}")
-    return kind
-
-
 # ---------------------------------------------------------------------------
 # swap
 
 
 def _swap(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
-    if kind not in (None, "relation"):
-        raise UnsupportedKind(f"swap cannot target kind {kind!r}")
     if index is None:
         choices = d.swap_indices()
         if not choices:
             raise NoApplicableOperator("no swappable relation")
         index = rng.choice(choices)
-    _check_index(d, "relation", index)
     old = subj, pred, obj = d.relations[index]
-    if subj == obj:
-        raise NoOpSwap(f"relation {index} is reflexive")
     swapped = (obj, pred, subj)
-    if swapped in d.present:
-        raise DuplicateCollision(f"swapped triple {list(swapped)} already present")
+    if swapped in d.present:  # a reflexive relation's swap is itself
+        raise EditError(f"swapping relation {index} gives {list(swapped)}, already in the graph")
     d.relations[index] = swapped
     d.present.discard(old)
     d.present.add(swapped)
@@ -217,21 +189,19 @@ def _replace(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index
         if not kinds:
             raise NoApplicableOperator("no replaceable element with pool support")
         kind = rng.choice(kinds)
-    element_kind = _element_kind_of("replace", "relation" if kind == "predicate" else kind)
     if index is None:
-        size = _kind_size(d, element_kind)
+        size = len(d.rows(kind))
         if not size:
             raise NoApplicableOperator(f"no {kind} to replace")
         index = rng.randrange(size)
-    _check_index(d, element_kind, index)
-    if element_kind == "entity":
+    if kind == "entity":
         return _replace_entity(d, index, pool, rng, payload)
-    return _replace_field(d, element_kind, index, pool, rng, payload)
+    return _replace_field(d, kind, index, pool, rng, payload)
 
 
 def _replace_entity(d: _Draft, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None) -> PerturbationOp:
     if not pool.entities and pinned is None:
-        raise EmptyPoolForKind("residual pool holds no entities")
+        raise EditError("residual pool holds no entities")
     old = d.entities[index]
     attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
     for _ in range(attempts):
@@ -247,19 +217,19 @@ def _replace_entity(d: _Draft, index: int, pool: ResidualPool, rng: random.Rando
         d.attributes, d.relations, d.present = attrs, rels, present
         d.swaps = d.removable = None
         return PerturbationOp("replace", "entity", old, new)
-    raise DuplicateCollision(f"no usable replacement for entity {old!r}")
+    raise EditError(f"no usable replacement for entity {old!r}")
 
 
 def _replace_field(
     d: _Draft, kind: str, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
 ) -> PerturbationOp:
-    """Set field 1 of attribute or relation ``index`` (its value, or predicate) to a new pool value."""
+    """Set field 1 of attribute ``index`` (its value) or, for "relation" or "predicate", of relation ``index``."""
     if kind == "attribute":
         rows, present, values, label = d.attributes, d.attributes, pool.attribute_values(), "attribute value"
     else:
         rows, present, values, label, kind = d.relations, d.present, pool.predicates(), "predicate", "predicate"
     if not values and pinned is None:
-        raise EmptyPoolForKind(f"residual pool holds no {label}s")
+        raise EditError(f"residual pool holds no {label}s")
     old = rows[index]
     attempts = 1 if pinned is not None else _RESAMPLE_LIMIT
     for _ in range(attempts):
@@ -273,7 +243,7 @@ def _replace_field(
             d.present.add(new)
             d.swaps = None
         return PerturbationOp("replace", kind, old, new)
-    raise DuplicateCollision(f"no usable replacement {label} for {list(old)}")
+    raise EditError(f"no usable replacement {label} for {list(old)}")
 
 
 def _replace_kinds(d: _Draft, pool: ResidualPool) -> list[str]:
@@ -295,15 +265,12 @@ def _replace_kinds(d: _Draft, pool: ResidualPool) -> list[str]:
 def _shorten(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     if index is None:
         kind, index = _draw_shorten_ref(d, rng, kind)
-    else:
-        kind = _element_kind_of("shorten", kind)
-    _check_index(d, kind, index)
     if kind == "entity":
         name = d.entities[index]
         attrs = [a for a in d.attributes if a[0] != name]
         rels = [r for r in d.relations if name not in (r[0], r[2])]
         if len(d.entities) == 1 and not attrs and not rels:  # the cascade took everything
-            raise WouldEmpty(f"removing entity {name!r} would empty the graph")
+            raise EditError(f"removing entity {name!r} would empty the graph")
         del d.entities[index]
         d.attributes = attrs
         if len(rels) != len(d.relations):
@@ -311,7 +278,7 @@ def _shorten(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index
         d.removable = None
         return PerturbationOp("shorten", "entity", name, None)
     if d.element_count - 1 == 0:
-        raise WouldEmpty("removing the sole element would empty the graph")
+        raise EditError("removing the sole element would empty the graph")
     d.removable = None
     if kind == "attribute":
         return PerturbationOp("shorten", "attribute", d.attributes.pop(index), None)
@@ -330,8 +297,7 @@ def _draw_shorten_ref(d: _Draft, rng: random.Random, kind: str | None = None) ->
     """
     counts = d.removable_counts()
     if kind is not None:
-        only = _element_kind_of("shorten", kind)
-        counts = {k: n if k == only else 0 for k, n in counts.items()}
+        counts = {k: n if k == kind else 0 for k, n in counts.items()}
     n = sum(counts.values())
     if not n:
         raise NoApplicableOperator(f"no removable {kind or 'element'}")
@@ -357,21 +323,16 @@ def _addable_elements(d: _Draft, pool: ResidualPool) -> list[tuple[str, object]]
 
 def _overthink(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     """Add ``payload``, or an addable pool element drawn from those of ``kind`` (default: any)."""
-    if index is not None:
-        raise ConfigError("overthink takes no index; pin the element to add instead")
-    if kind is not None:
-        kind = _element_kind_of("overthink", kind)
     if payload is not None:
-        element = tuple(payload) if not isinstance(payload, str) else payload
-        if kind not in (None, _element_kind(element)):
-            raise UnsupportedKind(f"overthink element {to_jsonable(element)!r} is not of kind {kind!r}")
-        kind = _element_kind(element)
+        kind, element = _element_kind(payload), payload
+        if element in d.rows(kind):
+            raise EditError(f"{kind} {to_jsonable(element)!r} is already in the graph")
     else:
         addable = _addable_elements(d, pool)
         if kind is not None:
             addable = [pair for pair in addable if pair[0] == kind]
         if not addable:
-            raise EmptyPool(f"residual pool holds no {kind or 'element'} addable to this graph")
+            raise EditError(f"residual pool holds no {kind or 'element'} addable to this graph")
         kind, element = rng.choice(addable)
     if kind == "entity":
         needed = (element,)
@@ -415,8 +376,12 @@ def _ordered_union(first: Sequence, second: Sequence) -> tuple:
 
 # in OPERATOR_TAGS order.  Each operator edits a draft in place and returns its
 # op, drawing from ``rng`` the targeting (kind, index, payload) it is not given;
-# the sampler gives it none.
+# the sampler gives it none, and apply_operator checks what it is given.
 _OPERATORS = {"swap": _swap, "replace": _replace, "shorten": _shorten, "overthink": _overthink}
+
+# the kinds each operator may be pinned to; replace sets a relation's predicate for either of the last two
+_ELEMENT_KINDS = ("entity", "attribute", "relation")
+_KINDS = dict(swap=("relation",), replace=(*_ELEMENT_KINDS, "predicate"), shorten=_ELEMENT_KINDS, overthink=_ELEMENT_KINDS)
 
 
 def apply_operator(
@@ -435,24 +400,52 @@ def apply_operator(
     A ``kind`` narrows the draw to elements of that kind; an ``index`` picks
     the element and needs a ``kind`` for ``replace`` and ``shorten``.
     ``swap`` targets relations only, and ``overthink`` takes no index.  A
-    ``replacement`` is for ``replace`` only and an ``element`` for
-    ``overthink`` only.  Replacing an entity renames every occurrence,
+    ``replacement`` name is for ``replace`` only and an ``element`` (a name
+    or a 2- or 3-name row) for ``overthink`` only; both are trimmed as the
+    parser trims a graph's.  Replacing an entity renames every occurrence,
     removing one removes everything incident, and an added element brings
     in the entities it names.  The sampler edits with the same functions.
+
+    Misuse (a kind the operator cannot target, an index outside ``sg``, an
+    empty or malformed payload) is a :class:`ConfigError`; an edit this graph
+    and pool cannot take, an :class:`EditError`; no target, :class:`NoApplicableOperator`.
     """
     rng = rng if rng is not None else random.Random(0)
     if replacement is not None and tag != "replace":
         raise ConfigError(f"{tag} takes no replacement; only replace does")
     if element is not None and tag != "overthink":
         raise ConfigError(f"{tag} takes no element to add; only overthink does")
-    if index is not None and kind is None and tag in ("replace", "shorten"):
-        raise ConfigError(f"{tag}: an index needs a kind")
     operator = _OPERATORS.get(tag)
     if operator is None:
         raise ValueError(f"unknown operator tag {tag!r}")
+    if kind is not None and kind not in _KINDS[tag]:
+        raise ConfigError(f"{tag} cannot target kind {kind!r}")
     draft = _Draft.of(sg)
-    op = operator(draft, pool, rng, kind, index, replacement if element is None else element)
+    if index is not None:
+        if tag == "overthink":
+            raise ConfigError("overthink takes no index; pin the element to add instead")
+        if kind is None and tag != "swap":
+            raise ConfigError(f"{tag}: an index needs a kind")
+        if not 0 <= index < len(draft.rows(kind)):
+            raise ConfigError(f"{kind or 'relation'} index {index} out of range")
+    payload = replacement if element is None else element
+    if payload is not None:
+        payload = _clean_payload(tag, payload)
+        if tag == "overthink" and kind not in (None, _element_kind(payload)):
+            raise ConfigError(f"overthink element {to_jsonable(payload)!r} is not of kind {kind!r}")
+    op = operator(draft, pool, rng, kind, index, payload)
     return draft.graph(), op
+
+
+def _clean_payload(tag: str, payload):
+    """A pinned name, or an ``overthink`` row, trimmed and checked as the parser checks a graph's."""
+    try:
+        if tag == "replace" or isinstance(payload, str):
+            return _clean_names([payload], "replacement" if tag == "replace" else "element")[0]
+        arity = 3 if isinstance(payload, (list, tuple)) and len(payload) > 2 else 2
+        return _clean_rows([payload], arity, "element")[0]
+    except SchemaViolation as exc:
+        raise ConfigError(f"pinned {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +483,7 @@ def _attempt_candidate(
             return None
         try:
             ops.append(_OPERATORS[rng.choice(tags)](draft, pool, rng))
-        except (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty):
+        except EditError:
             return None
     return draft, tuple(ops)
 

@@ -17,7 +17,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -294,7 +294,7 @@ def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
 def _fill_rationales(
     candidates: Sequence[NegativeCandidate], inst: Instance, cfg: PipelineConfig
 ) -> list[NegativeCandidate]:
-    """The candidates whose rationale came back, each holding it; a failure drops only its candidate.
+    """Copies of the candidates whose rationale came back, each holding it; a failure drops only its candidate.
 
     A chat endpoint gets the prompts together, one thread per candidate, so
     a run has at most ``workers`` times ``candidates`` requests in flight.
@@ -319,8 +319,7 @@ def _fill_rationales(
         if isinstance(result, SceneAlignError):
             logger.warning("instance %r: negative rationale failed (%s); candidate dropped", inst.id, result)
             continue
-        cand.rationale = result
-        kept.append(cand)
+        kept.append(replace(cand, rationale=result))
     return kept
 
 

@@ -648,6 +648,32 @@ class TestPerturbSingleOpBadInput:
         assert main(argv + ["--kind", "predicate", "--index", "0"]) == 1
         assert "shorten cannot target kind 'predicate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "op, flags",
+        [
+            ("replace", ["--kind", "entity", "--index", "0", "--replacement", ""]),
+            ("replace", ["--kind", "entity", "--index", "0", "--replacement", " "]),
+            ("overthink", ["--element", '[" man ", ""]']),
+            ("overthink", ["--element", "[1, 2]"]),
+            ("overthink", ["--element", '["a", "b", "c", "d"]']),
+            ("overthink", ["--element", "null"]),
+        ],
+        ids=["empty-replacement", "blank-replacement", "empty-row-item", "numbers", "four-items", "null"],
+    )
+    def test_a_payload_the_parser_would_reject_is_a_config_error(self, sub_graph_file, pool_file, op, flags, capsys):
+        argv = ["edit", "--op", op, "--graph", str(sub_graph_file), "--pool", str(pool_file), *flags]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_adding_an_element_already_there_is_an_error(self, sub_graph_file, capsys):
+        argv = ["edit", "--op", "overthink", "--graph", str(sub_graph_file), "--element", '["paper", "white"]']
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: attribute ['paper', 'white'] is already in the graph" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_shorten_kind_without_index_removes_that_kind(self, sub_graph_file, seed, capsys):
         argv = ["edit", "--op", "shorten", "--graph", str(sub_graph_file)]

@@ -7,17 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenealign.errors import (
-    ConfigError,
-    DuplicateCollision,
-    EmptyPool,
-    EmptyPoolForKind,
-    IndexOutOfRange,
-    NoApplicableOperator,
-    NoOpSwap,
-    UnsupportedKind,
-    WouldEmpty,
-)
+from scenealign.errors import ConfigError, EditError, NoApplicableOperator
 from scenealign.grounding import ResidualPool, residual_pool
 from scenealign.perturb import (
     _OPERATORS,
@@ -35,6 +25,7 @@ from scenealign.scene_graph import (
     SceneGraph,
     element_universe,
     encode_scene_graph,
+    parse_scene_graph,
     universe_overlap,
 )
 
@@ -69,18 +60,18 @@ class TestSwap:
 
     def test_reflexive_relation_raises(self):
         g = SceneGraph.from_parts(["a"], [], [["a", "face", "a"]])
-        with pytest.raises(NoOpSwap):
+        with pytest.raises(EditError):
             apply_operator(g, EMPTY_POOL, "swap", index=0)
 
     def test_existing_reverse_raises(self):
         g = SceneGraph.from_parts(["a", "b"], [], [["a", "on", "b"], ["b", "on", "a"]])
-        with pytest.raises(DuplicateCollision):
+        with pytest.raises(EditError):
             apply_operator(g, EMPTY_POOL, "swap", index=0)
 
     def test_index_out_of_range(self, case_subgraph):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ConfigError):
             apply_operator(case_subgraph, EMPTY_POOL, "swap", index=4)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ConfigError):
             apply_operator(case_subgraph, EMPTY_POOL, "swap", index=-1)
 
 
@@ -128,16 +119,16 @@ class TestReplace:
         assert new in case_pool.entities
 
     def test_empty_pool_for_kind(self, case_subgraph):
-        with pytest.raises(EmptyPoolForKind):
+        with pytest.raises(EditError):
             apply_operator(case_subgraph, EMPTY_POOL, "replace", kind="entity", index=0)
 
     def test_pinned_duplicate_raises(self, case_subgraph, case_pool):
-        with pytest.raises(DuplicateCollision):
+        with pytest.raises(EditError):
             apply_operator(case_subgraph, case_pool, "replace", kind="entity", index=0, replacement="motorcycle")
 
     def test_resampling_gives_up_when_pool_is_exhausted(self, case_subgraph):
         pool = ResidualPool(entities=("man",))  # only payload collides
-        with pytest.raises(DuplicateCollision):
+        with pytest.raises(EditError):
             apply_operator(case_subgraph, pool, "replace", kind="entity", index=0, rng=random.Random(0))
 
 
@@ -163,12 +154,12 @@ class TestShorten:
 
     def test_would_empty_entity(self):
         g = SceneGraph.from_parts(["a"], [["a", "red"]], [])
-        with pytest.raises(WouldEmpty):
+        with pytest.raises(EditError):
             apply_operator(g, EMPTY_POOL, "shorten", kind="entity", index=0)
 
     def test_would_empty_sole_element(self):
         g = SceneGraph.from_parts(["a"], [], [])
-        with pytest.raises(WouldEmpty):
+        with pytest.raises(EditError):
             apply_operator(g, EMPTY_POOL, "shorten", kind="entity", index=0)
 
     def test_shorten_never_dangles(self):
@@ -179,7 +170,7 @@ class TestShorten:
             kind, index = rng.choice([(kind, i) for kind, n in sizes for i in range(n)])
             try:
                 out = apply_operator(g, EMPTY_POOL, "shorten", kind=kind, index=index)[0]
-            except WouldEmpty:
+            except EditError:
                 continue
             assert_valid_graph(out)
             assert out.element_count < g.element_count
@@ -209,7 +200,7 @@ class TestOverthink:
         assert_valid_graph(out)
 
     def test_nothing_addable_raises(self, case_graph):
-        with pytest.raises(EmptyPool):
+        with pytest.raises(EditError):
             apply_operator(case_graph, EMPTY_POOL, "overthink", rng=random.Random(0))
 
 
@@ -318,7 +309,6 @@ def _listed_applicable_tags(sg: SceneGraph, pool: ResidualPool) -> list[str]:
     return [tag for tag in OPERATOR_TAGS if choices[tag]]
 
 
-_SAMPLER_ERRORS = (DuplicateCollision, EmptyPool, EmptyPoolForKind, NoOpSwap, WouldEmpty)
 
 
 def _reference_attempt(graph, pool, lo, hi, rng, start_tags):
@@ -330,7 +320,7 @@ def _reference_attempt(graph, pool, lo, hi, rng, start_tags):
             return None
         try:
             graph, op = apply_operator(graph, pool, rng.choice(tags), rng=rng)
-        except _SAMPLER_ERRORS:
+        except EditError:
             return None
         ops.append(op)
     return graph, tuple(ops)
@@ -441,7 +431,7 @@ class TestApplicableTags:
                 return
             try:
                 _OPERATORS[rng.choice(tags)](draft, pool, rng)
-            except _SAMPLER_ERRORS:
+            except EditError:
                 return
             tags = _applicable_tags(draft, pool)
 
@@ -489,7 +479,7 @@ class TestTargeting:
 
     @pytest.mark.parametrize("kind", ["entity", "attribute", "predicate"])
     def test_swap_targets_relations_only(self, case_subgraph, case_pool, kind):
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(ConfigError):
             apply_operator(case_subgraph, case_pool, "swap", kind=kind, index=0)
 
     def test_replace_kind_without_a_target_of_that_kind(self, case_pool):
@@ -506,8 +496,77 @@ class TestTargeting:
     def test_overthink_takes_no_index_and_a_pinned_element_of_its_kind(self, case_subgraph, case_pool):
         with pytest.raises(ConfigError, match="overthink takes no index"):
             apply_operator(case_subgraph, case_pool, "overthink", kind="entity", index=0)
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(ConfigError):
             apply_operator(case_subgraph, case_pool, "overthink", kind="entity", element=("window", "glass"))
+
+
+# pinned payloads, some padded as the parser would trim them, some it would reject
+_PADDED = st.one_of(_NAMES, _VALUES, _PREDICATES).flatmap(lambda w: st.sampled_from([w, f" {w}", f"{w} "]))
+_PINNED_NAMES = st.one_of(_PADDED, st.sampled_from(["", " ", 5]))
+_PINNED_ELEMENTS = st.one_of(
+    _PINNED_NAMES,
+    st.lists(_PADDED, min_size=2, max_size=3),
+    st.sampled_from([[1, 2], ["a", ""], ["a", "b", "c", "d"], []]),
+)
+
+
+class TestPinnedEdits:
+    """``apply_operator`` checks what it is given, so the operators only edit."""
+
+    @pytest.mark.parametrize("tag", OPERATOR_TAGS)
+    @given(
+        _graphs(),
+        _POOLS,
+        st.sampled_from([None, "entity", "attribute", "relation", "predicate"]),
+        st.one_of(st.none(), st.integers(-1, 5)),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_returned_graph_parses_back_to_itself(self, tag, sg, pool, kind, index, data):
+        sg = SceneGraph.from_parts(sg.entities, sg.attributes, sg.relations, on_dangling="add")  # one the parser accepts
+        pinned = {}
+        if tag == "replace":
+            pinned["replacement"] = data.draw(st.one_of(st.none(), _PINNED_NAMES))
+        elif tag == "overthink":
+            present = [*sg.entities, *sg.attributes, *sg.relations]
+            elements = st.one_of(_PINNED_ELEMENTS, st.sampled_from(present)) if present else _PINNED_ELEMENTS
+            pinned["element"] = data.draw(st.one_of(st.none(), elements))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        try:
+            out, _ = apply_operator(sg, pool, tag, kind=kind, index=index, rng=rng, **pinned)
+        except (ConfigError, EditError, NoApplicableOperator):
+            return
+        assert parse_scene_graph(encode_scene_graph(out)) == out
+
+    @given(_graphs(), _POOLS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_the_sampler_never_hits_an_argument_error(self, sg, pool, seed):
+        rng = random.Random(seed)
+        draft, tags = _start(sg, pool)
+        for _ in range(4):
+            if not tags:
+                return
+            for tag in tags:  # every applicable operator edits or cannot make its edit
+                try:
+                    assert isinstance(_OPERATORS[tag](draft.copy(), pool, random.Random(seed)), PerturbationOp)
+                except EditError:
+                    pass
+            try:
+                _OPERATORS[rng.choice(tags)](draft, pool, rng)
+            except EditError:
+                return
+            tags = _applicable_tags(draft, pool)
+
+    def test_a_pinned_payload_is_trimmed(self, case_subgraph, case_pool):
+        out, op = apply_operator(case_subgraph, case_pool, "replace", kind="entity", index=2, replacement=" window ")
+        assert op.payload == "window" and "window" in out.entities
+        out, op = apply_operator(case_subgraph, case_pool, "overthink", element=[" window", "glass "])
+        assert op.payload == ("window", "glass") and ("window", "glass") in out.attributes
+
+    @pytest.mark.parametrize("element", ["man", ("motorcycle", "silver"), ("man", "hold", "paper")])
+    def test_adding_an_element_already_there_is_an_edit_error(self, case_subgraph, case_pool, element):
+        with pytest.raises(EditError, match="already in the graph"):
+            apply_operator(case_subgraph, case_pool, "overthink", element=element)
 
 
 class TestSamplerAgainstReference:

@@ -13,7 +13,7 @@ from scenealign.cli import main
 from scenealign.dpo import import_jsonl
 from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import ConfigError, CorpusError
-from scenealign.generate import GeneratorConfig
+from scenealign.generate import GeneratorConfig, generate_rationale
 from scenealign.grounding import ResidualPool
 from scenealign.perturb import NegativeCandidate
 from scenealign.pipeline import (
@@ -415,15 +415,18 @@ class TestSelectEmbedsOnlyToChoose:
         sizes = []
         for item in stage_parse(cfg)[0]:
             perturbed = stage_perturb(stage_ground(item, cfg), cfg)
+            kept_idx, _, _ = filter_with_shortfall(perturbed["candidates"], perturbed["scene_graph"], cfg.selection)
+            in_band = [perturbed["candidates"][i] for i in kept_idx]
+            # the template generator reads only the graph
+            texts = [generate_rationale("", cfg.generator, graph=cand.graph).raw_text for cand in in_band]
+            sizes.append(len(texts))
             calls.clear()
             out = stage_select(perturbed, cfg)
-            # the band filter gives rationales to the in-band candidates only
-            in_band = [cand for cand in perturbed["candidates"] if cand.rationale is not None]
-            texts = [cand.rationale.raw_text for cand in in_band]
-            sizes.append(len(texts))
             assert calls == ([texts] if len(texts) > m >= 2 else [])
             chosen = select_diverse(embed_texts(texts, cfg.embed), m)
-            assert out["selected"] == [in_band[i] for i in chosen]
+            assert [(c.graph, c.trace, c.rationale.raw_text) for c in out["selected"]] == [
+                (in_band[i].graph, in_band[i].trace, texts[i]) for i in chosen
+            ]
         # both branches ran: some instance had to choose, another kept all it had
         assert any(n > m for n in sizes) and any(0 < n <= m for n in sizes)
 
@@ -771,6 +774,36 @@ class TestConcurrentNegatives:
         selected = [serialize_scene_graph(c.graph) for c in out["selected"]]
         assert set(selected) <= set(survivors)
         assert len(selected) == min(len(survivors), cfg.selection.m)
+
+    def test_select_leaves_the_item_it_is_given_unchanged(self, tmp_path, mock_api, caplog):
+        providers = MockProviders()
+        mock_api.handler = providers
+        cfg = _cfg(tmp_path, synthetic_corpus_lines(10, random.Random(111)), **_remote_cfg(mock_api, workers=1))
+        for parsed in stage_parse(cfg)[0]:  # the first instance with two candidates in band
+            item = stage_perturb(stage_ground(parsed, cfg), cfg)
+            kept_idx, _, _ = filter_with_shortfall(item["candidates"], item["scene_graph"], cfg.selection)
+            if len(kept_idx) >= 2:
+                break
+        in_band = [item["candidates"][i] for i in kept_idx]
+        assert len(in_band) >= 2
+        assert stage_select(item, cfg)["counts"]["filtered"] == len(in_band)
+        assert [cand.rationale for cand in item["candidates"]] == [None] * len(item["candidates"])
+
+        # a second call on the same item, in which the first in-band request fails
+        dropped = serialize_scene_graph(in_band[0].graph)
+
+        def handler(payload):
+            prompt = payload["messages"][0]["content"] if "messages" in payload else None
+            if isinstance(prompt, str) and f"Scene Graph: {dropped}\n" in prompt:
+                return 400, {"failed": 0}
+            return providers(payload)
+
+        mock_api.handler = handler
+        with caplog.at_level(logging.ERROR, logger="scenealign.pipeline"):
+            out = stage_select(item, cfg)
+        assert out["counts"]["filtered"] == len(in_band) - 1
+        assert dropped not in [serialize_scene_graph(c.graph) for c in out["selected"]]
+        assert [cand.rationale for cand in item["candidates"]] == [None] * len(item["candidates"])
 
 
 class TestConfigValidation:
