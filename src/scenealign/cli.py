@@ -94,31 +94,34 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verbose", action="store_true", help="info-level logging")
 
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+def _add_stage_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of ``run`` and of every stage subcommand but ``build``."""
+    _add_common_flags(p)
+    p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
+    p.add_argument("--report", default=None, help="run report path")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="instances in flight under run when a provider is remote, and scene-graph requests in flight "
+        "under run and parse (0 = CPUs); ground, perturb and select take one line at a time. With a chat "
+        "endpoint each instance sends its negatives' requests together: up to workers x candidates under run",
+    )
+    p.add_argument("--candidates", type=int, default=8, help="candidates sampled per instance")
+    p.add_argument("--edits", default="1..3", help="edit count or range, e.g. 2 or 1..3")
+    p.add_argument("--gamma-lower", type=float, default=0.3, help="overlap band lower bound")
+    p.add_argument("--gamma-upper", type=float, default=0.7, help="overlap band upper bound")
+    p.add_argument("--num-negatives", type=int, default=3, help="negatives kept per instance")
+    p.add_argument("--relax-bounds", action="store_true", help="widen the band on shortfall")
     p.add_argument("--generator", choices=["template", "http"], default="template")
     p.add_argument("--endpoint", default=None, help="chat completion endpoint URL")
     p.add_argument("--model", default=None, help="model name for remote calls")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache-dir", default=None, help="response cache directory")
-
-
-def _add_embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embed", choices=["hashed", "http"], default="hashed")
     p.add_argument("--embed-endpoint", default=None)
     p.add_argument("--embed-model", default=None)
     p.add_argument("--embed-dim", type=int, default=256)
-
-
-def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-lower", type=float, default=0.3, help="overlap band lower bound")
-    p.add_argument("--gamma-upper", type=float, default=0.7, help="overlap band upper bound")
-    p.add_argument("--num-negatives", type=int, default=3, help="negatives kept per instance")
-    p.add_argument("--relax-bounds", action="store_true", help="widen the band on shortfall")
-
-
-def _add_perturb_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--candidates", type=int, default=8, help="candidates sampled per instance")
-    p.add_argument("--edits", default="1..3", help="edit count or range, e.g. 2 or 1..3")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -144,8 +147,8 @@ def _pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig(
         input_path=args.input,
         output_path=args.output,
-        graphs_path=getattr(args, "graphs", None),
-        report_path=getattr(args, "report", None),
+        graphs_path=args.graphs,
+        report_path=args.report,
         seed=args.seed,
         candidates=args.candidates,
         edit_range=_parse_edit_range(args.edits),
@@ -205,7 +208,13 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _run_item_stage(args, stage, verb: str) -> int:
+def _cmd_item_stage(args) -> int:
+    # looked up per call, so a stage function rebound on this module is the one that runs
+    stage, verb = {
+        "ground": (stage_ground, "grounded"),
+        "perturb": (stage_perturb, "perturbed"),
+        "select": (stage_select, "selected for"),
+    }[args.command]
     cfg = _pipeline_config(args)
     lines = read_lines(args.input, "input")
     fields = STAGE_FIELDS[args.command]
@@ -214,14 +223,6 @@ def _run_item_stage(args, stage, verb: str) -> int:
     _write_lines(args.output, out)
     print(f"{verb} {len(out)}/{len(lines)} instance(s) -> {args.output}")
     return EXIT_OK
-
-
-def _cmd_ground(args) -> int:
-    return _run_item_stage(args, stage_ground, "grounded")
-
-
-def _cmd_perturb(args) -> int:
-    return _run_item_stage(args, stage_perturb, "perturbed")
 
 
 def _cmd_edit(args) -> int:
@@ -261,10 +262,6 @@ def _parse_element(text: str):
     if value is None:  # to apply_operator, None is no element; it checks any other value
         raise ConfigError("--element is null; pin an element or leave the flag out")
     return value
-
-
-def _cmd_select(args) -> int:
-    return _run_item_stage(args, stage_select, "selected for")
 
 
 def _cmd_build(args) -> int:
@@ -360,37 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scenealign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def full(p):
-        _add_common_flags(p)
-        p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
-        p.add_argument("--report", default=None, help="run report path")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="instances in flight when a provider is remote (0 = CPUs); each sends its negatives' chat "
-            "requests together, so up to workers x candidates requests are in flight",
-        )
-        _add_perturb_flags(p)
-        _add_selection_flags(p)
-        _add_generator_flags(p)
-        _add_embed_flags(p)
+    for name, help_text, handler in (
+        ("run", "full pipeline: corpus to preference dataset", _cmd_run),
+        ("parse", "normalize the corpus and resolve scene graphs", _cmd_parse),
+        ("ground", "positive rationales and grounded subgraphs", _cmd_item_stage),
+        ("perturb", "sample negative candidates", _cmd_item_stage),
+        ("select", "band-filter and diversify candidates", _cmd_item_stage),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_stage_flags(p)
+        p.set_defaults(func=handler)
 
-    p_run = sub.add_parser("run", help="full pipeline: corpus to preference dataset")
-    full(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_parse = sub.add_parser("parse", help="normalize the corpus and resolve scene graphs")
-    full(p_parse)
-    p_parse.set_defaults(func=_cmd_parse)
-
-    p_ground = sub.add_parser("ground", help="positive rationales and grounded subgraphs")
-    full(p_ground)
-    p_ground.set_defaults(func=_cmd_ground)
-
-    p_perturb = sub.add_parser("perturb", help="sample negative candidates")
-    full(p_perturb)
-    p_perturb.set_defaults(func=_cmd_perturb)
+    p_build = sub.add_parser("build", help="emit preference records from selected candidates")
+    _add_common_flags(p_build)
+    p_build.set_defaults(func=_cmd_build)
 
     p_edit = sub.add_parser("edit", help="apply one operator to a scene graph file")
     p_edit.add_argument("--op", required=True, choices=OPERATOR_TAGS, help="operator to apply")
@@ -403,14 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_edit.add_argument("--seed", type=int, default=0, help="seed for targeting left out (default 0)")
     p_edit.add_argument("--verbose", action="store_true", help="info-level logging")
     p_edit.set_defaults(func=_cmd_edit)
-
-    p_select = sub.add_parser("select", help="band-filter and diversify candidates")
-    full(p_select)
-    p_select.set_defaults(func=_cmd_select)
-
-    p_build = sub.add_parser("build", help="emit preference records from selected candidates")
-    _add_common_flags(p_build)
-    p_build.set_defaults(func=_cmd_build)
 
     p_check = sub.add_parser("dpo-check", help="loss baseline and analytic-gradient self-test")
     p_check.add_argument("--input", default=None, help="preference dataset JSONL (optional)")

@@ -113,29 +113,30 @@ def _instance_from_obj(obj: dict) -> Instance:
 # corpus loading (the parse stage)
 
 
-def _normalize_line(obj: dict, line_no: int) -> dict:
+def _line_id(obj: dict, line_no: int | None) -> str:
+    """A corpus or graphs-file line's id, stripped: a non-empty string or a non-bool integer."""
     if "id" not in obj:
         raise CorpusError(line_no, "missing 'id'")
     ident = obj["id"]
-    if isinstance(ident, int):
+    if isinstance(ident, int) and not isinstance(ident, bool):
         ident = str(ident)
     if not isinstance(ident, str) or not ident.strip():
-        raise CorpusError(line_no, "'id' must be a non-empty string")
+        raise CorpusError(line_no, "'id' must be a non-empty string or an integer")
+    return ident.strip()
+
+
+def _normalize_line(obj: dict, line_no: int) -> dict:
+    ident = _line_id(obj, line_no)
     question = obj.get("question")
     if not isinstance(question, str) or not question.strip():
         raise CorpusError(line_no, "missing or empty 'question'")
-    image = obj.get("image", "")
-    if image is None:
-        image = ""
+    image = "" if obj.get("image") is None else obj["image"]
     if not isinstance(image, str):
         raise CorpusError(line_no, "'image' must be a string")
     answer = obj.get("answer")
     if answer is not None and not isinstance(answer, str):
         raise CorpusError(line_no, "'answer' must be a string")
-    out = {"id": ident.strip(), "image": image, "question": question, "answer": answer}
-    if "scene_graph" in obj:
-        out["scene_graph"] = obj["scene_graph"]
-    return out
+    return {"id": ident, "image": image, "question": question, "answer": answer}
 
 
 def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
@@ -144,7 +145,7 @@ def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
     for line_no, line in read_lines(path, "graphs file"):
         try:
             obj = loads_object(line)
-            graphs[str(obj["id"]).strip()] = obj["scene_graph"]
+            graphs[_line_id(obj, None)] = obj["scene_graph"]
         except (CorpusError, KeyError) as exc:
             reason = exc.reason if isinstance(exc, CorpusError) else f"no {exc} key"
             if strict:
@@ -155,6 +156,14 @@ def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
 
 def _workers(cfg: PipelineConfig) -> int:
     return cfg.workers or os.cpu_count() or 1
+
+
+def _map_in_flight(fn, items: Sequence, in_flight: int) -> list:
+    """``fn`` of each item, in order; up to ``in_flight`` calls run at once, on a thread pool."""
+    if in_flight <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=in_flight) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -174,11 +183,12 @@ class _CorpusLine:
 def _read_line(line_no: int, line: str, sidecar: dict, cfg: PipelineConfig) -> _CorpusLine:
     """Normalize a line and parse its inline or sidecar graph; a graph-less line is left to ask."""
     try:
-        norm = _normalize_line(loads_object(line), line_no)
+        obj = loads_object(line)
+        norm = _normalize_line(obj, line_no)
     except CorpusError as exc:
         return _CorpusLine(line_no, reason=exc.reason)
     out = _CorpusLine(line_no, norm)
-    graph_value = norm.pop("scene_graph", None)
+    graph_value = obj.get("scene_graph")
     if graph_value is None:
         graph_value = sidecar.get(norm["id"])
     if graph_value is not None:
@@ -233,12 +243,8 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
             groups.setdefault(line.id, []).append(line)
         if cfg.strict and (line.reason is not None or repeat):
             break  # the parse fails at this line or at an earlier one
-    resolve = partial(_resolve, cfg=cfg)
-    if any(line.graph is None and line.reason is None for line in lines):
-        with ThreadPoolExecutor(max_workers=_workers(cfg)) as pool:
-            winners = dict(zip(groups, pool.map(resolve, groups.values())))
-    else:
-        winners = dict(zip(groups, map(resolve, groups.values())))
+    in_flight = _workers(cfg) if any(line.graph is None and line.reason is None for line in lines) else 1
+    winners = dict(zip(groups, _map_in_flight(partial(_resolve, cfg=cfg), list(groups.values()), in_flight)))
     items: list[dict] = []
     drops: list[dict] = []
     for line in lines:
@@ -309,11 +315,8 @@ def _fill_rationales(
         except SceneAlignError as exc:
             return exc
 
-    if cfg.generator.kind == "http-chat" and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
-            results = list(pool.map(rationale, candidates, prompts))
-    else:
-        results = list(map(rationale, candidates, prompts))
+    in_flight = len(candidates) if cfg.generator.kind == "http-chat" else 1
+    results = _map_in_flight(lambda pair: rationale(*pair), list(zip(candidates, prompts)), in_flight)
     kept = []
     for cand, result in zip(candidates, results):
         if isinstance(result, SceneAlignError):
@@ -420,12 +423,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     items, line_drops = stage_parse(cfg)
 
     in_process = cfg.generator.kind == "template" and cfg.embed.provider == "hashed-ngram"
-    workers = _workers(cfg)
-    if in_process or workers == 1 or len(items) <= 1:
-        outcomes = [_process_item(item, cfg) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda item: _process_item(item, cfg), items))
+    outcomes = _map_in_flight(partial(_process_item, cfg=cfg), items, 1 if in_process else _workers(cfg))
 
     report = RunReport(instances_total=len(items) + len(line_drops), line_drops=line_drops)
     if line_drops:

@@ -171,6 +171,22 @@ class TestUsageErrors:
         assert not flags["perturb"] & (self.EDIT_FLAGS - {"--seed", "--verbose"})
         assert {"--input", "--output", "--candidates", "--graphs"} <= flags["perturb"]
 
+    STAGE_FLAGS = [
+        "--input", "--output", "--seed", "--strict", "--verbose", "--graphs", "--report", "--workers",
+        "--candidates", "--edits", "--gamma-lower", "--gamma-upper", "--num-negatives", "--relax-bounds",
+        "--generator", "--endpoint", "--model", "--temperature", "--cache-dir",
+        "--embed", "--embed-endpoint", "--embed-model", "--embed-dim",
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "parse", "ground", "perturb", "select", "build"])
+    def test_run_and_each_stage_list_their_flags_in_order(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        # an option line of --help starts with two spaces; "-h, --help" is not matched
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        # build takes the common five: --input, --output, --seed, --strict, --verbose
+        assert listed == (self.STAGE_FLAGS[:5] if command == "build" else self.STAGE_FLAGS)
+
     @pytest.mark.parametrize(
         "argv",
         [

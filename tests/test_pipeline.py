@@ -149,6 +149,39 @@ class TestStageParse:
         items, _ = stage_parse(_cfg(tmp_path, [line]))
         assert items[0]["id"] == "17"
 
+    @pytest.mark.parametrize("ident", [True, False])
+    def test_boolean_id_drops_with_a_reason(self, tmp_path, case_corpus_line, ident):
+        items, drops = stage_parse(_cfg(tmp_path, [dict(case_corpus_line, id=ident)]))
+        assert items == []
+        assert drops == [{"line": 1, "reason": "'id' must be a non-empty string or an integer"}]
+
+    def test_sidecar_integer_id_pairs_with_the_corpus_id(self, tmp_path, case_corpus_line):
+        line = dict(case_corpus_line, id="17")
+        graph = line.pop("scene_graph")
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(json.dumps({"id": 17, "scene_graph": graph}) + "\n", encoding="utf-8")
+        items, drops = stage_parse(_cfg(tmp_path, [line], graphs_path=str(sidecar)))
+        assert drops == []
+        assert [item["id"] for item in items] == ["17"]
+
+    @pytest.mark.parametrize("ident", [None, True, 1.5, " "], ids=["null", "true", "float", "blank"])
+    def test_sidecar_line_with_a_bad_id_is_skipped(self, tmp_path, case_corpus_line, ident, caplog, capsys):
+        # the corpus id the parent's str(id) gave the graph to
+        line = dict(case_corpus_line, id=str(ident).strip() or "blank")
+        graph = line.pop("scene_graph")
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(json.dumps({"id": ident, "scene_graph": graph}) + "\n", encoding="utf-8")
+        cfg = _cfg(tmp_path, [line], graphs_path=str(sidecar))
+        items, drops = stage_parse(cfg)
+        assert items == []
+        assert drops == [{"line": 1, "reason": "no scene graph available and no endpoint configured"}]
+        assert "graphs file line 1 skipped: 'id' must be a non-empty string or an integer" in caplog.text
+        out = tmp_path / "p.jsonl"
+        argv = ["parse", "--input", cfg.input_path, "--output", str(out), "--graphs", str(sidecar), "--strict"]
+        assert main(argv) == 2
+        assert "graphs file line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_lines_skipped_with_diagnostics(self, tmp_path, case_corpus_line):
         inp = tmp_path / "corpus.jsonl"
         good = json.dumps(case_corpus_line)
