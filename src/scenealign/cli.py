@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages (``parse``, ``ground``, ``perturb``,
 ``select``, ``build``), plus ``run`` for the whole chain, ``edit`` for one
 operator on a graph file, ``dpo-check`` for the loss/gradient self-test, and
-``stats`` for dataset summaries.  Every flag must be spelled in full.
+``stats`` for dataset summaries.  Each subcommand takes only the flags it reads,
+and every flag must be spelled in full.
 
 Exit codes: 0 success, 1 configuration or operational error, 2 corpus error,
 3 I/O error.
@@ -86,42 +87,37 @@ def _parse_edit_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"invalid --edits value {text!r}; use N or LO..HI") from exc
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="input JSONL path")
-    p.add_argument("--output", required=True, help="output path")
-    p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
-    p.add_argument("--strict", action="store_true", help="fail fast on malformed input")
-    p.add_argument("--verbose", action="store_true", help="info-level logging")
+_STAGES = ("parse", "ground", "perturb", "select", "build")
+_CHAT = ("parse", "ground", "select")
 
-
-def _add_stage_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of ``run`` and of every stage subcommand but ``build``."""
-    _add_common_flags(p)
-    p.add_argument("--graphs", default=None, help="sidecar scene graph JSONL")
-    p.add_argument("--report", default=None, help="run report path")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="instances in flight under run when a provider is remote, and scene-graph requests in flight "
-        "under run and parse (0 = CPUs); ground, perturb and select take one line at a time. With a chat "
-        "endpoint each instance sends its negatives' requests together: up to workers x candidates under run",
-    )
-    p.add_argument("--candidates", type=int, default=8, help="candidates sampled per instance")
-    p.add_argument("--edits", default="1..3", help="edit count or range, e.g. 2 or 1..3")
-    p.add_argument("--gamma-lower", type=float, default=0.3, help="overlap band lower bound")
-    p.add_argument("--gamma-upper", type=float, default=0.7, help="overlap band upper bound")
-    p.add_argument("--num-negatives", type=int, default=3, help="negatives kept per instance")
-    p.add_argument("--relax-bounds", action="store_true", help="widen the band on shortfall")
-    p.add_argument("--generator", choices=["template", "http"], default="template")
-    p.add_argument("--endpoint", default=None, help="chat completion endpoint URL")
-    p.add_argument("--model", default=None, help="model name for remote calls")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--cache-dir", default=None, help="response cache directory")
-    p.add_argument("--embed", choices=["hashed", "http"], default="hashed")
-    p.add_argument("--embed-endpoint", default=None)
-    p.add_argument("--embed-model", default=None)
-    p.add_argument("--embed-dim", type=int, default=256)
+# (flag, the subcommands besides run that read it, add_argument keywords), in --help order.  Every
+# stage takes --seed, which only perturb reads, so that one argv tail chains the five stages.
+_STAGE_FLAGS = (
+    ("--input", _STAGES, dict(required=True, help="input JSONL path")),
+    ("--output", _STAGES, dict(required=True, help="output path")),
+    ("--seed", _STAGES, dict(type=int, default=0, help="global seed (default 0)")),
+    ("--strict", _STAGES, dict(action="store_true", help="fail fast on malformed input")),
+    ("--verbose", _STAGES, dict(action="store_true", help="info-level logging")),
+    ("--graphs", ("parse",), dict(default=None, help="sidecar scene graph JSONL")),
+    ("--report", (), dict(default=None, help="run report path")),
+    ("--workers", ("parse",), dict(type=int, default=0, help="instances in flight under run when a provider is "
+     "remote, and scene-graph requests in flight under run and parse (0 = CPUs)")),
+    ("--candidates", ("perturb",), dict(type=int, default=8, help="candidates sampled per instance")),
+    ("--edits", ("perturb",), dict(default="1..3", help="edit count or range, e.g. 2 or 1..3")),
+    ("--gamma-lower", ("select",), dict(type=float, default=0.3, help="overlap band lower bound")),
+    ("--gamma-upper", ("select",), dict(type=float, default=0.7, help="overlap band upper bound")),
+    ("--num-negatives", ("select",), dict(type=int, default=3, help="negatives kept per instance")),
+    ("--relax-bounds", ("select",), dict(action="store_true", default=False, help="widen the band on shortfall")),
+    ("--generator", _CHAT, dict(choices=["template", "http"], default="template")),
+    ("--endpoint", _CHAT, dict(default=None, help="chat completion endpoint URL")),
+    ("--model", _CHAT, dict(default=None, help="model name for remote calls")),
+    ("--temperature", _CHAT, dict(type=float, default=0.0)),
+    ("--cache-dir", _CHAT, dict(default=None, help="response cache directory")),
+    ("--embed", ("select",), dict(choices=["hashed", "http"], default="hashed")),
+    ("--embed-endpoint", ("select",), dict(default=None)),
+    ("--embed-model", ("select",), dict(default=None)),
+    ("--embed-dim", ("select",), dict(type=int, default=256)),
+)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -265,7 +261,7 @@ def _parse_element(text: str):
 
 
 def _cmd_build(args) -> int:
-    PipelineConfig(args.input, args.output).validate()
+    _pipeline_config(args)
     built = _map_stage(read_lines(args.input, "input"), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
     records = [record for item_records in built for record in item_records]
     export_jsonl(records, args.output)
@@ -297,6 +293,8 @@ def _demo_records() -> list[PreferenceRecord]:
 
 
 def _cmd_dpo_check(args) -> int:
+    if args.trials < 1:  # no trial checks no gradient
+        raise ConfigError(f"--trials must be at least 1, not {args.trials}")
     records = import_jsonl(args.input) if args.input else _demo_records()
     if not records:
         raise CorpusError(None, "no records to check")
@@ -326,6 +324,8 @@ def _cmd_dpo_check(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.num_negatives < 1:  # as run refuses it: no instance could fall short
+        raise ConfigError(f"--num-negatives must be at least 1, not {args.num_negatives}")
     records = import_jsonl(args.input)
     operators = Counter(str(r.meta.get("operator", "unknown")) for r in records)
     jaccards = [r.meta["jaccard"] for r in records if isinstance(r.meta.get("jaccard"), (int, float))]
@@ -363,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("ground", "positive rationales and grounded subgraphs", _cmd_item_stage),
         ("perturb", "sample negative candidates", _cmd_item_stage),
         ("select", "band-filter and diversify candidates", _cmd_item_stage),
+        ("build", "emit preference records from selected candidates", _cmd_build),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_stage_flags(p)
+        for flag, readers, kwargs in _STAGE_FLAGS:
+            if name == "run" or name in readers:
+                p.add_argument(flag, **kwargs)
+            else:  # a flag the command does not read keeps its default, and no one can set it
+                p.set_defaults(**{flag[2:].replace("-", "_"): kwargs.get("default")})
         p.set_defaults(func=handler)
-
-    p_build = sub.add_parser("build", help="emit preference records from selected candidates")
-    _add_common_flags(p_build)
-    p_build.set_defaults(func=_cmd_build)
 
     p_edit = sub.add_parser("edit", help="apply one operator to a scene graph file")
     p_edit.add_argument("--op", required=True, choices=OPERATOR_TAGS, help="operator to apply")

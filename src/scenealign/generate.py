@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +98,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.kind not in ("template", "http-chat"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
+        if not math.isfinite(self.temperature):  # a chat request cannot carry it as JSON
+            raise ConfigError(f"temperature must be a finite number, not {self.temperature!r}")
         if self.kind == "http-chat":
             from . import transport  # loads the HTTP stack during set-up
 

@@ -113,6 +113,16 @@ class TestRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_temperature_json_cannot_carry_is_a_config_error(self, tmp_path, corpus, mock_api, capsys, value):
+        out = tmp_path / "o.jsonl"
+        argv = ["run", "--input", str(corpus), "--output", str(out), "--generator", "http",
+                "--endpoint", f"{mock_api.url}/v1/chat", "--model", "m", "--temperature", value]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert mock_api.requests == []
+        assert not out.exists()
+
     def test_bad_edits_value_is_a_config_error(self, tmp_path, corpus, capsys):
         code = main(
             ["run", "--input", str(corpus), "--output", str(tmp_path / "o.jsonl"), "--edits", "x"]
@@ -143,6 +153,14 @@ class TestRun:
         assert any("shortfall" in line and "'case-1'" in line for line in stderr[True].splitlines())
 
 
+def _help_flags(command, capsys) -> list[str]:
+    """The options ``command --help`` lists, in order."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    # an option line of --help starts with two spaces; "-h, --help" is not matched
+    return re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert main(["run", "--input", "a", "--output", "b", "--frobnicate"]) == 1
@@ -162,30 +180,33 @@ class TestUsageErrors:
     EDIT_FLAGS = {"--op", "--graph", "--pool", "--kind", "--index", "--replacement", "--element", "--seed", "--verbose"}
 
     def test_perturb_and_edit_each_list_only_their_own_flags(self, capsys):
-        flags = {}
-        for command in ("perturb", "edit"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--help"])
-            flags[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        flags = {command: set(_help_flags(command, capsys)) for command in ("perturb", "edit")}
         assert flags["edit"] == self.EDIT_FLAGS
         assert not flags["perturb"] & (self.EDIT_FLAGS - {"--seed", "--verbose"})
-        assert {"--input", "--output", "--candidates", "--graphs"} <= flags["perturb"]
+        assert {"--input", "--output", "--candidates", "--edits"} <= flags["perturb"]
+        assert "--graphs" not in flags["perturb"]
 
-    STAGE_FLAGS = [
-        "--input", "--output", "--seed", "--strict", "--verbose", "--graphs", "--report", "--workers",
-        "--candidates", "--edits", "--gamma-lower", "--gamma-upper", "--num-negatives", "--relax-bounds",
-        "--generator", "--endpoint", "--model", "--temperature", "--cache-dir",
-        "--embed", "--embed-endpoint", "--embed-model", "--embed-dim",
-    ]
+    COMMON_FLAGS = ["--input", "--output", "--seed", "--strict", "--verbose"]
+    CHAT_FLAGS = ["--generator", "--endpoint", "--model", "--temperature", "--cache-dir"]
+    COMMAND_FLAGS = {
+        "run": COMMON_FLAGS + [
+            "--graphs", "--report", "--workers", "--candidates", "--edits",
+            "--gamma-lower", "--gamma-upper", "--num-negatives", "--relax-bounds", *CHAT_FLAGS,
+            "--embed", "--embed-endpoint", "--embed-model", "--embed-dim",
+        ],
+        "parse": COMMON_FLAGS + ["--graphs", "--workers", *CHAT_FLAGS],
+        "ground": COMMON_FLAGS + CHAT_FLAGS,
+        "perturb": COMMON_FLAGS + ["--candidates", "--edits"],
+        "select": COMMON_FLAGS + [
+            "--gamma-lower", "--gamma-upper", "--num-negatives", "--relax-bounds", *CHAT_FLAGS,
+            "--embed", "--embed-endpoint", "--embed-model", "--embed-dim",
+        ],
+        "build": COMMON_FLAGS,
+    }
 
-    @pytest.mark.parametrize("command", ["run", "parse", "ground", "perturb", "select", "build"])
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
     def test_run_and_each_stage_list_their_flags_in_order(self, command, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--help"])
-        # an option line of --help starts with two spaces; "-h, --help" is not matched
-        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
-        # build takes the common five: --input, --output, --seed, --strict, --verbose
-        assert listed == (self.STAGE_FLAGS[:5] if command == "build" else self.STAGE_FLAGS)
+        assert _help_flags(command, capsys) == self.COMMAND_FLAGS[command]
 
     @pytest.mark.parametrize(
         "argv",
@@ -195,18 +216,39 @@ class TestUsageErrors:
              "--graph", "nonexistent.json"],
             ["perturb", "--input", "{input}", "--output", "{output}", "--cand", "3"],
             ["edit", "--op", "swap", "--graph", "{graph}", "--index", "0", "--candidates", "3"],
+            # ground reads no report, no graphs file and no worker count
+            ["ground", "--input", "{input}", "--output", "{output}", "--report", "{report}",
+             "--graphs", "nothing.jsonl", "--workers", "7"],
+            ["parse", "--input", "{input}", "--output", "{output}", "--report", "{report}"],
+            ["select", "--input", "{input}", "--output", "{output}", "--candidates", "3"],
+            ["perturb", "--input", "{input}", "--output", "{output}", "--generator", "http"],
         ],
-        ids=["perturb-with-edit-flags", "perturb-abbreviated-flag", "edit-with-a-stage-flag"],
+        ids=["perturb-with-edit-flags", "perturb-abbreviated-flag", "edit-with-a-stage-flag",
+             "ground-with-run-flags", "parse-with-report", "select-with-candidates", "perturb-with-generator"],
     )
     def test_flags_must_be_spelled_out_and_belong_to_the_subcommand(self, tmp_path, sub_graph_file, argv, capsys):
-        src, out = tmp_path / "grounded.jsonl", tmp_path / "perturbed.jsonl"
+        src, out, report = tmp_path / "grounded.jsonl", tmp_path / "perturbed.jsonl", tmp_path / "r.json"
         src.write_text("", encoding="utf-8")
-        paths = {"input": src, "output": out, "graph": sub_graph_file}
+        paths = {"input": src, "output": out, "graph": sub_graph_file, "report": report}
         assert main([arg.format(**paths) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert "error: unrecognized arguments" in captured.err
         assert captured.out == ""
         assert not out.exists()
+        assert not report.exists()
+
+    # the Key flags table of the README: | `--flag` ... | default | `cmd`, `cmd`, ... | meaning |
+    README_ROW = re.compile(r"^\| ((?:`--[a-z-]+`(?: / )?)+) \| [^|]+ \| ((?:`[a-z]+`(?:, )?)+) \|", re.M)
+
+    def test_readme_flag_table_names_the_commands_that_take_each_flag(self, capsys):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        rows = self.README_ROW.findall(readme)
+        assert len(rows) >= 10
+        taken = {command: _help_flags(command, capsys) for command in self.COMMAND_FLAGS}
+        for flags, commands in rows:
+            for flag in re.findall(r"`(--[a-z-]+)`", flags):
+                taking = [command for command, listed in taken.items() if flag in listed]
+                assert re.findall(r"`([a-z]+)`", commands) == taking, flag
 
 
 class TestStagedChain:
@@ -744,6 +786,13 @@ class TestDpoCheck:
         empty.write_text("", encoding="utf-8")
         assert main(["dpo-check", "--input", str(empty)]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_a_config_error(self, capsys, trials):
+        assert main(["dpo-check", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "config error: --trials must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestStats:
     def test_summary_shape(self, tmp_path, corpus, capsys):
@@ -764,6 +813,16 @@ class TestStats:
             "jaccard_histogram",
             "shortfall_rate",
         }
+
+    @pytest.mark.parametrize("num_negatives", ["0", "-2"])
+    def test_no_negatives_wanted_is_a_config_error(self, tmp_path, corpus, capsys, num_negatives):
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(out), "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out), "--num-negatives", num_negatives]) == 1
+        captured = capsys.readouterr()
+        assert "config error: --num-negatives must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 def _declared_console_script() -> str:

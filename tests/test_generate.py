@@ -115,6 +115,12 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             GeneratorConfig(kind="offline")
 
+    @pytest.mark.parametrize("kind", ["template", "http-chat"])
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_temperature_must_be_finite(self, kind, temperature):
+        with pytest.raises(ConfigError, match="temperature must be a finite number"):
+            GeneratorConfig(kind=kind, endpoint="http://127.0.0.1:9/v1/chat", temperature=temperature)
+
     def test_http_chat_requires_endpoint(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(kind="http-chat")
