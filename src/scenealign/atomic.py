@@ -11,7 +11,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .errors import CorpusError
 
@@ -35,6 +35,16 @@ def atomic_open(path: Union[str, Path]) -> Iterator[IO[str]]:
         raise
 
 
+def write_lines(path: Union[str, Path], lines: Iterable[str]) -> int:
+    """Write each line, ended by ``\\n``, as it arrives, through :func:`atomic_open`; returns the count."""
+    count = 0
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+            count += 1
+    return count
+
+
 def read_text(path: Union[str, Path], what: str) -> str:
     """The text of a UTF-8 file; one that cannot be read or decoded is a corpus error naming ``what``."""
     try:
@@ -43,9 +53,19 @@ def read_text(path: Union[str, Path], what: str) -> str:
         raise CorpusError(None, f"cannot read {what}: {exc}") from exc
 
 
-def read_lines(path: Union[str, Path], what: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a JSONL file as (line number, text) pairs, numbered from 1."""
-    return [(n, line) for n, line in enumerate(read_text(path, what).split("\n"), start=1) if line.strip()]
+def read_lines(path: Union[str, Path], what: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a JSONL file as (line number, text) pairs, numbered from 1, as they are read.
+
+    A file that cannot be opened or decoded is a corpus error naming ``what``
+    when the iteration reaches it, after the lines before it were yielded.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for n, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield n, line.removesuffix("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(None, f"cannot read {what}: {exc}") from exc
 
 
 def loads_object(line: str) -> dict:

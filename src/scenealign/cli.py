@@ -19,10 +19,11 @@ import math
 import random
 import sys
 from collections import Counter
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .atomic import atomic_open, loads_object, read_lines, read_text
+from .atomic import loads_object, read_lines, read_text, write_lines
 from .dpo import (
     DpoConfig,
     PreferenceRecord,
@@ -158,28 +159,30 @@ def _pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with atomic_open(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
+def _map_stage(
+    lines: Iterable[tuple[int, str]], fields: tuple[str, ...], fn, strict: bool, skipped: list[int]
+) -> Iterator:
+    """``fn(item, obj)`` per line, yielded in order: its work item with ``fields`` decoded, and its JSON object.
 
-
-def _map_stage(lines: list[tuple[int, str]], fields: tuple[str, ...], fn, strict: bool) -> list:
-    """``fn(item, obj)`` per line: its work item with ``fields`` decoded, and its JSON object."""
-    out = []
+    The number of each line skipped is appended to ``skipped``.
+    """
     for line_no, line in lines:
         try:
             obj = loads_object(line)  # a torn line is skipped like a bad corpus line
             try:
-                out.append(fn(decode_item(obj, fields), obj))
+                out = fn(decode_item(obj, fields), obj)
             except KeyError as exc:  # a line written by another stage, or by hand
                 raise CorpusError(None, f"instance {obj.get('id')!r} has no {exc} key") from exc
         except CorpusError as exc:  # a malformed stage line
             if strict:
                 raise CorpusError(line_no, exc.reason) from exc
             logger.warning("line %d skipped: %s", line_no, exc.reason)
+            skipped.append(line_no)
         except SceneAlignError as exc:  # the instance drops, as under run, strict or not
             logger.warning("line %d skipped: %s", line_no, exc)
-    return out
+            skipped.append(line_no)
+        else:
+            yield out
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ def _cmd_run(args) -> int:
 def _cmd_parse(args) -> int:
     cfg = _pipeline_config(args)
     items, drops = stage_parse(cfg)
-    _write_lines(args.output, [encode_item(item) for item in items])
+    write_lines(args.output, map(encode_item, items))
     print(f"parsed {len(items)} instance(s), skipped {len(drops)} line(s) -> {args.output}")
     return EXIT_OK
 
@@ -212,12 +215,16 @@ def _cmd_item_stage(args) -> int:
         "select": (stage_select, "selected for"),
     }[args.command]
     cfg = _pipeline_config(args)
-    lines = read_lines(args.input, "input")
-    fields = STAGE_FIELDS[args.command]
-    # the fields the stage read go back out as the JSON they came in as
-    out = _map_stage(lines, fields, lambda item, obj: encode_item(stage(item, cfg), obj, fields), args.strict)
-    _write_lines(args.output, out)
-    print(f"{verb} {len(out)}/{len(lines)} instance(s) -> {args.output}")
+    skipped: list[int] = []
+    out = _map_stage(
+        read_lines(args.input, "input"),
+        STAGE_FIELDS[args.command],
+        lambda item, obj: encode_item(stage(item, cfg), obj, args.command),
+        args.strict,
+        skipped,
+    )
+    written = write_lines(args.output, out)
+    print(f"{verb} {written}/{written + len(skipped)} instance(s) -> {args.output}")
     return EXIT_OK
 
 
@@ -262,10 +269,10 @@ def _parse_element(text: str):
 
 def _cmd_build(args) -> int:
     _pipeline_config(args)
-    built = _map_stage(read_lines(args.input, "input"), STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict)
-    records = [record for item_records in built for record in item_records]
-    export_jsonl(records, args.output)
-    print(f"built {len(records)} record(s) -> {args.output}")
+    lines = read_lines(args.input, "input")
+    built = _map_stage(lines, STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict, [])
+    written = export_jsonl((record for item_records in built for record in item_records), args.output)
+    print(f"built {written} record(s) -> {args.output}")
     return EXIT_OK
 
 

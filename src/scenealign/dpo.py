@@ -13,11 +13,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence, Union
+from typing import Iterable, Protocol, Sequence, Union
 
 import numpy as np
 
-from .atomic import atomic_open, loads_object, read_lines
+from .atomic import loads_object, read_lines, write_lines
 from .errors import (
     ConfigError,
     CorpusError,
@@ -147,16 +147,13 @@ def record_from_json(line: str) -> PreferenceRecord:
     )
 
 
-def export_jsonl(records: Sequence[PreferenceRecord], path: Union[str, Path]) -> int:
-    """Write one JSON object per record; returns the line count.
+def export_jsonl(records: Iterable[PreferenceRecord], path: Union[str, Path]) -> int:
+    """Write one JSON object per record, as each arrives; returns the line count.
 
-    The file is replaced atomically: a failure mid-way leaves any earlier file
-    there untouched.
+    The file is replaced atomically: a failure mid-way, in the writing or in
+    the iterable, leaves any earlier file there untouched.
     """
-    with atomic_open(path) as fh:
-        for record in records:
-            fh.write(record_to_json(record) + "\n")
-    return len(records)
+    return write_lines(path, map(record_to_json, records))
 
 
 def import_jsonl(path: Union[str, Path]) -> list[PreferenceRecord]:

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .atomic import atomic_open, loads_object, read_lines
 from .dpo import PreferenceRecord, build_preference_records, export_jsonl
@@ -158,12 +158,16 @@ def _workers(cfg: PipelineConfig) -> int:
     return cfg.workers or os.cpu_count() or 1
 
 
-def _map_in_flight(fn, items: Sequence, in_flight: int) -> list:
-    """``fn`` of each item, in order; up to ``in_flight`` calls run at once, on a thread pool."""
+def _map_in_flight(fn, items: Sequence, in_flight: int) -> Iterator:
+    """``fn`` of each item, yielded in order; up to ``in_flight`` calls run at once, on a thread pool.
+
+    With one call in flight, each runs on the calling thread as its result is asked for.
+    """
     if in_flight <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 @dataclass
@@ -316,7 +320,7 @@ def _fill_rationales(
             return exc
 
     in_flight = len(candidates) if cfg.generator.kind == "http-chat" else 1
-    results = _map_in_flight(lambda pair: rationale(*pair), list(zip(candidates, prompts)), in_flight)
+    results = list(_map_in_flight(lambda pair: rationale(*pair), list(zip(candidates, prompts)), in_flight))
     kept = []
     for cand, result in zip(candidates, results):
         if isinstance(result, SceneAlignError):
@@ -408,6 +412,9 @@ def _process_item(item: dict, cfg: PipelineConfig) -> tuple[list[PreferenceRecor
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run every stage over the corpus and write the dataset plus a report.
 
+    Each instance's records are written as it completes, so past the parse
+    step the run holds no whole dataset; the report is written at the end.
+
     With the template generator and the hashed embedding, every instance is
     processed on the calling thread: the work is all Python, and threads
     would only take turns at the interpreter lock.  When a provider is
@@ -428,23 +435,23 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     report = RunReport(instances_total=len(items) + len(line_drops), line_drops=line_drops)
     if line_drops:
         report.drops["corpus_line"] = len(line_drops)
-    records: list[PreferenceRecord] = []
-    totals = {"candidates": 0, "filtered": 0, "selected": 0, "records": 0}
-    for item_records, summary in outcomes:
-        if "drop" in summary:
-            report.drops[summary["drop"]] = report.drops.get(summary["drop"], 0) + 1
-        else:
-            report.instances_processed += 1
-            records.extend(item_records)
-            for key in totals:
-                totals[key] += summary[key]
-            report.relaxed_instances += "relax_steps" in summary
-            report.shortfall_instances += summary["records"] < cfg.selection.m
-        report.instances.append(summary)
-    report.stage_counts = totals
-    report.records_written = len(records)
+    report.stage_counts = totals = {"candidates": 0, "filtered": 0, "selected": 0, "records": 0}
 
-    export_jsonl(records, cfg.output_path)
+    def records() -> Iterator[PreferenceRecord]:
+        """Each instance's records, in corpus order, counted into the report as they pass."""
+        for item_records, summary in outcomes:
+            if "drop" in summary:
+                report.drops[summary["drop"]] = report.drops.get(summary["drop"], 0) + 1
+            else:
+                report.instances_processed += 1
+                for key in totals:
+                    totals[key] += summary[key]
+                report.relaxed_instances += "relax_steps" in summary
+                report.shortfall_instances += summary["records"] < cfg.selection.m
+            report.instances.append(summary)
+            yield from item_records
+
+    report.records_written = export_jsonl(records(), cfg.output_path)
     report.duration_seconds = time.monotonic() - started
     report.save(cfg.report_file)
     return report
@@ -453,12 +460,19 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 # the stage-file codec: a JSONL line's object <-> a work item, for the CLI
 
-# the typed fields each per-instance stage reads, by stage name
+# the typed fields each per-instance stage reads, by stage name, in chain order
 STAGE_FIELDS = {
     "ground": ("scene_graph",),
     "perturb": ("scene_graph", "grounded", "pool"),
     "select": ("scene_graph", "candidates"),
     "build": ("scene_graph", "positive_rationale", "selected"),
+}
+
+# the fields a stage read that no later stage reads: its file leaves them out,
+# and the file it read keeps them (perturb: grounded and pool; select: candidates)
+_SPENT_FIELDS = {
+    stage: set(read).difference(*list(STAGE_FIELDS.values())[i + 1 :])
+    for i, (stage, read) in enumerate(STAGE_FIELDS.items())
 }
 
 
@@ -521,6 +535,13 @@ def _encode(value):
     raise TypeError(f"a work item holds no {type(value).__name__}")
 
 
-def encode_item(item: dict, original: dict | None = None, fields: Sequence[str] = ()) -> str:
-    """One stage-file line holding ``item``, with ``fields`` as the JSON ``original`` holds."""
-    return json.dumps({**item, **{key: original[key] for key in fields}}, ensure_ascii=False, default=_encode)
+def encode_item(item: dict, original: dict | None = None, stage: str | None = None) -> str:
+    """One stage-file line holding ``item``, as ``stage`` returned it for the line ``original``.
+
+    The fields the stage read go back out as the JSON ``original`` holds,
+    less those that no later stage reads.
+    """
+    if stage is not None:
+        read, spent = STAGE_FIELDS[stage], _SPENT_FIELDS[stage]
+        item = {key: original[key] if key in read else value for key, value in item.items() if key not in spent}
+    return json.dumps(item, ensure_ascii=False, default=_encode)

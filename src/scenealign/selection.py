@@ -12,6 +12,7 @@ import itertools
 import logging
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .embed import Embedding, distance_matrix
@@ -48,6 +49,7 @@ class SelectionConfig:
             raise ConfigError(f"unknown shortfall policy {self.on_shortfall!r}")
 
 
+@lru_cache(maxsize=64)  # a run meets a few bounds, one pair per relaxation step
 def _band_fraction(bound: float) -> Fraction:
     # interpret the bound as the decimal its shortest repr denotes, so that
     # J exactly equal to a decimal bound compares as inside the band

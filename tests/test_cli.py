@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from scenealign import cli, pipeline
 from scenealign.cli import _pipeline_config, build_parser, main
+from scenealign.pipeline import STAGE_FIELDS, PipelineConfig, run_pipeline
 
 from .conftest import CASE_SUBGRAPH_OBJ
 from .helpers import synthetic_corpus_lines
@@ -309,8 +311,8 @@ class TestStagedChain:
     STAGE_FILE_SHA256 = {
         "parse": "28cb19c2ca1d7d37449d4476050d3e2e4c76237f611a85204a102876ca3ab9f7",
         "ground": "168062035d16a159235c2df117fedf7f6e54a670e2a3436af7219740ff5a019f",
-        "perturb": "5d273505e3c502c8c32248be335997dbc2a4c95c72327daf6803a4d71ca5c60a",
-        "select": "f13f894f3a1878a01a59399af1461ddf459d67d30abe2aeaa4045290ed9e797a",
+        "perturb": "e527b7cc0a17821807e281c9585c5f2a6c48476d0004a9dc0e3da7acb1d6f332",
+        "select": "d8f96c853342c291051064d9fd2e2069ab6721b253d3cd5fcce3cf506a28f3a3",
     }
 
     def test_stage_files_keep_their_bytes(self, tmp_path, corpus, capsys):
@@ -320,6 +322,107 @@ class TestStagedChain:
             assert main([command, "--input", str(src), "--output", str(dst), "--seed", "13"]) == 0
             assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest, command
             src = dst
+
+    def test_a_stage_file_keeps_what_later_stages_read_and_leaves_out_what_only_its_stage_read(self, tmp_path):
+        src = tmp_path / "corpus.jsonl"
+        _write_corpus(src, synthetic_corpus_lines(3, random.Random(2)))
+        keys = {}  # the key set of each line of each stage file
+        for command in ("parse", "ground", "perturb", "select"):
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst)]) == 0
+            keys[command] = [set(json.loads(line)) for line in dst.read_text(encoding="utf-8").split("\n") if line]
+            assert len(keys[command]) == 3, command
+            src = dst
+        chain = list(STAGE_FIELDS)
+        assert chain == ["ground", "perturb", "select", "build"]
+        only_read_here = {}
+        for i, stage in enumerate(chain):
+            before = keys[(["parse"] + chain)[i]]
+            assert all(set(STAGE_FIELDS[stage]) <= line for line in before), f"{stage}'s input lacks a field it reads"
+            if stage == "build":  # writes the dataset, not a stage file
+                break
+            later = set().union(*(STAGE_FIELDS[s] for s in chain[i + 1 :]))
+            only_read_here[stage] = set(STAGE_FIELDS[stage]) - later
+            for line_in, line_out in zip(before, keys[stage]):
+                assert line_in & later <= line_out, f"{stage} dropped a field a later stage reads"
+                assert not only_read_here[stage] & line_out, f"{stage} kept a field no later stage reads"
+        assert only_read_here == {"ground": set(), "perturb": {"grounded", "pool"}, "select": {"candidates"}}
+
+
+def _writing(output) -> bool:
+    """Whether a temporary file for ``output`` is open beside it."""
+    return any(p.name.startswith(f".{output.name}.") for p in output.parent.iterdir())
+
+
+class TestStreamedWritesStayAtomic:
+    """A command that fails after it wrote good lines leaves an earlier output as it was, and no temporary file."""
+
+    EARLIER = "an earlier output\n"
+
+    def _stage_file(self, tmp_path, commands, count):
+        src = tmp_path / "corpus.jsonl"
+        _write_corpus(src, synthetic_corpus_lines(count, random.Random(5)))
+        for command in commands:
+            dst = tmp_path / f"{command}.jsonl"
+            assert main([command, "--input", str(src), "--output", str(dst)]) == 0
+            src = dst
+        return src
+
+    def _watch(self, monkeypatch, module, name, output, fail_at=None) -> list[bool]:
+        """Rebind ``module.name`` to record, per call, whether ``output`` was being written."""
+        real, seen = getattr(module, name), []
+
+        def watched(*args, **kwargs):
+            seen.append(_writing(output))
+            if len(seen) == fail_at:
+                raise RuntimeError("a fault that is not the corpus's")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, watched)
+        return seen
+
+    def _assert_untouched(self, tmp_path, *outputs):
+        for output in outputs:
+            assert output.read_text(encoding="utf-8") == self.EARLIER
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_select_strict_meeting_a_torn_line_after_good_lines(self, tmp_path, monkeypatch, capsys):
+        src = self._stage_file(tmp_path, ("parse", "ground", "perturb"), 3)
+        src.write_text(src.read_text(encoding="utf-8") + TestStagedWrongInput.TORN + "\n", encoding="utf-8")
+        out = tmp_path / "selected.jsonl"
+        out.write_text(self.EARLIER, encoding="utf-8")
+        seen = self._watch(monkeypatch, cli, "stage_select", out)
+        capsys.readouterr()
+        assert main(["select", "--input", str(src), "--output", str(out), "--strict"]) == 2
+        assert "corpus error: corpus line 4: invalid JSON" in capsys.readouterr().err
+        assert seen == [True] * 3
+        self._assert_untouched(tmp_path, out)
+
+    def test_ground_meeting_a_byte_that_is_not_utf8_after_good_lines(self, tmp_path, monkeypatch, capsys):
+        # more than one 8 KiB read of good lines, so that some are grounded before the decoder fails
+        src = self._stage_file(tmp_path, ("parse",), 40)
+        assert src.stat().st_size > 8192
+        src.write_bytes(src.read_bytes() + b"\xff\n")
+        out = tmp_path / "grounded.jsonl"
+        out.write_text(self.EARLIER, encoding="utf-8")
+        seen = self._watch(monkeypatch, cli, "stage_ground", out)
+        capsys.readouterr()
+        assert main(["ground", "--input", str(src), "--output", str(out)]) == 2
+        assert "corpus error: corpus: cannot read input" in capsys.readouterr().err
+        assert seen and all(seen)
+        self._assert_untouched(tmp_path, out)
+
+    def test_run_whose_instance_raises_another_error_at_the_third_instance(self, tmp_path, monkeypatch):
+        src = tmp_path / "corpus.jsonl"
+        _write_corpus(src, synthetic_corpus_lines(5, random.Random(5)))
+        out, report = tmp_path / "out.jsonl", tmp_path / "out.jsonl.report.json"
+        for path in (out, report):
+            path.write_text(self.EARLIER, encoding="utf-8")
+        seen = self._watch(monkeypatch, pipeline, "_process_item", out, fail_at=3)
+        with pytest.raises(RuntimeError, match="not the corpus's"):
+            run_pipeline(PipelineConfig(str(src), str(out), workers=1))
+        assert seen == [True] * 3
+        self._assert_untouched(tmp_path, out, report)
 
 
 class TestStageValidation:

@@ -423,7 +423,7 @@ class TestPerInstanceStages:
         line = encode_item(items[0])
         for name, stage in (("ground", stage_ground), ("perturb", stage_perturb), ("select", stage_select)):
             obj = json.loads(line)
-            line = encode_item(stage(decode_item(obj, STAGE_FIELDS[name]), cfg), obj, STAGE_FIELDS[name])
+            line = encode_item(stage(decode_item(obj, STAGE_FIELDS[name]), cfg), obj, name)
         item = decode_item(json.loads(line), STAGE_FIELDS["build"])
         records = stage_build(item)
         assert len(records) == item["counts"]["selected"]
