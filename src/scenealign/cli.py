@@ -37,14 +37,12 @@ from .dpo import (
 from .embed import EmbedConfig
 from .errors import ConfigError, CorpusError, SceneAlignError
 from .generate import GeneratorConfig
-from .grounding import ResidualPool
 from .perturb import OPERATOR_TAGS, apply_operator
 from .pipeline import (
     STAGE_FIELDS,
     PipelineConfig,
     decode_item,
     encode_item,
-    pool_from_obj,
     run_pipeline,
     stage_build,
     stage_ground,
@@ -52,7 +50,7 @@ from .pipeline import (
     stage_perturb,
     stage_select,
 )
-from .scene_graph import encode_scene_graph, parse_scene_graph
+from .scene_graph import SceneGraph, encode_scene_graph, parse_pool, parse_scene_graph
 from .selection import SelectionConfig
 
 logger = logging.getLogger(__name__)
@@ -228,19 +226,17 @@ def _cmd_item_stage(args) -> int:
     return EXIT_OK
 
 
-def _cmd_edit(args) -> int:
-    text = read_text(args.graph, "--graph file")
+def _read_graph_file(path: str, flag: str, parse) -> SceneGraph:
+    text = read_text(path, f"{flag} file")
     try:
-        graph = parse_scene_graph(text)
+        return parse(text)
     except SceneAlignError as exc:
-        raise CorpusError(None, f"bad --graph file: {exc}") from exc
-    pool = ResidualPool()
-    if args.pool:
-        text = read_text(args.pool, "--pool file")
-        try:
-            pool = pool_from_obj(json.loads(text))
-        except (ValueError, TypeError, AttributeError, SceneAlignError) as exc:
-            raise CorpusError(None, f"bad --pool file: {exc}") from exc
+        raise CorpusError(None, f"bad {flag} file: {exc}") from exc
+
+
+def _cmd_edit(args) -> int:
+    graph = _read_graph_file(args.graph, "--graph", parse_scene_graph)
+    pool = _read_graph_file(args.pool, "--pool", parse_pool) if args.pool else SceneGraph()
     element = _parse_element(args.element) if args.element is not None else None
 
     result, op = apply_operator(

@@ -259,4 +259,4 @@ def generate_scene_graph_json(inst: Instance, cfg: GeneratorConfig) -> str:
     if cfg.kind != "http-chat":
         raise ConfigError("scene-graph generation requires an http-chat generator")
     prompt = render_scene_graph_prompt(inst)
-    return _chat_completion(prompt, cfg, inst.image_ref)
+    return _chat_completion(prompt, cfg, inst.image_ref or None)  # no image, no attachment

@@ -2,54 +2,20 @@
 
 The grounded subgraph keeps exactly the elements the rationale actually
 mentions; everything else lands in the residual pool, which later supplies
-same-scene material for perturbations.
+same-scene material for perturbations.  A pool is a :class:`SceneGraph`
+that need not be closed; ``ResidualPool`` names that type.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import EmptyMatch, NotASubgraph
 from .rationale import Rationale
 from .scene_graph import SceneGraph
 
-
-@dataclass(frozen=True)
-class ResidualPool:
-    """Elements of the parent graph that stayed outside the grounded subgraph.
-
-    The pool is a plain element collection, not a closed graph: a residual
-    relation may legitimately reference entities that were grounded.
-    """
-
-    entities: tuple[str, ...] = ()
-    attributes: tuple[tuple[str, str], ...] = ()
-    relations: tuple[tuple[str, str, str], ...] = ()
-
-    @property
-    def element_count(self) -> int:
-        return len(self.entities) + len(self.attributes) + len(self.relations)
-
-    def attribute_values(self) -> tuple[str, ...]:
-        return self._distinct[0]
-
-    def predicates(self) -> tuple[str, ...]:
-        return self._distinct[1]
-
-    @cached_property
-    def _distinct(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        # the pool is immutable, so its distinct values and predicates are
-        # worked out once, on first use
-        values = tuple(dict.fromkeys(v for _, v in self.attributes))
-        return values, tuple(dict.fromkeys(p for _, p, _ in self.relations))
-
-    def all_elements(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("entity", e) for e in self.entities]
-        out += [("attribute", a) for a in self.attributes]
-        out += [("relation", r) for r in self.relations]
-        return out
+ResidualPool = SceneGraph  # the exported name of a pool's type
 
 
 @lru_cache(maxsize=4096)  # entity names, values and predicates recur across instances
@@ -109,12 +75,15 @@ def extract_grounded_subgraph(sg_pos: SceneGraph, rationale: Rationale) -> Scene
             kept_rels.append((subj, pred, obj))
 
     # every kept attribute and relation has matched endpoints, so the kept
-    # entities are exactly the matched ones, already in the parent's order
-    return SceneGraph.from_parts(tuple(entity_hits), kept_attrs, kept_rels)
+    # entities are exactly the matched ones, already in the parent's order;
+    # the elements come from a checked graph, so they need no cleaning
+    return SceneGraph(tuple(entity_hits), tuple(kept_attrs), tuple(kept_rels))
 
 
-def residual_pool(sg_pos: SceneGraph, graph: SceneGraph) -> ResidualPool:
+def residual_pool(sg_pos: SceneGraph, graph: SceneGraph) -> SceneGraph:
     """Complement of the grounded subgraph within the parent, element-wise.
+
+    The pool need not be closed: a residual relation may name grounded entities.
 
     Raises :class:`NotASubgraph` when ``graph`` holds any element the parent
     does not.
@@ -124,8 +93,8 @@ def residual_pool(sg_pos: SceneGraph, graph: SceneGraph) -> ResidualPool:
     ents = set(graph.entities)
     attrs = set(graph.attributes)
     rels = set(graph.relations)
-    return ResidualPool(
-        entities=tuple(e for e in sg_pos.entities if e not in ents),
-        attributes=tuple(a for a in sg_pos.attributes if a not in attrs),
-        relations=tuple(r for r in sg_pos.relations if r not in rels),
+    return SceneGraph(
+        tuple(e for e in sg_pos.entities if e not in ents),
+        tuple(a for a in sg_pos.attributes if a not in attrs),
+        tuple(r for r in sg_pos.relations if r not in rels),
     )

@@ -12,10 +12,9 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import ConfigError, EditError, NoApplicableOperator, SchemaViolation
-from .grounding import ResidualPool
 from .scene_graph import SceneGraph, _clean_names, _clean_rows, referenced_entities
 
 logger = logging.getLogger(__name__)
@@ -161,7 +160,7 @@ class _Draft:
 # swap
 
 
-def _swap(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+def _swap(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     if index is None:
         choices = d.swap_indices()
         if not choices:
@@ -183,7 +182,7 @@ def _swap(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=No
 # replace
 
 
-def _replace(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+def _replace(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     if kind is None:
         kinds = _replace_kinds(d, pool)
         if not kinds:
@@ -199,7 +198,7 @@ def _replace(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index
     return _replace_field(d, kind, index, pool, rng, payload)
 
 
-def _replace_entity(d: _Draft, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None) -> PerturbationOp:
+def _replace_entity(d: _Draft, index: int, pool: SceneGraph, rng: random.Random, pinned: str | None) -> PerturbationOp:
     if not pool.entities and pinned is None:
         raise EditError("residual pool holds no entities")
     old = d.entities[index]
@@ -221,7 +220,7 @@ def _replace_entity(d: _Draft, index: int, pool: ResidualPool, rng: random.Rando
 
 
 def _replace_field(
-    d: _Draft, kind: str, index: int, pool: ResidualPool, rng: random.Random, pinned: str | None
+    d: _Draft, kind: str, index: int, pool: SceneGraph, rng: random.Random, pinned: str | None
 ) -> PerturbationOp:
     """Set field 1 of attribute ``index`` (its value) or, for "relation" or "predicate", of relation ``index``."""
     if kind == "attribute":
@@ -246,7 +245,7 @@ def _replace_field(
     raise EditError(f"no usable replacement {label} for {list(old)}")
 
 
-def _replace_kinds(d: _Draft, pool: ResidualPool) -> list[str]:
+def _replace_kinds(d: _Draft, pool: SceneGraph) -> list[str]:
     # a pool has attribute values (predicates) exactly when it has attributes (relations)
     kinds = []
     if pool.entities and d.entities:
@@ -262,7 +261,7 @@ def _replace_kinds(d: _Draft, pool: ResidualPool) -> list[str]:
 # shorten
 
 
-def _shorten(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+def _shorten(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     if index is None:
         kind, index = _draw_shorten_ref(d, rng, kind)
     if kind == "entity":
@@ -316,12 +315,12 @@ def _element_kind(element) -> str:
     return "entity" if isinstance(element, str) else "attribute" if len(element) == 2 else "relation"
 
 
-def _addable_elements(d: _Draft, pool: ResidualPool) -> list[tuple[str, object]]:
+def _addable_elements(d: _Draft, pool: SceneGraph) -> list[tuple[str, object]]:
     present = {"entity": set(d.entities), "attribute": set(d.attributes), "relation": d.present}
     return [(kind, element) for kind, element in pool.all_elements() if element not in present[kind]]
 
 
-def _overthink(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
+def _overthink(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:
     """Add ``payload``, or an addable pool element drawn from those of ``kind`` (default: any)."""
     if payload is not None:
         kind, element = _element_kind(payload), payload
@@ -355,7 +354,7 @@ def _overthink(d: _Draft, pool: ResidualPool, rng: random.Random, kind=None, ind
 # recomposition
 
 
-def recompose(perturbed: Union[SceneGraph, _Draft], remainder: Union[ResidualPool, SceneGraph]) -> SceneGraph:
+def recompose(perturbed: SceneGraph | _Draft, remainder: SceneGraph) -> SceneGraph:
     """Element-wise union of the perturbed subgraph with the residual remainder.
 
     Entities are unified by name and the union is closed: an entity referenced
@@ -386,7 +385,7 @@ _KINDS = dict(swap=("relation",), replace=(*_ELEMENT_KINDS, "predicate"), shorte
 
 def apply_operator(
     sg: SceneGraph,
-    pool: ResidualPool,
+    pool: SceneGraph,
     tag: str,
     *,
     kind: str | None = None,
@@ -452,7 +451,7 @@ def _clean_payload(tag: str, payload):
 # candidate generation
 
 
-def _applicable_tags(d: _Draft, pool: ResidualPool) -> list[str]:
+def _applicable_tags(d: _Draft, pool: SceneGraph) -> list[str]:
     """The operators with at least one target, in ``OPERATOR_TAGS`` order; only the swap list is built."""
     tags = []
     if d.swap_indices():
@@ -472,7 +471,7 @@ def _applicable_tags(d: _Draft, pool: ResidualPool) -> list[str]:
 
 
 def _attempt_candidate(
-    start: _Draft, pool: ResidualPool, lo: int, hi: int, rng: random.Random, start_tags: list[str]
+    start: _Draft, pool: SceneGraph, lo: int, hi: int, rng: random.Random, start_tags: list[str]
 ) -> tuple[_Draft, tuple[PerturbationOp, ...]] | None:
     """Edit a copy of ``start``, whose applicable operators are ``start_tags``, ``lo`` to ``hi`` times."""
     draft = start.copy()
@@ -491,7 +490,7 @@ def _attempt_candidate(
 def generate_negatives(
     sg_pos: SceneGraph,
     sg_c: SceneGraph,
-    pool: ResidualPool,
+    pool: SceneGraph,
     k: int = 8,
     edit_range: tuple[int, int] = (1, 3),
     seed: int = 0,

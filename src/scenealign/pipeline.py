@@ -1,10 +1,11 @@
 """End-to-end dataset construction and its stage-wise decomposition.
 
 A work item is a dict of the instance's strings and the typed values the
-stages add; the full run chains the stage functions the CLI subcommands
-expose, and only the CLI turns items into stage-file lines (the codec at the
-end of this module), so piping parse -> ground -> perturb -> select -> build
-reproduces a full run byte for byte.  Determinism comes from per-instance
+stages add: graphs (the residual pool among them) and candidates.  The full
+run chains the stage functions the CLI subcommands expose, and only the CLI
+turns items into stage-file lines (the codec at the end of this module), so
+piping parse -> ground -> perturb -> select -> build reproduces a full run
+byte for byte.  Determinism comes from per-instance
 seeds derived from the global seed and the instance id, with output order
 following corpus order.
 """
@@ -34,20 +35,10 @@ from .generate import (
     render_negative_cot_prompt,
     render_positive_cot_prompt,
 )
-from .grounding import ResidualPool, extract_grounded_subgraph, residual_pool
+from .grounding import extract_grounded_subgraph, residual_pool
 from .perturb import EditTrace, NegativeCandidate, generate_negatives
 from .rationale import Rationale
-from .scene_graph import (
-    ATTRIBUTE_KEY,
-    ENTITY_KEY,
-    RELATION_KEY,
-    SceneGraph,
-    _clean_names,
-    _clean_rows,
-    encode_scene_graph,
-    parse_scene_graph,
-    schema_array,
-)
+from .scene_graph import SceneGraph, encode_scene_graph, parse_pool, parse_scene_graph
 from .selection import SelectionConfig, filter_with_shortfall, forced_choice, select_diverse
 
 logger = logging.getLogger(__name__)
@@ -476,15 +467,6 @@ _SPENT_FIELDS = {
 }
 
 
-def pool_from_obj(obj: dict) -> ResidualPool:
-    """Decode a pool whose rows follow the graph schema; a missing set is empty."""
-    return ResidualPool(
-        entities=tuple(_clean_names(schema_array(obj, ENTITY_KEY), ENTITY_KEY)),
-        attributes=tuple(_clean_rows(schema_array(obj, ATTRIBUTE_KEY), 2, ATTRIBUTE_KEY)),
-        relations=tuple(_clean_rows(schema_array(obj, RELATION_KEY), 3, RELATION_KEY)),
-    )
-
-
 def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandidate:
     graph = parse_scene_graph(obj["graph"]) if decode_graph else obj["graph"]
     cand = NegativeCandidate(graph, EditTrace.from_dict(obj["trace"]), obj.get("jaccard"))
@@ -493,10 +475,11 @@ def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandida
     return cand
 
 
+# graphs and pools are checked against one schema; a pool alone need not be closed
 _DECODERS = {
     "scene_graph": parse_scene_graph,
     "grounded": parse_scene_graph,
-    "pool": pool_from_obj,
+    "pool": parse_pool,
     # stays text for stage_build to parse; a non-string or blank value raises
     "positive_rationale": lambda text: text if text.strip() else Rationale.parse(text),
     "candidates": lambda objs: [_candidate_from_obj(obj) for obj in objs],
@@ -530,7 +513,7 @@ def _encode(value):
             out["jaccard"] = value.jaccard
             out["rationale"] = value.rationale.raw_text
         return out
-    if isinstance(value, (SceneGraph, ResidualPool)):
+    if isinstance(value, SceneGraph):
         return encode_scene_graph(value)
     raise TypeError(f"a work item holds no {type(value).__name__}")
 

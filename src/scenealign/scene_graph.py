@@ -4,6 +4,7 @@ A scene graph is a triple of element sets: entity names, (entity, attribute)
 pairs, and directed (subject, predicate, object) relation triples.  Set
 semantics apply throughout, but first-occurrence order is preserved so every
 downstream stage stays deterministic and serialization is byte-stable.
+A residual pool is the same type and schema, but need not be closed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ _PAIR_TAG = "pair"
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Immutable scene graph; construct through :meth:`from_parts` or the parser."""
+    """Immutable element sets; construct through :meth:`from_parts` or a parser.
+
+    A graph from :func:`parse_scene_graph` or :meth:`from_parts` is closed: it
+    holds every entity its rows name.  A residual pool (:func:`parse_pool`)
+    need not be, since a pool relation may name a grounded entity.
+    """
 
     entities: tuple[str, ...] = ()
     attributes: tuple[Attribute, ...] = ()
@@ -87,6 +93,18 @@ class SceneGraph:
     def contains_elements_of(self, other: "SceneGraph") -> bool:
         a, b = other.signature(), self.signature()
         return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+    def attribute_values(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(v for _, v in self.attributes))
+
+    def predicates(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(p for _, p, _ in self.relations))
+
+    def all_elements(self) -> list[tuple[str, object]]:
+        out: list[tuple[str, object]] = [("entity", e) for e in self.entities]
+        out += [("attribute", a) for a in self.attributes]
+        out += [("relation", r) for r in self.relations]
+        return out
 
 
 def _clean_names(values: Iterable, key: str) -> list[str]:
@@ -147,16 +165,8 @@ def referenced_entities(attrs: Iterable[Attribute], rels: Iterable[Relation]) ->
         yield obj
 
 
-def schema_array(obj: dict, key: str) -> list:
-    """``obj[key]``, which must be a JSON array; a missing key is an empty one."""
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise SchemaViolation(key, f"expected array, got {type(value).__name__}")
-    return value
-
-
 def encode_scene_graph(g) -> dict:
-    """Inverse of :func:`parse_scene_graph`; also encodes a residual pool."""
+    """Inverse of :func:`parse_scene_graph` and :func:`parse_pool`."""
     return {
         ENTITY_KEY: list(g.entities),
         ATTRIBUTE_KEY: [list(a) for a in g.attributes],
@@ -164,12 +174,10 @@ def encode_scene_graph(g) -> dict:
     }
 
 
-def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> SceneGraph:
-    """Parse the strict three-field JSON object, as text or already decoded.
+def _element_arrays(source: str | dict) -> list[list]:
+    """The element arrays of a graph's or pool's JSON object, as text or already decoded.
 
-    The object must carry exactly the keys ``"entity"``, ``"attribute pairs"``,
-    and ``"relationships"``, each an array.  Duplicates are dropped with a
-    warning; dangling entity references follow ``on_dangling``.
+    The one schema check: exactly the three keys, each an array.
     """
     obj = source
     if isinstance(source, str):
@@ -185,7 +193,29 @@ def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> Scen
     for key in obj:
         if key not in SCHEMA_KEYS:
             raise SchemaViolation(key, "unexpected key")
-    return SceneGraph.from_parts(*(schema_array(obj, key) for key in SCHEMA_KEYS), on_dangling=on_dangling)
+    for key in SCHEMA_KEYS:
+        if not isinstance(obj[key], list):
+            raise SchemaViolation(key, f"expected array, got {type(obj[key]).__name__}")
+    return [obj[key] for key in SCHEMA_KEYS]
+
+
+def parse_scene_graph(source: str | dict, *, on_dangling: str = "error") -> SceneGraph:
+    """Parse a graph's three-key JSON object, as text or already decoded.
+
+    Duplicates are dropped with a warning; dangling entity references follow
+    ``on_dangling``.
+    """
+    return SceneGraph.from_parts(*_element_arrays(source), on_dangling=on_dangling)
+
+
+def parse_pool(source: str | dict) -> SceneGraph:
+    """Parse a residual pool as a graph is parsed, trimmed and deduplicated, but not closed."""
+    entities, attributes, relations = _element_arrays(source)
+    return SceneGraph(
+        tuple(_clean_names(entities, ENTITY_KEY)),
+        tuple(_clean_rows(attributes, 2, ATTRIBUTE_KEY)),
+        tuple(_clean_rows(relations, 3, RELATION_KEY)),
+    )
 
 
 def serialize_scene_graph(g: SceneGraph) -> str:

@@ -505,6 +505,10 @@ class TestConfigFlags:
                     assert getattr(obj, field.name) == expected, f"{name}.{field.name}"
                     assert expected != field.default, f"{name}.{field.name} is left at its default"
 
+    def test_a_single_edit_count_is_a_range_of_one(self):
+        cfg = _pipeline_config(build_parser().parse_args(["run", "--input", "c", "--output", "d", "--edits", "2"]))
+        assert cfg.edit_range == (2, 2)
+
 
 class TestStagedWrongInput:
     """A stage fed another stage's output reports the missing key, never a traceback."""
@@ -561,10 +565,18 @@ class TestStagedWrongInput:
              "positive_rationale": " \n", "selected": []},
             "'positive_rationale'",
         ),
+        (
+            "perturb",
+            {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH,
+             "pool": {"entity": ["dog"], "attribute pairs": []}},
+            "'pool'",
+        ),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": dict(_GRAPH, extra=[])}, "'pool'"),
     ]
     WRONG_TYPE_IDS = [
         "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer",
         "dict-entity-list", "dict-relation-list", "dict-pool-entity", "blank-rationale",
+        "pool-without-relationships", "pool-with-an-extra-key",
     ]
 
     @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)
@@ -770,6 +782,13 @@ class TestPerturbSingleOpBadInput:
         argv = ["edit", "--op", "overthink", "--graph", str(sub_graph_file)]
         assert main(argv + ["--pool", str(pool)]) == 2
         assert "corpus error" in capsys.readouterr().err
+
+    def test_a_pool_file_missing_a_key_is_a_corpus_error(self, tmp_path, sub_graph_file, capsys):
+        pool = tmp_path / "pool.json"
+        pool.write_text('{"entity": ["window"]}', encoding="utf-8")
+        argv = ["edit", "--op", "overthink", "--graph", str(sub_graph_file)]
+        assert main(argv + ["--pool", str(pool)]) == 2
+        assert "bad --pool file: attribute pairs: missing key" in capsys.readouterr().err
 
     def test_malformed_graph_file_is_a_corpus_error(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"

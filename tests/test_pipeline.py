@@ -13,7 +13,7 @@ from scenealign.cli import main
 from scenealign.dpo import import_jsonl
 from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import ConfigError, CorpusError
-from scenealign.generate import GeneratorConfig, generate_rationale
+from scenealign.generate import GeneratorConfig, Instance, generate_rationale, render_scene_graph_prompt
 from scenealign.grounding import ResidualPool
 from scenealign.perturb import NegativeCandidate
 from scenealign.pipeline import (
@@ -154,6 +154,18 @@ class TestStageParse:
         items, drops = stage_parse(_cfg(tmp_path, [dict(case_corpus_line, id=ident)]))
         assert items == []
         assert drops == [{"line": 1, "reason": "'id' must be a non-empty string or an integer"}]
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [({"id": None}, "missing 'id'"), ({"image": 3}, "'image' must be a string"),
+         ({"answer": ["cat"]}, "'answer' must be a string")],
+        ids=["no-id", "int-image", "list-answer"],
+    )
+    def test_a_mistyped_line_drops_with_its_reason(self, tmp_path, case_corpus_line, edit, reason):
+        line = {key: value for key, value in {**case_corpus_line, **edit}.items() if value is not None}
+        items, drops = stage_parse(_cfg(tmp_path, [line]))
+        assert items == []
+        assert drops == [{"line": 1, "reason": reason}]
 
     def test_sidecar_integer_id_pairs_with_the_corpus_id(self, tmp_path, case_corpus_line):
         line = dict(case_corpus_line, id="17")
@@ -364,6 +376,15 @@ class TestStageParse:
         assert mock_api.requests[0]["payload"]["messages"][0]["content"][1]["image_url"][
             "url"
         ] == "images/0001.jpg"
+
+    def test_a_graph_less_line_without_an_image_asks_with_the_prompt_alone(self, tmp_path, case_corpus_line, mock_api):
+        graph_json = json.dumps(case_corpus_line["scene_graph"])
+        mock_api.handler = lambda p: (200, {"choices": [{"message": {"content": graph_json}}]})
+        line = {"id": "a", "question": "What?", "answer": "cat"}
+        items, drops = stage_parse(_cfg(tmp_path, [line], **_remote_cfg(mock_api)))
+        assert drops == []
+        prompt = render_scene_graph_prompt(Instance(id="a", image_ref="", question="What?", answer="cat"))
+        assert mock_api.requests[0]["payload"]["messages"][0]["content"] == prompt
 
 
 class TestPerInstanceStages:
@@ -618,7 +639,7 @@ class TestFullRun:
             raise AssertionError("the stage-file codec ran inside run_pipeline")
 
         monkeypatch.setattr(pipeline, "_DECODERS", dict.fromkeys(pipeline._DECODERS, codec))
-        for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "pool_from_obj",
+        for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "parse_pool",
                      "encode_scene_graph"):
             monkeypatch.setattr(pipeline, name, codec)
         run_pipeline(_cfg(tmp_path, lines, name="guarded", seed=5))

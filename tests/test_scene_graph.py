@@ -102,6 +102,21 @@ class TestParsing:
             g = parse_scene_graph(text)
         assert g.entities == ("a",)
         assert any("duplicate" in rec.message for rec in caplog.records)
+        caplog.clear()
+        obj = {
+            "entity": ["a", "b"],
+            # a repeated row, and two rows equal only once trimmed
+            "attribute pairs": [["a", "red"], ["a", "red"], ["b", " tall"], ["b ", "tall"]],
+            "relationships": [["a", "on", "b"], ["a", "on", "b"]],
+        }
+        with caplog.at_level(logging.WARNING):
+            g = parse_scene_graph(obj)
+        assert g.attributes == (("a", "red"), ("b", "tall"))
+        assert g.relations == (("a", "on", "b"),)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "attribute pairs: dropped 2 duplicate item(s)",
+            "relationships: dropped 1 duplicate item(s)",
+        ]
 
     def test_dangling_reference_raises_by_default(self):
         text = '{"entity": ["a"], "attribute pairs": [["b", "red"]], "relationships": []}'

@@ -1,9 +1,11 @@
 """The HTTP transport both remote providers share: one retry policy, one error mapping."""
 
 import json
+import socket
 import time
 
 import pytest
+import requests
 
 from scenealign import transport
 from scenealign.cli import main
@@ -48,6 +50,19 @@ class TestPostJson:
         with pytest.raises(RemoteError) as err:
             post_json({}, endpoint, CHAT_TIMEOUT_S)
         assert time.monotonic() - started < 5.0
+        assert err.value.status is None
+
+    def test_a_refused_connection_is_retried_then_a_remote_error(self, proxy_env):
+        proxy_env.setattr(transport, "BACKOFF_BASE_S", 0.0)
+        with socket.socket() as sock:  # a port bound and closed again, so nothing listens on it
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        attempts = []
+        post = requests.Session.post
+        proxy_env.setattr(requests.Session, "post", lambda self, *a, **kw: attempts.append(a) or post(self, *a, **kw))
+        with pytest.raises(RemoteError) as err:
+            post_json({}, f"http://127.0.0.1:{port}/chat", CHAT_TIMEOUT_S)
+        assert len(attempts) == transport.MAX_ATTEMPTS
         assert err.value.status is None
 
 
