@@ -167,10 +167,7 @@ def _map_stage(
     for line_no, line in lines:
         try:
             obj = loads_object(line)  # a torn line is skipped like a bad corpus line
-            try:
-                out = fn(decode_item(obj, fields), obj)
-            except KeyError as exc:  # a line written by another stage, or by hand
-                raise CorpusError(None, f"instance {obj.get('id')!r} has no {exc} key") from exc
+            out = fn(decode_item(obj, fields), obj)
         except CorpusError as exc:  # a malformed stage line
             if strict:
                 raise CorpusError(line_no, exc.reason) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError, EditError, NoApplicableOperator, SchemaViolation
-from .scene_graph import SceneGraph, _clean_names, _clean_rows, referenced_entities
+from .scene_graph import SceneGraph, clean_elements, referenced_entities
 
 logger = logging.getLogger(__name__)
 
@@ -62,11 +62,14 @@ class EditTrace:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EditTrace":
-        ops = tuple(
-            PerturbationOp(op["tag"], op["kind"], from_jsonable(op["target"]), from_jsonable(op["payload"]))
-            for op in obj["ops"]
-        )
-        return cls(ops, obj["seed"])
+        """Inverse of :meth:`to_dict`; an op with an unknown tag, or a kind its tag cannot edit, is a ValueError."""
+        ops = []
+        for op in obj["ops"]:
+            tag, kind = op["tag"], op["kind"]
+            if tag not in OPERATOR_TAGS or kind not in _KINDS[tag]:
+                raise ValueError(f"no operator {tag!r} edits kind {kind!r}")
+            ops.append(PerturbationOp(tag, kind, from_jsonable(op["target"]), from_jsonable(op["payload"])))
+        return cls(tuple(ops), obj["seed"])
 
 
 @dataclass
@@ -438,11 +441,12 @@ def apply_operator(
 
 def _clean_payload(tag: str, payload):
     """A pinned name, or an ``overthink`` row, trimmed and checked as the parser checks a graph's."""
-    try:
-        if tag == "replace" or isinstance(payload, str):
-            return _clean_names([payload], "replacement" if tag == "replace" else "element")[0]
+    if tag == "replace" or isinstance(payload, str):
+        arity = 1
+    else:
         arity = 3 if isinstance(payload, (list, tuple)) and len(payload) > 2 else 2
-        return _clean_rows([payload], arity, "element")[0]
+    try:
+        return clean_elements([payload], arity, "replacement" if tag == "replace" else "element")[0]
     except SchemaViolation as exc:
         raise ConfigError(f"pinned {exc}") from exc
 

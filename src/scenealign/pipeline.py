@@ -87,19 +87,6 @@ def instance_seed(global_seed: int, instance_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-def _instance_from_obj(obj: dict) -> Instance:
-    inst = Instance(
-        id=obj["id"],
-        image_ref=obj.get("image", "") or "",
-        question=obj["question"],
-        answer=obj.get("answer"),
-    )
-    fields = (inst.id, inst.image_ref, inst.question, "" if inst.answer is None else inst.answer)
-    if not all(isinstance(value, str) for value in fields):
-        raise CorpusError(None, f"instance {inst.id!r}: 'id', 'image', 'question' and 'answer' must be strings")
-    return inst
-
-
 # ---------------------------------------------------------------------------
 # corpus loading (the parse stage)
 
@@ -116,7 +103,7 @@ def _line_id(obj: dict, line_no: int | None) -> str:
     return ident.strip()
 
 
-def _normalize_line(obj: dict, line_no: int) -> dict:
+def _normalize_line(obj: dict, line_no: int | None) -> dict:
     ident = _line_id(obj, line_no)
     question = obj.get("question")
     if not isinstance(question, str) or not question.strip():
@@ -128,6 +115,12 @@ def _normalize_line(obj: dict, line_no: int) -> dict:
     if answer is not None and not isinstance(answer, str):
         raise CorpusError(line_no, "'answer' must be a string")
     return {"id": ident, "image": image, "question": question, "answer": answer}
+
+
+def _instance_from_obj(obj: dict) -> Instance:
+    """The instance a corpus line or work item holds; its fields pass the corpus line rules or raise CorpusError."""
+    norm = _normalize_line(obj, None)
+    return Instance(norm["id"], norm["image"], norm["question"], norm["answer"])
 
 
 def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
@@ -490,18 +483,18 @@ _DECODERS = {
 
 
 def decode_item(obj: dict, fields: Sequence[str]) -> dict:
-    """A stage-file object as a work item with ``fields`` decoded; others stay JSON.
+    """A stage-file object as a work item with its id checked as a corpus id and ``fields`` decoded; others stay JSON.
 
-    A missing field stays a ``KeyError``; a decoder's exception means the
-    value has the wrong shape: a CorpusError.
+    A bad id, a missing field, or a field a decoder rejects is a CorpusError.
     """
-    item = dict(obj)
+    item = dict(obj, id=_line_id(obj, None))
     for key in fields:
-        value = obj[key]
+        if key not in obj:
+            raise CorpusError(None, f"instance {item['id']!r} has no {key!r} key")
         try:
-            item[key] = _DECODERS[key](value)
+            item[key] = _DECODERS[key](obj[key])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError, SceneAlignError) as exc:
-            raise CorpusError(None, f"instance {obj.get('id')!r}: malformed {key!r}: {exc}") from exc
+            raise CorpusError(None, f"instance {item['id']!r}: malformed {key!r}: {exc}") from exc
     return item
 
 

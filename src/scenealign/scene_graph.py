@@ -59,9 +59,9 @@ class SceneGraph:
         or ``"add"`` (append missing entities in first-reference order).
         Duplicates are dropped with a warning.
         """
-        ents = _clean_names(entities, ENTITY_KEY)
-        attrs = _clean_rows(attributes, 2, ATTRIBUTE_KEY)
-        rels = _clean_rows(relations, 3, RELATION_KEY)
+        ents = clean_elements(entities, 1, ENTITY_KEY)
+        attrs = clean_elements(attributes, 2, ATTRIBUTE_KEY)
+        rels = clean_elements(relations, 3, RELATION_KEY)
 
         known = set(ents)
         appended: list[str] = []
@@ -107,31 +107,14 @@ class SceneGraph:
         return out
 
 
-def _clean_names(values: Iterable, key: str) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    dropped = 0
+def clean_elements(values: Iterable, arity: int, key: str) -> list:
+    """Elements of one kind, trimmed, deduplicated in first-occurrence order: names if ``arity`` is 1, else rows.
+
+    A malformed element is a :class:`SchemaViolation` naming ``key``; duplicates are dropped with a warning.
+    """
+    elements = []
     for value in values:
-        if not isinstance(value, str):
-            raise SchemaViolation(key, f"expected string, got {type(value).__name__}")
-        name = value.strip()
-        if not name:
-            raise SchemaViolation(key, "empty string")
-        if name in seen:
-            dropped += 1
-            continue
-        seen.add(name)
-        out.append(name)
-    if dropped:
-        logger.warning("%s: dropped %d duplicate item(s)", key, dropped)
-    return out
-
-
-def _clean_rows(rows: Iterable, arity: int, key: str) -> list[tuple]:
-    out: list[tuple] = []
-    seen: set[tuple] = set()
-    dropped = 0
-    for row in rows:
+        row = (value,) if arity == 1 else value
         # lists and tuples skip the slower Sequence ABC check
         if not isinstance(row, (list, tuple)) and (isinstance(row, str) or not isinstance(row, Sequence)):
             raise SchemaViolation(key, f"expected array, got {type(row).__name__}")
@@ -145,14 +128,10 @@ def _clean_rows(rows: Iterable, arity: int, key: str) -> list[tuple]:
             if not item:
                 raise SchemaViolation(key, "empty string")
             cleaned.append(item)
-        tup = tuple(cleaned)
-        if tup in seen:
-            dropped += 1
-            continue
-        seen.add(tup)
-        out.append(tup)
-    if dropped:
-        logger.warning("%s: dropped %d duplicate item(s)", key, dropped)
+        elements.append(cleaned[0] if arity == 1 else tuple(cleaned))
+    out = list(dict.fromkeys(elements))
+    if len(out) < len(elements):
+        logger.warning("%s: dropped %d duplicate item(s)", key, len(elements) - len(out))
     return out
 
 
@@ -212,9 +191,9 @@ def parse_pool(source: str | dict) -> SceneGraph:
     """Parse a residual pool as a graph is parsed, trimmed and deduplicated, but not closed."""
     entities, attributes, relations = _element_arrays(source)
     return SceneGraph(
-        tuple(_clean_names(entities, ENTITY_KEY)),
-        tuple(_clean_rows(attributes, 2, ATTRIBUTE_KEY)),
-        tuple(_clean_rows(relations, 3, RELATION_KEY)),
+        tuple(clean_elements(entities, 1, ENTITY_KEY)),
+        tuple(clean_elements(attributes, 2, ATTRIBUTE_KEY)),
+        tuple(clean_elements(relations, 3, RELATION_KEY)),
     )
 
 

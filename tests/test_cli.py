@@ -323,6 +323,22 @@ class TestStagedChain:
             assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest, command
             src = dst
 
+    def test_an_integer_id_is_written_back_as_parse_writes_it(self, tmp_path, case_corpus_line, capsys):
+        corpus, parsed, grounded = tmp_path / "corpus.jsonl", tmp_path / "parse.jsonl", tmp_path / "ground.jsonl"
+        _write_corpus(corpus, [dict(case_corpus_line, id=7)])
+        assert main(["parse", "--input", str(corpus), "--output", str(parsed)]) == 0
+        assert main(["ground", "--input", str(parsed), "--output", str(grounded)]) == 0
+        line = json.loads(grounded.read_text(encoding="utf-8"))
+        assert line["id"] == "7"
+        outputs = []
+        for ident in ("7", 7):
+            src, dst = tmp_path / f"in-{ident!r}.jsonl", tmp_path / f"out-{ident!r}.jsonl"
+            _write_corpus(src, [dict(line, id=ident)])
+            assert main(["perturb", "--input", str(src), "--output", str(dst)]) == 0
+            outputs.append(dst.read_bytes())
+        assert json.loads(outputs[1])["id"] == "7"
+        assert outputs[1] == outputs[0]
+
     def test_a_stage_file_keeps_what_later_stages_read_and_leaves_out_what_only_its_stage_read(self, tmp_path):
         src = tmp_path / "corpus.jsonl"
         _write_corpus(src, synthetic_corpus_lines(3, random.Random(2)))
@@ -572,11 +588,31 @@ class TestStagedWrongInput:
             "'pool'",
         ),
         ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": dict(_GRAPH, extra=[])}, "'pool'"),
+        (
+            "build",
+            {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH, "positive_rationale": "A man.",
+             "selected": [{"graph": _GRAPH, "jaccard": 0.5, "rationale": "No man.",
+                           "trace": {"seed": 0, "ops": [{"tag": 5, "kind": "entity", "target": "man",
+                                                         "payload": None}]}}]},
+            "'selected'",
+        ),
+        (
+            "select",
+            {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH,
+             "candidates": [{"graph": _GRAPH,
+                             "trace": {"seed": 0, "ops": [{"tag": "rotate", "kind": "relation", "target": None,
+                                                           "payload": None}]}}]},
+            "'candidates'",
+        ),
+        ("ground", {"id": "a", "question": " ", "answer": "man", "scene_graph": _GRAPH}, "'question'"),
+        ("ground", {"id": "a", "image": 0, "question": "Who?", "answer": "man", "scene_graph": _GRAPH}, "'image'"),
+        ("perturb", {"id": "", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": _GRAPH}, "'id'"),
     ]
     WRONG_TYPE_IDS = [
         "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer",
         "dict-entity-list", "dict-relation-list", "dict-pool-entity", "blank-rationale",
-        "pool-without-relationships", "pool-with-an-extra-key",
+        "pool-without-relationships", "pool-with-an-extra-key", "int-trace-tag", "unknown-trace-tag",
+        "blank-question", "int-image", "blank-id",
     ]
 
     @pytest.mark.parametrize("command,line,names", WRONG_TYPES, ids=WRONG_TYPE_IDS)

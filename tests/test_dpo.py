@@ -126,6 +126,12 @@ class TestJsonl:
         rec = _record(instance_id="inst-1")
         assert record_from_json(record_to_json(rec)) == rec
 
+    def test_a_prompt_without_a_scene_graph_is_all_question(self):
+        line = json.dumps({"id": "r1", "prompt": "What is shown?", "chosen": "a", "rejected": "b"})
+        rec = record_from_json(line)
+        assert rec.question == "What is shown?"
+        assert rec.scene_graph_json == ""
+
     def test_unicode_survives(self):
         rec = _record(chosen="l'éléphant est là", rejected="non")
         line = record_to_json(rec)

@@ -157,10 +157,14 @@ class TestShorten:
         with pytest.raises(EditError):
             apply_operator(g, EMPTY_POOL, "shorten", kind="entity", index=0)
 
-    def test_would_empty_sole_element(self):
-        g = SceneGraph.from_parts(["a"], [], [])
-        with pytest.raises(EditError):
-            apply_operator(g, EMPTY_POOL, "shorten", kind="entity", index=0)
+    @pytest.mark.parametrize(
+        "graph,kind",
+        [(SceneGraph.from_parts(["a"], [], []), "entity"), (SceneGraph(attributes=(("man", "tall"),)), "attribute")],
+        ids=["entity", "attribute"],
+    )
+    def test_would_empty_sole_element(self, graph, kind):
+        with pytest.raises(EditError, match="would empty the graph"):
+            apply_operator(graph, EMPTY_POOL, "shorten", kind=kind, index=0)
 
     def test_shorten_never_dangles(self):
         rng = random.Random(5)

@@ -1,4 +1,4 @@
-"""Every private top-level name in ``src/scenealign/`` is named on some other line of ``src/``."""
+"""Every private top-level name in ``src/scenealign/`` is named on some other line of ``src/``, and imported by none."""
 
 from __future__ import annotations
 
@@ -36,3 +36,12 @@ def test_every_private_top_level_name_is_used_in_src():
     assert definitions
     unused = [f"{file}:{line_no} {name}" for file, line_no, name in definitions if not lines_naming[name] - {(file, line_no)}]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = []  # "file:line name" of each private name imported from the package
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "scenealign"):
+                imported += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert imported == []

@@ -81,6 +81,15 @@ class TestParsing:
         with pytest.raises(SchemaViolation):
             parse_scene_graph(text)
 
+    @pytest.mark.parametrize(
+        "key,rows", [("attribute pairs", ["man tall"]), ("relationships", [5])], ids=["string-row", "int-row"]
+    )
+    def test_row_must_be_array(self, key, rows):
+        obj = {"entity": ["man"], "attribute pairs": [], "relationships": [], key: rows}
+        with pytest.raises(SchemaViolation, match="expected array") as err:
+            parse_scene_graph(obj)
+        assert err.value.key == key
+
     def test_wrong_arity_row(self):
         text = '{"entity": ["a"], "attribute pairs": [["a", "x", "y"]], "relationships": []}'
         with pytest.raises(SchemaViolation):
