@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline stages (``parse``, ``ground``, ``perturb``,
 ``select``, ``build``), plus ``run`` for the whole chain, ``edit`` for one
-operator on a graph file, ``dpo-check`` for the loss/gradient self-test, and
-``stats`` for dataset summaries.  Each subcommand takes only the flags it reads,
-and every flag must be spelled in full.
+operator on a graph file, ``dpo-check`` to read a dataset and check its DPO
+loss baseline, and ``stats`` for dataset summaries.  Each subcommand takes
+only the flags it reads, and every flag must be spelled in full.
 
 Exit codes: 0 success, 1 configuration or operational error, 2 corpus error,
 3 I/O error.
@@ -21,19 +21,8 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .atomic import loads_object, read_lines, read_text, write_lines
-from .dpo import (
-    DpoConfig,
-    PreferenceRecord,
-    ToyPolicy,
-    dpo_loss,
-    export_jsonl,
-    finite_difference_gradient,
-    import_jsonl,
-    toy_policy_gradient,
-)
+from .dpo import ToyPolicy, dpo_loss, export_jsonl, import_jsonl
 from .embed import EmbedConfig
 from .errors import ConfigError, CorpusError, SceneAlignError
 from .generate import GeneratorConfig
@@ -269,58 +258,19 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _demo_records() -> list[PreferenceRecord]:
-    texts = [
-        ("the man looks at the silver motorcycle", "the motorcycle looks at the man"),
-        ("the ground is paved and the paper is white", "the paper is paved and the ground is white"),
-        ("a man crouches on the ground holding paper", "a man stands on the paper holding ground"),
-        ("the building is behind the motorcycle", "the motorcycle is behind the building"),
-    ]
-    records = []
-    for i, (chosen, rejected) in enumerate(texts):
-        records.append(
-            PreferenceRecord(
-                id=f"demo-{i}#1",
-                image_ref="",
-                question="what is happening?",
-                scene_graph_json="{}",
-                chosen=chosen,
-                rejected=rejected,
-                meta={"instance_id": f"demo-{i}"},
-            )
-        )
-    return records
-
-
 def _cmd_dpo_check(args) -> int:
-    if args.trials < 1:  # no trial checks no gradient
-        raise ConfigError(f"--trials must be at least 1, not {args.trials}")
-    records = import_jsonl(args.input) if args.input else _demo_records()
+    records = import_jsonl(args.input)
     if not records:
         raise CorpusError(None, "no records to check")
-    cfg = DpoConfig(beta=args.beta)
-    vocab = tuple(sorted({tok for r in records for tok in f"{r.chosen} {r.rejected}".split()}))
-
-    policy = ToyPolicy.uniform(vocab)
-    reference = ToyPolicy.uniform(vocab)
-    loss, _ = dpo_loss(records, policy, reference, cfg)
+    vocab = {tok for r in records for tok in f"{r.chosen} {r.rejected}".split()}
+    uniform = ToyPolicy.uniform(sorted(vocab))
+    # a policy equal to its reference gives every record a margin of 0, and so a loss of log 2
+    loss, _ = dpo_loss(records, uniform, uniform)
     expected = math.log(2.0)
-    baseline_ok = abs(loss - expected) < 1e-9
-    print(f"policy==reference mean loss: {loss:.6f} (expected {expected:.6f})")
-
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        trial_policy = ToyPolicy(vocab, rng.normal(scale=0.5, size=len(vocab)))
-        trial_reference = ToyPolicy(vocab, rng.normal(scale=0.5, size=len(vocab)))
-        analytic = toy_policy_gradient(trial_policy, records, trial_reference, cfg)
-        numeric = finite_difference_gradient(trial_policy, records, trial_reference, cfg)
-        denom = max(float(np.linalg.norm(numeric)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric)) / denom)
-    gradient_ok = worst <= 1e-5
-    print(f"gradient check: max relative error {worst:.3e} over {args.trials} trial(s)")
-    print(f"dpo-check: {'PASS' if baseline_ok and gradient_ok else 'FAIL'}")
-    return EXIT_OK if baseline_ok and gradient_ok else EXIT_CONFIG
+    ok = abs(loss - expected) < 1e-9
+    print(f"{len(records)} record(s); policy==reference mean loss: {loss:.6f} (expected {expected:.6f})")
+    print(f"dpo-check: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_CONFIG
 
 
 def _cmd_stats(args) -> int:
@@ -385,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_edit.add_argument("--verbose", action="store_true", help="info-level logging")
     p_edit.set_defaults(func=_cmd_edit)
 
-    p_check = sub.add_parser("dpo-check", help="loss baseline and analytic-gradient self-test")
-    p_check.add_argument("--input", default=None, help="preference dataset JSONL (optional)")
-    p_check.add_argument("--beta", type=float, default=0.1)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check = sub.add_parser("dpo-check", help="read a preference dataset and check its loss baseline")
+    p_check.add_argument("--input", required=True, help="preference dataset JSONL")
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=_cmd_dpo_check)
 

@@ -1,9 +1,9 @@
 """Preference records, JSONL export, and a DPO loss evaluator.
 
-The evaluator scores existing (chosen, rejected) pairs under caller-supplied
-log-probability providers; no training happens here.  A tiny unigram softmax
-policy with an analytic gradient makes the loss implementation checkable
-against finite differences.
+A record holds its dataset line's fields as written, so every line reads
+back byte for byte.  The evaluator scores existing (chosen, rejected) pairs
+under caller-supplied log-probability providers; no training happens here.
+A tiny unigram softmax policy has an analytic gradient of the loss.
 """
 
 from __future__ import annotations
@@ -32,24 +32,17 @@ from .scene_graph import SceneGraph, serialize_scene_graph
 
 logger = logging.getLogger(__name__)
 
-_PROMPT_GRAPH_SEP = "\n\nScene Graph: "
-
 
 @dataclass(frozen=True)
 class PreferenceRecord:
-    """One DPO pair: shared context, preferred and dispreferred rationales."""
+    """One DPO pair as its dataset line holds it: images and prompt, preferred and dispreferred rationales."""
 
     id: str
-    image_ref: str
-    question: str
-    scene_graph_json: str
+    images: tuple[str, ...]
+    prompt: str
     chosen: str
     rejected: str
     meta: dict = field(default_factory=dict)
-
-    @property
-    def prompt(self) -> str:
-        return f"{self.question}{_PROMPT_GRAPH_SEP}{self.scene_graph_json}"
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def build_preference_records(
     Negatives lacking a rationale raise :class:`MissingRationale`; a negative
     whose rationale text equals the positive is dropped with a diagnostic.
     """
-    graph_json = serialize_scene_graph(sg_pos)
+    prompt = f"{inst.question}\n\nScene Graph: {serialize_scene_graph(sg_pos)}"
     records = []
     rank = 0
     for cand in negatives:
@@ -99,9 +92,8 @@ def build_preference_records(
         records.append(
             PreferenceRecord(
                 id=f"{inst.id}#{rank}",
-                image_ref=inst.image_ref,
-                question=inst.question,
-                scene_graph_json=graph_json,
+                images=(inst.image_ref,),
+                prompt=prompt,
                 chosen=tau_pos.raw_text,
                 rejected=rejected,
                 meta=meta,
@@ -111,9 +103,10 @@ def build_preference_records(
 
 
 def record_to_json(record: PreferenceRecord) -> str:
+    """The record's dataset line, which :func:`record_from_json` reads back as it was."""
     payload = {
         "id": record.id,
-        "images": [record.image_ref],
+        "images": list(record.images),
         "prompt": record.prompt,
         "chosen": record.chosen,
         "rejected": record.rejected,
@@ -133,14 +126,10 @@ def record_from_json(line: str) -> PreferenceRecord:
         raise CorpusError(None, "'images' is not a list of strings")
     if not isinstance(meta, dict):
         raise CorpusError(None, f"'meta' is {type(meta).__name__}, not an object")
-    question, sep, graph_json = obj["prompt"].rpartition(_PROMPT_GRAPH_SEP)
-    if not sep:
-        question, graph_json = obj["prompt"], ""
     return PreferenceRecord(
         id=obj["id"],
-        image_ref=images[0] if images else "",
-        question=question,
-        scene_graph_json=graph_json,
+        images=tuple(images),
+        prompt=obj["prompt"],
         chosen=obj["chosen"],
         rejected=obj["rejected"],
         meta=meta,
@@ -279,8 +268,8 @@ def toy_policy_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the mean DPO loss in the toy policy's weights.
 
-    The reference provider is treated as a constant.  Matches central finite
-    differences of :func:`dpo_loss` because both average over the records.
+    The reference provider is treated as a constant.  Like :func:`dpo_loss`,
+    it averages over the records.
     """
     if not records:
         raise ValueError("toy_policy_gradient requires at least one record")
@@ -296,24 +285,4 @@ def toy_policy_gradient(
         len_r = float(np.sum(counts_r))
         dmargin = cfg.beta * ((counts_c - len_c * probs) - (counts_r - len_r * probs))
         grad += weight * (-_sigmoid(-margin)) * dmargin
-    return grad
-
-
-def finite_difference_gradient(
-    policy: ToyPolicy,
-    records: Sequence[PreferenceRecord],
-    reference: LogProbProvider,
-    cfg: DpoConfig = DpoConfig(),
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient of the mean loss, for checking the analytic one."""
-    base = np.array(policy.weights, dtype=np.float64)
-    grad = np.zeros_like(base)
-    for i in range(base.shape[0]):
-        for sign in (1.0, -1.0):
-            shifted = base.copy()
-            shifted[i] += sign * h
-            loss, _ = dpo_loss(records, ToyPolicy(policy.vocabulary, shifted), reference, cfg)
-            grad[i] += sign * loss
-        grad[i] /= 2.0 * h
     return grad

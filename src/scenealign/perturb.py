@@ -320,7 +320,7 @@ def _element_kind(element) -> str:
 
 def _addable_elements(d: _Draft, pool: SceneGraph) -> list[tuple[str, object]]:
     present = {"entity": set(d.entities), "attribute": set(d.attributes), "relation": d.present}
-    return [(kind, element) for kind, element in pool.all_elements() if element not in present[kind]]
+    return [(kind, element) for kind, element in pool.all_elements if element not in present[kind]]
 
 
 def _overthink(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None, payload=None) -> PerturbationOp:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DanglingReference, MalformedJson, SchemaViolation
@@ -100,11 +101,14 @@ class SceneGraph:
     def predicates(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(p for _, p, _ in self.relations))
 
-    def all_elements(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("entity", e) for e in self.entities]
-        out += [("attribute", a) for a in self.attributes]
-        out += [("relation", r) for r in self.relations]
-        return out
+    @cached_property
+    def all_elements(self) -> tuple[tuple[str, object], ...]:
+        """Each element with its kind, entities first; built once, as the sampler draws from a pool many times."""
+        return (
+            *(("entity", e) for e in self.entities),
+            *(("attribute", a) for a in self.attributes),
+            *(("relation", r) for r in self.relations),
+        )
 
 
 def clean_elements(values: Iterable, arity: int, key: str) -> list:

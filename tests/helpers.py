@@ -19,8 +19,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
+from scenealign.dpo import DpoConfig, LogProbProvider, PreferenceRecord, ToyPolicy, dpo_loss
 from scenealign.scene_graph import SceneGraph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,6 +160,26 @@ def brute_force_max_min(matrix: Sequence[Sequence[float]], m: int) -> tuple[int,
             best = combo
     assert best is not None
     return best
+
+
+def finite_difference_gradient(
+    policy: ToyPolicy,
+    records: Sequence[PreferenceRecord],
+    reference: LogProbProvider,
+    cfg: DpoConfig = DpoConfig(),
+    h: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference gradient of the mean loss in ``policy``'s weights, the oracle for ``toy_policy_gradient``."""
+    base = np.array(policy.weights, dtype=np.float64)
+    grad = np.zeros_like(base)
+    for i in range(base.shape[0]):
+        for sign in (1.0, -1.0):
+            shifted = base.copy()
+            shifted[i] += sign * h
+            loss, _ = dpo_loss(records, ToyPolicy(policy.vocabulary, shifted), reference, cfg)
+            grad[i] += sign * loss
+        grad[i] /= 2.0 * h
+    return grad
 
 
 def random_unit_vectors(rng: random.Random, n: int, dim: int) -> list[list[float]]:

@@ -25,7 +25,6 @@ from scenealign.dpo import (
     PreferenceRecord,
     ToyPolicy,
     dpo_loss,
-    finite_difference_gradient,
     toy_policy_gradient,
 )
 from scenealign.embed import Embedding
@@ -52,6 +51,7 @@ from tests.helpers import _golden
 from .helpers import (
     assert_valid_graph,
     brute_force_max_min,
+    finite_difference_gradient,
     graph_subset,
     naive_distance_matrix,
     naive_jaccard,
@@ -150,9 +150,8 @@ def _toy_records(rng: random.Random, count: int) -> list[PreferenceRecord]:
         records.append(
             PreferenceRecord(
                 id=f"r{i}",
-                image_ref="img.jpg",
-                question="What is shown?",
-                scene_graph_json='{"entity": [], "attribute pairs": [], "relationships": []}',
+                images=("img.jpg",),
+                prompt='What is shown?\n\nScene Graph: {"entity": [], "attribute pairs": [], "relationships": []}',
                 chosen=" ".join(rng.choices(VOCAB, k=rng.randint(3, 8))),
                 rejected=" ".join(rng.choices(VOCAB, k=rng.randint(3, 8))),
                 meta={"instance_id": f"i{i % 3}"},

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.metadata
@@ -204,6 +205,8 @@ class TestUsageErrors:
             "--embed", "--embed-endpoint", "--embed-model", "--embed-dim",
         ],
         "build": COMMON_FLAGS,
+        "dpo-check": ["--input", "--verbose"],
+        "stats": ["--input", "--num-negatives", "--verbose"],
     }
 
     @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
@@ -251,6 +254,16 @@ class TestUsageErrors:
             for flag in re.findall(r"`(--[a-z-]+)`", flags):
                 taking = [command for command, listed in taken.items() if flag in listed]
                 assert re.findall(r"`([a-z]+)`", commands) == taking, flag
+
+    # the subcommand list of the README: "scenealign NAME  HELP", one line each
+    README_COMMAND = re.compile(r"^scenealign ([a-z-]+) +(\S.*)$", re.M)
+
+    def test_readme_command_list_quotes_each_subcommand_help(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        listed = self.README_COMMAND.findall(readme.split("## CLI\n", 1)[1].split("```")[1])
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert dict(listed) == {action.dest: action.help for action in subparsers._choices_actions}
+        assert len(listed) == len(subparsers._choices_actions)
 
 
 class TestStagedChain:
@@ -925,31 +938,35 @@ class TestPerturbSingleOpBadInput:
 
 
 class TestDpoCheck:
-    def test_builtin_demo_passes(self, capsys):
-        code = main(["dpo-check", "--trials", "5"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "policy==reference mean loss: 0.693147 (expected 0.693147)" in out
-        assert "dpo-check: PASS" in out
-
     def test_checks_a_built_dataset(self, tmp_path, corpus, capsys):
         out = tmp_path / "out.jsonl"
         assert main(["run", "--input", str(corpus), "--output", str(out), "--seed", "7"]) == 0
-        code = main(["dpo-check", "--input", str(out), "--trials", "3"])
-        assert code == 0
-        assert "dpo-check: PASS" in capsys.readouterr().out
+        records = len(out.read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert main(["dpo-check", "--input", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"{records} record(s); policy==reference mean loss: 0.693147 (expected 0.693147)" in printed
+        assert "dpo-check: PASS" in printed
 
     def test_empty_dataset_is_a_corpus_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         assert main(["dpo-check", "--input", str(empty)]) == 2
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_no_trials_is_a_config_error(self, capsys, trials):
-        assert main(["dpo-check", "--trials", trials]) == 1
+    def test_a_dataset_is_required(self, capsys):
+        assert main(["dpo-check"]) == 1
         captured = capsys.readouterr()
-        assert "config error: --trials must be at least 1" in captured.err
+        assert "the following arguments are required: --input" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--trials", "--beta", "--seed"])
+    def test_gradient_trial_flags_are_gone(self, tmp_path, capsys, flag):
+        dataset = tmp_path / "pairs.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        assert main(["dpo-check", "--input", str(dataset), flag, "3"]) == 1
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments" in captured.err
+        assert captured.out == ""
 
 
 class TestStats:

@@ -14,7 +14,6 @@ from scenealign.dpo import (
     build_preference_records,
     dpo_loss,
     export_jsonl,
-    finite_difference_gradient,
     import_jsonl,
     record_from_json,
     record_to_json,
@@ -28,6 +27,9 @@ from scenealign.errors import (
 )
 from scenealign.perturb import generate_negatives
 from scenealign.rationale import Rationale
+from scenealign.scene_graph import serialize_scene_graph
+
+from .helpers import finite_difference_gradient
 
 LN2 = 0.6931471805599453
 SOFTPLUS_NEG_01 = 0.6443966600735709  # softplus(-0.1) == -log(sigmoid(0.1))
@@ -47,9 +49,8 @@ def _record(rec_id="r1", chosen="good text", rejected="bad text", instance_id=No
     meta = {"instance_id": instance_id} if instance_id else {}
     return PreferenceRecord(
         id=rec_id,
-        image_ref="img.jpg",
-        question="What is shown?",
-        scene_graph_json='{"entity": [], "attribute pairs": [], "relationships": []}',
+        images=("img.jpg",),
+        prompt='What is shown?\n\nScene Graph: {"entity": [], "attribute pairs": [], "relationships": []}',
         chosen=chosen,
         rejected=rejected,
         meta=meta,
@@ -80,20 +81,13 @@ class TestRecordBuilding:
             assert record.meta["diversity_rank"] == rank
             assert record.meta["trace"] == cand.trace.to_dict()
 
-    def test_prompt_concatenates_question_and_graph(self, case_instance, case_graph, case_rationale):
-        from scenealign.scene_graph import serialize_scene_graph
-
-        record = PreferenceRecord(
-            id="x",
-            image_ref=case_instance.image_ref,
-            question=case_instance.question,
-            scene_graph_json=serialize_scene_graph(case_graph),
-            chosen="a",
-            rejected="b",
-        )
-        assert record.prompt == (
-            case_instance.question + "\n\nScene Graph: " + serialize_scene_graph(case_graph)
-        )
+    def test_prompt_concatenates_question_and_graph(
+        self, case_instance, case_graph, case_subgraph, case_pool, case_rationale
+    ):
+        negatives = self._negatives(case_graph, case_subgraph, case_pool, k=2)
+        records = build_preference_records(case_instance, case_graph, case_rationale, negatives)
+        prompt = case_instance.question + "\n\nScene Graph: " + serialize_scene_graph(case_graph)
+        assert [(r.images, r.prompt) for r in records] == [((case_instance.image_ref,), prompt)] * 2
 
     def test_missing_rationale_raises(
         self, case_instance, case_graph, case_subgraph, case_pool, case_rationale
@@ -127,10 +121,25 @@ class TestJsonl:
         assert record_from_json(record_to_json(rec)) == rec
 
     def test_a_prompt_without_a_scene_graph_is_all_question(self):
-        line = json.dumps({"id": "r1", "prompt": "What is shown?", "chosen": "a", "rejected": "b"})
+        fields = {"id": "r1", "images": [], "prompt": "What is shown?", "chosen": "a", "rejected": "b", "meta": {}}
+        line = json.dumps(fields)
         rec = record_from_json(line)
-        assert rec.question == "What is shown?"
-        assert rec.scene_graph_json == ""
+        assert rec.prompt == "What is shown?"
+        assert record_to_json(rec) == line
+
+    @pytest.mark.parametrize(
+        "images, prompt",
+        [
+            ([], "q\n\nScene Graph: {}"),
+            (["a.jpg", "b.jpg"], "q\n\nScene Graph: {}"),
+            (["a.jpg"], "q\n\nScene Graph: one\n\nScene Graph: two"),
+        ],
+        ids=["no-image", "two-images", "two-separators"],
+    )
+    def test_a_line_reads_back_byte_for_byte(self, images, prompt):
+        fields = {"id": "r1", "images": images, "prompt": prompt, "chosen": "a", "rejected": "b", "meta": {"k": 1}}
+        line = json.dumps(fields, ensure_ascii=False)
+        assert record_to_json(record_from_json(line)) == line
 
     def test_unicode_survives(self):
         rec = _record(chosen="l'éléphant est là", rejected="non")
@@ -184,6 +193,19 @@ class TestLoss:
         loss, margins = dpo_loss(records, policy, policy)
         assert loss == pytest.approx(LN2, abs=1e-12)
         assert margins == [0.0]
+
+    def test_each_response_is_scored_under_the_prompt_the_file_holds(self):
+        contexts = []
+
+        class Recording(FixedProvider):
+            def log_prob(self, context, response):
+                contexts.append(context)
+                return super().log_prob(context, response)
+
+        line = json.dumps({"id": "r1", "prompt": "What is shown?", "chosen": "good text", "rejected": "bad text"})
+        policy = Recording({"good text": -1.0, "bad text": -3.0})
+        dpo_loss([record_from_json(line)], policy, policy)
+        assert contexts == ["What is shown?"] * 4
 
     def test_worked_scalar_example(self):
         # policy log-ratio 1.0, reference log-ratio 0.0, beta 0.1 -> margin 0.1

@@ -43,7 +43,7 @@ class TestCaseStudy:
     def test_pool_helpers(self, case_pool):
         assert case_pool.attribute_values() == ("white", "glass", "parked")
         assert case_pool.predicates() == ("behind",)
-        assert len(case_pool.all_elements()) == case_pool.element_count
+        assert len(case_pool.all_elements) == case_pool.element_count
 
 
 class TestMatchingRules:
