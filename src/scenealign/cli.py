@@ -262,6 +262,13 @@ def _cmd_dpo_check(args) -> int:
     records = import_jsonl(args.input)
     if not records:
         raise CorpusError(None, "no records to check")
+    # build writes neither; scoring them would prove nothing or fail on an empty vocabulary
+    same = sum(r.rejected == r.chosen for r in records)
+    blank = sum(not r.chosen.strip() or not r.rejected.strip() for r in records)
+    if same or blank:
+        print(f"{len(records)} record(s); {same} with rejected equal to chosen, {blank} with a blank side")
+        print("dpo-check: FAIL")
+        return EXIT_CONFIG
     vocab = {tok for r in records for tok in f"{r.chosen} {r.rejected}".split()}
     uniform = ToyPolicy.uniform(sorted(vocab))
     # a policy equal to its reference gives every record a margin of 0, and so a loss of log 2

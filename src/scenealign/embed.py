@@ -7,12 +7,15 @@ wire shape for drop-in use of hosted embedding models.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import threading
 from dataclasses import dataclass
 from typing import Sequence
+
+# _blake2.blake2b is the very class that hashlib.blake2b names; importing it
+# alone keeps OpenSSL, which hashlib loads, out of an offline process
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -117,8 +120,9 @@ class Embedding:
         return len(self.values)
 
 
-def _stable_hash(data: str) -> int:
-    digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
+def stable_hash(data: str) -> int:
+    """Stable 64-bit hash of a string: its UTF-8 bytes' 8-byte blake2b digest, big-endian."""
+    digest = blake2b(data.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -130,7 +134,7 @@ def _window_codes(window: str, dimension: int) -> list[int]:
     codes = []
     for n in _NGRAM_LENGTHS:
         if n <= len(window) or n == _NGRAM_LENGTHS[0]:
-            h = _stable_hash(window[:n])
+            h = stable_hash(window[:n])
             codes.append(((h >> 1) % dimension) << 1 | (h & 1))
         else:
             codes.append(dimension << 1)
@@ -162,7 +166,7 @@ def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # signed counts cancelled out completely; fall back to a one-hot
-        vec[_stable_hash(folded) % dim] = 1.0
+        vec[stable_hash(folded) % dim] = 1.0
         norm = 1.0
     return vec / norm
 
@@ -179,6 +183,9 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
         vectors = [tuple(float(x) for x in row["embedding"]) for row in body["data"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise RemoteError(None, f"unexpected response shape: {exc}") from exc
+    # JSON's NaN and Infinity read as floats, but no distance can be taken from them
+    if not all(math.isfinite(x) for vec in vectors for x in vec):
+        raise RemoteError(None, "an embedding holds a non-finite value")
     if len(vectors) != len(texts):
         raise RemoteError(None, f"expected {len(texts)} embeddings, got {len(vectors)}")
     for vec in vectors:

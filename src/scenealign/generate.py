@@ -9,7 +9,6 @@ HTTP chat endpoint with caching and bounded retries.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -168,6 +167,8 @@ def _template_rationale(graph: SceneGraph, answer: str | None) -> Rationale:
 
 
 def _cache_path(cache_dir: str, prompt: str, cfg: GeneratorConfig, attachment: str | None) -> Path:
+    import hashlib  # loads OpenSSL; by now requests has loaded it too
+
     key = hashlib.sha256(
         json.dumps(
             {"prompt": prompt, "model": cfg.model, "temperature": cfg.temperature, "image": attachment},

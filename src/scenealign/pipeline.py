@@ -12,7 +12,6 @@ following corpus order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -25,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .atomic import atomic_open, loads_object, read_lines
 from .dpo import PreferenceRecord, build_preference_records, export_jsonl
-from .embed import EmbedConfig, embed_texts
+from .embed import EmbedConfig, embed_texts, stable_hash
 from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError
 from .generate import (
     GeneratorConfig,
@@ -83,8 +82,7 @@ class PipelineConfig:
 
 def instance_seed(global_seed: int, instance_id: str) -> int:
     """Stable 64-bit per-instance seed; independent of corpus order."""
-    data = f"{global_seed}:{instance_id}".encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+    return stable_hash(f"{global_seed}:{instance_id}")
 
 
 # ---------------------------------------------------------------------------

@@ -959,6 +959,30 @@ class TestDpoCheck:
         assert "the following arguments are required: --input" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize(
+        "edit, same, blank",
+        [
+            (lambda i, r: dict(r, rejected=r["chosen"]) if i == 0 else r, 1, 0),
+            (lambda i, r: dict(r, rejected=" \t") if i == 1 else r, 0, 1),
+            # every text blank: the uniform policy would have no vocabulary
+            (lambda i, r: dict(r, chosen="", rejected=""), 2, 2),
+        ],
+        ids=["rejected-is-chosen", "blank-rejected", "all-blank"],
+    )
+    def test_a_dataset_build_could_not_write_fails(self, tmp_path, corpus, capsys, edit, same, blank):
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(out), "--seed", "7"]) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 2
+        out.write_text("".join(json.dumps(edit(i, r)) + "\n" for i, r in enumerate(records)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["dpo-check", "--input", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"2 record(s); {same} with rejected equal to chosen, {blank} with a blank side\ndpo-check: FAIL\n"
+        )
+        assert captured.err == ""
+
     @pytest.mark.parametrize("flag", ["--trials", "--beta", "--seed"])
     def test_gradient_trial_flags_are_gone(self, tmp_path, capsys, flag):
         dataset = tmp_path / "pairs.jsonl"

@@ -347,7 +347,11 @@ class TestHttpProvider:
         with pytest.raises(RemoteError):
             embed_texts(["hello"], self._cfg(mock_api))
 
-    @pytest.mark.parametrize("row", [None, ["x", "y", "z", "w"]], ids=["null", "strings"])
+    @pytest.mark.parametrize(
+        "row",
+        [None, ["x", "y", "z", "w"], [0.5, float("nan"), 0.5, 0.5], [float("inf")] * 4, [0.0, 0.0, 0.0, -float("inf")]],
+        ids=["null", "strings", "nan", "inf", "minus-inf"],
+    )
     def test_row_that_is_not_a_list_of_numbers(self, mock_api, row):
         mock_api.handler = lambda payload: (200, {"data": [{"embedding": row}]})
         with pytest.raises(RemoteError):

@@ -250,6 +250,15 @@ class TestResponseCache:
         assert json.loads(entry.read_text(encoding="utf-8")) == {"content": "1. Fresh step."}
         assert list(tmp_path.iterdir()) == [entry]  # no temp file left behind
 
+    def test_an_entry_keeps_its_file_name(self, mock_api, tmp_path):
+        # the sha256 of the sorted-key JSON of prompt, model, temperature and image:
+        # a cache written by an earlier version stays valid only while this name holds
+        mock_api.handler = lambda p: self._reply("1. Cached step.")
+        generate_rationale("same prompt", self._cfg(mock_api, tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "d8c11a967a1c63cd5460b4e9e65ad950f5f63d3d2634006fed68b351b0ce1824.json"
+        ]
+
     def test_cache_key_includes_the_image(self, mock_api, tmp_path, case_instance):
         graphs = {
             "images/a.jpg": {"entity": ["cat"], "attribute pairs": [], "relationships": []},

@@ -1,7 +1,8 @@
-"""The HTTP stack is loaded only where a remote provider is configured."""
+"""The HTTP stack is loaded only where a remote provider is configured, and OpenSSL only with it."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from scenealign import embed
 from scenealign.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +36,46 @@ def test_importing_the_package_leaves_the_http_stack_unloaded(tmp_path):
     proc = _fresh_python(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# An offline run through the library, through `run` and through the five stage
+# subcommands, in one interpreter; prints whether OpenSSL's `_hashlib` or any
+# module of the HTTP stack was loaded after each step.
+_OFFLINE_PROCESS = f"""
+import sys
+import scenealign, scenealign.pipeline, scenealign.cli
+from scenealign.pipeline import PipelineConfig, run_pipeline
+
+def loaded():
+    return [name for name in ("_hashlib", *{HTTP_STACK!r}) if name in sys.modules]
+
+steps = [loaded()]
+run_pipeline(PipelineConfig(input_path="corpus.jsonl", output_path="library.jsonl"))
+steps.append(loaded())
+assert scenealign.cli.main(["run", "--input", "corpus.jsonl", "--output", "cli.jsonl"]) == 0
+steps.append(loaded())
+src = "corpus.jsonl"
+for command in ("parse", "ground", "perturb", "select", "build"):
+    assert scenealign.cli.main([command, "--input", src, "--output", command + ".jsonl"]) == 0
+    src = command + ".jsonl"
+steps.append(loaded())
+print(steps)
+"""
+
+
+def test_an_offline_process_leaves_openssl_unloaded(tmp_path, case_corpus_line):
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(case_corpus_line) + "\n", encoding="utf-8")
+    proc = _fresh_python(_OFFLINE_PROCESS, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[], [], [], []]"
+    dataset = (tmp_path / "library.jsonl").read_bytes()
+    assert dataset
+    assert (tmp_path / "cli.jsonl").read_bytes() == dataset == (tmp_path / "build.jsonl").read_bytes()
+
+
+def test_the_package_hashes_with_hashlibs_blake2b():
+    # the per-instance seeds and the n-gram buckets keep their values
+    assert embed.blake2b is hashlib.blake2b
 
 
 def test_an_offline_run_needs_no_requests(tmp_path, case_corpus_line):

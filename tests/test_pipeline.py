@@ -494,6 +494,32 @@ class TestSelectEmbedsOnlyToChoose:
         batches = [len(r["payload"]["input"]) for r in mock_api.requests if r["path"] == "/embed"]
         assert sorted(batches) == sorted(n for n in in_band if n > m)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_non_finite_embedding_drops_its_instance_not_the_run(self, tmp_path, mock_api, bad):
+        lines = synthetic_corpus_lines(8, random.Random(111))
+        providers, poisoned = MockProviders(), []
+        mock_api.handler = providers
+        run_pipeline(_cfg(tmp_path, lines, name="clean", seed=5, **_remote_cfg(mock_api)))
+
+        def handler(payload):
+            # the first embedding request gets rows of `bad`; JSON carries them as NaN and Infinity
+            if "input" in payload and not poisoned:
+                poisoned.append(payload["input"])
+                return 200, {"data": [{"embedding": [bad] * 8} for _ in payload["input"]]}
+            return providers(payload)
+
+        mock_api.handler = handler
+        report = run_pipeline(_cfg(tmp_path, lines, name="bad", seed=5, **_remote_cfg(mock_api)))
+        assert poisoned
+        dropped = [summary["id"] for summary in report.instances if "drop" in summary]
+        assert len(dropped) == 1
+        assert report.drops == {"RemoteError": 1}
+        assert report.instances_processed == len(lines) - 1
+        clean = (tmp_path / "clean.out.jsonl").read_text(encoding="utf-8").splitlines()
+        kept = [line for line in clean if json.loads(line)["meta"]["instance_id"] != dropped[0]]
+        assert len(kept) < len(clean)
+        assert (tmp_path / "bad.out.jsonl").read_text(encoding="utf-8").splitlines() == kept
+
 
 class TestDeterminismPin:
     """The bytes every change must keep: one corpus and seed, one sha256, however it is run."""
