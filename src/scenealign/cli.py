@@ -363,10 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds a handler only to a root logger without one, so the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
     try:
         return args.func(args)
     except ConfigError as exc:

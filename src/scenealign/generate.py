@@ -132,17 +132,14 @@ def render_negative_cot_prompt(sg_neg: SceneGraph, inst: Instance) -> str:
     """Reasoning prompt with graph and question only.
 
     The gold answer and the image are structurally absent: the template has
-    no slot for either, and that absence is asserted on every render.
+    no slot for either.
     """
-    prompt = (
+    return (
         f"{_NEGATIVE_HEADER}\n{_FORMAT_EXAMPLE}\n"
         f"Scene Graph: {serialize_scene_graph(sg_neg)}\n\n"
         f"Question: {inst.question}\n\n"
         f"Step-by-step reasoning:"
     )
-    # the question line must end the instance content; nothing may follow it
-    assert f"Question: {inst.question}\n\nStep-by-step reasoning:" in prompt
-    return prompt
 
 
 # ---------------------------------------------------------------------------

@@ -97,28 +97,19 @@ def from_jsonable(value):
 
 
 class _Draft:
-    """A graph under edit: its own entity, attribute and relation lists, plus a set of its relations.
+    """A graph under edit: its own entity, attribute and relation lists, which the operators below edit in place."""
 
-    The operators below edit a draft in place.  A draft keeps its swappable
-    relation indices and removable counts until an edit replaces them (none
-    changes them in place), so every copy of one start draft shares them.
-    """
+    __slots__ = ("entities", "attributes", "relations")
 
-    __slots__ = ("entities", "attributes", "relations", "present", "swaps", "removable")
-
-    def __init__(self, entities: list, attributes: list, relations: list, present: set, swaps=None, removable=None):
-        self.entities, self.attributes, self.relations, self.present = entities, attributes, relations, present
-        self.swaps: list[int] | None = swaps  # None: not built since the last edit that can change it
-        self.removable: dict[str, int] | None = removable
+    def __init__(self, entities: list, attributes: list, relations: list):
+        self.entities, self.attributes, self.relations = entities, attributes, relations
 
     @classmethod
     def of(cls, sg: SceneGraph) -> "_Draft":
-        return cls(list(sg.entities), list(sg.attributes), list(sg.relations), set(sg.relations))
+        return cls(list(sg.entities), list(sg.attributes), list(sg.relations))
 
     def copy(self) -> "_Draft":
-        return _Draft(
-            self.entities[:], self.attributes[:], self.relations[:], self.present.copy(), self.swaps, self.removable
-        )
+        return _Draft(self.entities[:], self.attributes[:], self.relations[:])
 
     @property
     def element_count(self) -> int:
@@ -133,10 +124,8 @@ class _Draft:
 
     def swap_indices(self) -> list[int]:
         """The relations that are not reflexive and whose reverse is absent, by index."""
-        if self.swaps is None:
-            present = self.present
-            self.swaps = [i for i, (s, p, o) in enumerate(self.relations) if s != o and (o, p, s) not in present]
-        return self.swaps
+        present = set(self.relations)
+        return [i for i, (s, p, o) in enumerate(self.relations) if s != o and (o, p, s) not in present]
 
     def removable_counts(self) -> dict[str, int]:
         """How many elements of each kind ``shorten`` may remove, keyed in ref order.
@@ -145,18 +134,16 @@ class _Draft:
         happens only to a sole entity that every row names; a lone attribute
         or relation leaves nothing behind.
         """
-        if self.removable is None:
-            entities, rows = len(self.entities), self.element_count >= 2
-            if entities == 1:
-                name = self.entities[0]
-                named = all(a[0] == name for a in self.attributes) and all(name in (r[0], r[2]) for r in self.relations)
-                entities = 0 if named else 1
-            self.removable = {
-                "entity": entities,
-                "attribute": len(self.attributes) if rows else 0,
-                "relation": len(self.relations) if rows else 0,
-            }
-        return self.removable
+        entities, rows = len(self.entities), self.element_count >= 2
+        if entities == 1:
+            name = self.entities[0]
+            named = all(a[0] == name for a in self.attributes) and all(name in (r[0], r[2]) for r in self.relations)
+            entities = 0 if named else 1
+        return {
+            "entity": entities,
+            "attribute": len(self.attributes) if rows else 0,
+            "relation": len(self.relations) if rows else 0,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +158,9 @@ def _swap(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=None
         index = rng.choice(choices)
     old = subj, pred, obj = d.relations[index]
     swapped = (obj, pred, subj)
-    if swapped in d.present:  # a reflexive relation's swap is itself
+    if swapped in d.relations:  # a reflexive relation's swap is itself
         raise EditError(f"swapping relation {index} gives {list(swapped)}, already in the graph")
     d.relations[index] = swapped
-    d.present.discard(old)
-    d.present.add(swapped)
-    # the swapped triple's reverse is the triple it replaced, now gone, and no
-    # other relation is either one, so the swappable indices stay as they are
     return PerturbationOp("swap", "relation", old, swapped)
 
 
@@ -212,12 +195,10 @@ def _replace_entity(d: _Draft, index: int, pool: SceneGraph, rng: random.Random,
             continue
         attrs = [(new if e == old else e, v) for e, v in d.attributes]
         rels = [(new if s == old else s, p, new if o == old else o) for s, p, o in d.relations]
-        present = set(rels)
-        if len(set(attrs)) != len(attrs) or len(present) != len(rels):
+        if len(set(attrs)) != len(attrs) or len(set(rels)) != len(rels):
             continue  # rewrite collapsed two elements into one
         d.entities[index] = new
-        d.attributes, d.relations, d.present = attrs, rels, present
-        d.swaps = d.removable = None
+        d.attributes, d.relations = attrs, rels
         return PerturbationOp("replace", "entity", old, new)
     raise EditError(f"no usable replacement for entity {old!r}")
 
@@ -227,9 +208,9 @@ def _replace_field(
 ) -> PerturbationOp:
     """Set field 1 of attribute ``index`` (its value) or, for "relation" or "predicate", of relation ``index``."""
     if kind == "attribute":
-        rows, present, values, label = d.attributes, d.attributes, pool.attribute_values(), "attribute value"
+        rows, values, label = d.attributes, pool.attribute_values(), "attribute value"
     else:
-        rows, present, values, label, kind = d.relations, d.present, pool.predicates(), "predicate", "predicate"
+        rows, values, label, kind = d.relations, pool.predicates(), "predicate", "predicate"
     if not values and pinned is None:
         raise EditError(f"residual pool holds no {label}s")
     old = rows[index]
@@ -237,13 +218,9 @@ def _replace_field(
     for _ in range(attempts):
         value = pinned if pinned is not None else rng.choice(values)
         new = (old[0], value, *old[2:])
-        if value == old[1] or new in present:
+        if value == old[1] or new in rows:
             continue
         rows[index] = new
-        if kind == "predicate":
-            d.present.discard(old)
-            d.present.add(new)
-            d.swaps = None
         return PerturbationOp("replace", kind, old, new)
     raise EditError(f"no usable replacement {label} for {list(old)}")
 
@@ -274,20 +251,11 @@ def _shorten(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index=N
         if len(d.entities) == 1 and not attrs and not rels:  # the cascade took everything
             raise EditError(f"removing entity {name!r} would empty the graph")
         del d.entities[index]
-        d.attributes = attrs
-        if len(rels) != len(d.relations):
-            d.relations, d.present, d.swaps = rels, set(rels), None
-        d.removable = None
+        d.attributes, d.relations = attrs, rels
         return PerturbationOp("shorten", "entity", name, None)
     if d.element_count - 1 == 0:
         raise EditError("removing the sole element would empty the graph")
-    d.removable = None
-    if kind == "attribute":
-        return PerturbationOp("shorten", "attribute", d.attributes.pop(index), None)
-    target = d.relations.pop(index)
-    d.present.discard(target)
-    d.swaps = None
-    return PerturbationOp("shorten", "relation", target, None)
+    return PerturbationOp("shorten", kind, d.rows(kind).pop(index), None)
 
 
 def _draw_shorten_ref(d: _Draft, rng: random.Random, kind: str | None = None) -> tuple[str, int]:
@@ -319,7 +287,7 @@ def _element_kind(element) -> str:
 
 
 def _addable_elements(d: _Draft, pool: SceneGraph) -> list[tuple[str, object]]:
-    present = {"entity": set(d.entities), "attribute": set(d.attributes), "relation": d.present}
+    present = {"entity": set(d.entities), "attribute": set(d.attributes), "relation": set(d.relations)}
     return [(kind, element) for kind, element in pool.all_elements if element not in present[kind]]
 
 
@@ -343,13 +311,10 @@ def _overthink(d: _Draft, pool: SceneGraph, rng: random.Random, kind=None, index
         needed = (element[0],)
     else:
         d.relations.append(element)
-        d.present.add(element)
-        d.swaps = None
         needed = (element[0], element[2])
     for name in needed:  # entity closure for the new element
         if name not in d.entities:
             d.entities.append(name)
-    d.removable = None
     return PerturbationOp("overthink", kind, None, element)
 
 
@@ -456,9 +421,10 @@ def _clean_payload(tag: str, payload):
 
 
 def _applicable_tags(d: _Draft, pool: SceneGraph) -> list[str]:
-    """The operators with at least one target, in ``OPERATOR_TAGS`` order; only the swap list is built."""
+    """The operators with at least one target, in ``OPERATOR_TAGS`` order; no choice list is built."""
     tags = []
-    if d.swap_indices():
+    relations = set(d.relations)
+    if any(s != o and (o, p, s) not in relations for s, p, o in d.relations):
         tags.append("swap")
     if _replace_kinds(d, pool):
         tags.append("replace")
@@ -468,7 +434,7 @@ def _applicable_tags(d: _Draft, pool: SceneGraph) -> list[str]:
     if (
         (pool.entities and not set(d.entities).issuperset(pool.entities))
         or (pool.attributes and not set(d.attributes).issuperset(pool.attributes))
-        or (pool.relations and not d.present.issuperset(pool.relations))
+        or (pool.relations and not relations.issuperset(pool.relations))
     ):
         tags.append("overthink")
     return tags
@@ -519,10 +485,7 @@ def generate_negatives(
         raise ValueError(f"invalid edit range {edit_range!r}")
 
     rng = random.Random(seed)
-    # the start graph's choice lists are built once, here; each attempt's
-    # copy shares them until one of its edits changes what they depend on
     start = _Draft.of(sg_c)
-    start.removable_counts()
     start_tags = _applicable_tags(start, pool)
     if not start_tags:
         raise NoApplicableOperator("no operator applies to this subgraph/pool")

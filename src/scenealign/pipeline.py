@@ -122,12 +122,15 @@ def _instance_from_obj(obj: dict) -> Instance:
 
 
 def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
-    """Graphs by instance id; a malformed line is skipped unless ``strict``."""
+    """Graphs by instance id from each id's first line; a malformed or repeated line is skipped unless ``strict``."""
     graphs: dict[str, object] = {}
     for line_no, line in read_lines(path, "graphs file"):
         try:
             obj = loads_object(line)
-            graphs[_line_id(obj, None)] = obj["scene_graph"]
+            ident = _line_id(obj, None)
+            if ident in graphs:
+                raise CorpusError(None, f"duplicate id {ident!r}")
+            graphs[ident] = obj["scene_graph"]
         except (CorpusError, KeyError) as exc:
             reason = exc.reason if isinstance(exc, CorpusError) else f"no {exc} key"
             if strict:

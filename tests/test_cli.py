@@ -23,6 +23,12 @@ from .helpers import synthetic_corpus_lines
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _src_env() -> dict:
+    """This process's environment with the repository's ``src`` first on PYTHONPATH."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+
+
 def _write_corpus(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
 
@@ -142,8 +148,7 @@ class TestRun:
     def test_shortfall_is_named_only_under_verbose(self, tmp_path, corpus):
         # logging is configured by main, so the run goes through a fresh interpreter;
         # 9 negatives wanted from 8 candidates is a shortfall whatever the band keeps
-        pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+        env = _src_env()
         argv = [sys.executable, "-m", "scenealign.cli", "run", "--input", str(corpus), "--output", "out.jsonl"]
         stderr = {}
         for flags in ([], ["--verbose"]):
@@ -154,6 +159,24 @@ class TestRun:
             stderr[bool(flags)] = proc.stderr
         assert "shortfall" not in stderr[False]
         assert any("shortfall" in line and "'case-1'" in line for line in stderr[True].splitlines())
+
+    def test_a_quiet_call_after_a_verbose_one_logs_no_info(self, tmp_path, corpus):
+        # one fresh interpreter, so the second call meets the log handler the first one added
+        script = (
+            "import sys\n"
+            "from scenealign.cli import main\n"
+            "main([*sys.argv[1:], '--verbose'])\n"
+            "print('-- quiet --', file=sys.stderr, flush=True)\n"
+            "main(sys.argv[1:])\n"
+        )
+        argv = ["run", "--input", str(corpus), "--output", "out.jsonl", "--num-negatives", "9"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, cwd=tmp_path, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        verbose, quiet = proc.stderr.split("-- quiet --\n")
+        assert "INFO" in verbose
+        assert "INFO" not in quiet
 
 
 def _help_flags(command, capsys) -> list[str]:
@@ -1063,8 +1086,7 @@ def test_console_script_is_installed(tmp_path, corpus):
         module, attr = target.split(":")
         launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
         command = [sys.executable, "-c", launcher]
-        pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+        env = _src_env()
     out = tmp_path / "out.jsonl"
     proc = subprocess.run(
         [*command, "run", "--input", str(corpus), "--output", str(out), "--seed", "7"],

@@ -144,6 +144,37 @@ class TestStageParse:
         assert main(argv + ["--strict"]) == 2
         assert "graphs file line 1" in capsys.readouterr().err
 
+    def _repeated_sidecar_id(self, tmp_path, case_corpus_line, **kw):
+        """One graph-less line for id "a"; the sidecar holds two graphs for "a", "man" first."""
+        line = dict(case_corpus_line, id="a")
+        del line["scene_graph"]
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(
+            "".join(
+                json.dumps({"id": "a", "scene_graph": {"entity": [name], "attribute pairs": [], "relationships": []}})
+                + "\n"
+                for name in ("man", "dog")
+            ),
+            encoding="utf-8",
+        )
+        return _cfg(tmp_path, [line], graphs_path=str(sidecar), **kw)
+
+    def test_a_repeated_sidecar_id_keeps_its_first_line(self, tmp_path, case_corpus_line, caplog):
+        items, drops = stage_parse(self._repeated_sidecar_id(tmp_path, case_corpus_line))
+        assert drops == []
+        assert [item["scene_graph"].entities for item in items] == [("man",)]
+        assert "graphs file line 2 skipped: duplicate id 'a'" in caplog.text
+
+    def test_a_repeated_sidecar_id_under_strict_is_a_corpus_error(self, tmp_path, case_corpus_line, capsys):
+        cfg = self._repeated_sidecar_id(tmp_path, case_corpus_line, strict=True)
+        with pytest.raises(CorpusError, match="graphs file line 2: duplicate id 'a'"):
+            stage_parse(cfg)
+        out = tmp_path / "p.jsonl"
+        argv = ["parse", "--input", cfg.input_path, "--output", str(out), "--graphs", cfg.graphs_path, "--strict"]
+        assert main(argv) == 2
+        assert "graphs file line 2: duplicate id 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_id_coerced(self, tmp_path, case_corpus_line):
         line = dict(case_corpus_line, id=17)
         items, _ = stage_parse(_cfg(tmp_path, [line]))
