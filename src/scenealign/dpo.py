@@ -13,9 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, Union
 
 from .atomic import loads_object, read_lines, write_lines
 from .errors import (
@@ -29,6 +27,9 @@ from .generate import Instance
 from .perturb import NegativeCandidate
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
+
+if TYPE_CHECKING:  # numpy is imported where the toy policy uses it
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -219,6 +220,8 @@ def dpo_loss(
 
 
 def _logsumexp(values: np.ndarray) -> float:
+    import numpy as np
+
     m = float(np.max(values))
     return m + math.log(float(np.sum(np.exp(values - m))))
 
@@ -236,6 +239,8 @@ class ToyPolicy:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if len(self.vocabulary) != self.weights.shape[0]:
             raise ConfigError("vocabulary and weights disagree in length")
@@ -243,9 +248,11 @@ class ToyPolicy:
 
     @classmethod
     def uniform(cls, vocabulary: Sequence[str]) -> "ToyPolicy":
-        return cls(tuple(vocabulary), np.zeros(len(vocabulary)))
+        return cls(tuple(vocabulary), [0.0] * len(vocabulary))
 
     def token_counts(self, response: str) -> np.ndarray:
+        import numpy as np
+
         counts = np.zeros(len(self.vocabulary), dtype=np.float64)
         for token in response.split():
             idx = self._index.get(token)
@@ -255,6 +262,8 @@ class ToyPolicy:
         return counts
 
     def log_prob(self, context: str, response: str) -> float:
+        import numpy as np
+
         counts = self.token_counts(response)
         length = float(np.sum(counts))
         return float(np.dot(counts, self.weights) - length * _logsumexp(self.weights))
@@ -273,6 +282,8 @@ def toy_policy_gradient(
     """
     if not records:
         raise ValueError("toy_policy_gradient requires at least one record")
+    import numpy as np
+
     weight = 1.0 / len(records)
     probs = np.exp(policy.weights - _logsumexp(policy.weights))
     grad = np.zeros_like(policy.weights)

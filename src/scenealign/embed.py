@@ -11,13 +11,12 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 # _blake2.blake2b is the very class that hashlib.blake2b names; importing it
 # alone keeps OpenSSL, which hashlib loads, out of an offline process
 from _blake2 import blake2b
-
-import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError
 
@@ -29,65 +28,12 @@ _WINDOW = _NGRAM_LENGTHS[-1]
 # windows each per-dimension table keeps; past it a window is hashed every time
 _SLOT_TABLE_CAP = 1 << 16
 
-
-class _WindowTable:
-    """One dimension's memo: a text window to the codes of its n-gram prefixes.
-
-    A window is ``folded[i:i+5]``, or shorter at the end of the text; row
-    ``ids[window]`` of ``codes`` holds ``bucket << 1 | sign`` for its 3-, 4- and
-    5-character prefixes, with bucket ``dimension`` for a prefix the window is
-    too short for.  Lookups take no lock: a dict get is atomic under the GIL.
-    A store takes the lock, writes the row and publishes any grown array
-    before it stores the key, so a reader that finds a key and then reads
-    ``codes`` finds the row; a store happens once per distinct window.
-    """
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        self.ids: dict[str, int] = {}
-        self.codes = np.empty((1024, len(_NGRAM_LENGTHS)), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def rows(self, windows: list[str]) -> list[int] | None:
-        """The row of each window, storing new ones; None when one is past the cap."""
-        try:
-            return list(map(self.ids.__getitem__, windows))
-        except KeyError:
-            self._store(windows)
-        try:
-            return list(map(self.ids.__getitem__, windows))
-        except KeyError:
-            return None
-
-    def codes_of(self, window: str):
-        """One window's codes, from its row or, past the cap, hashed inline."""
-        row = self.ids.get(window)
-        return _window_codes(window, self.dimension) if row is None else self.codes[row]
-
-    def _store(self, windows: list[str]) -> None:
-        if len(self.ids) >= _SLOT_TABLE_CAP:
-            return
-        new = [w for w in dict.fromkeys(windows) if w not in self.ids]
-        hashed = [_window_codes(w, self.dimension) for w in new]
-        with _window_store_lock:
-            for window, codes in zip(new, hashed):
-                row = len(self.ids)
-                if row >= _SLOT_TABLE_CAP:
-                    return
-                if window in self.ids:  # another thread stored it first
-                    continue
-                if row == len(self.codes):
-                    grown = np.empty((2 * row, len(_NGRAM_LENGTHS)), dtype=np.int64)
-                    grown[:row] = self.codes
-                    self.codes = grown
-                self.codes[row] = codes
-                self.ids[window] = row
-
-
-# dimension -> its window table, made on the first text of that dimension
-_window_tables: dict[int, _WindowTable] = {}
+# dimension -> its window table, made on the first text of that dimension.  A
+# table maps a window, ``folded[i:i+5]`` or shorter at the end of the text, to
+# the ``(bucket, sign)`` codes of its 3-, 4- and 5-character prefixes.  Lookups
+# take no lock: a dict get is atomic under the GIL.  Stores take the lock, so
+# a table never holds more than _SLOT_TABLE_CAP windows.
+_window_tables: dict[int, dict[str, tuple[tuple[int, int], ...]]] = {}
 _window_store_lock = threading.Lock()
 
 
@@ -103,8 +49,8 @@ class EmbedConfig:
     def __post_init__(self):
         if self.provider not in ("hashed-ngram", "http"):
             raise ConfigError(f"unknown embedding provider {self.provider!r}")
-        if self.dimension < 2:
-            raise ConfigError("embedding dimension must be at least 2")
+        if type(self.dimension) is not int or self.dimension < 2:  # a bool or a float is no dimension
+            raise ConfigError(f"embedding dimension must be an integer of at least 2, got {self.dimension!r}")
         if self.provider == "http":
             from . import transport  # loads the HTTP stack during set-up
 
@@ -126,49 +72,50 @@ def stable_hash(data: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _window_codes(window: str, dimension: int) -> list[int]:
-    """``bucket << 1 | sign`` of each n-gram prefix of a window, padded with bucket ``dimension``.
+def _window_codes(window: str, dimension: int) -> tuple[tuple[int, int], ...]:
+    """``(bucket, sign)`` of each n-gram prefix of a window that is long enough for it.
 
     A text shorter than the smallest n-gram is its own window, hashed whole.
     """
     codes = []
     for n in _NGRAM_LENGTHS:
-        if n <= len(window) or n == _NGRAM_LENGTHS[0]:
-            h = stable_hash(window[:n])
-            codes.append(((h >> 1) % dimension) << 1 | (h & 1))
-        else:
-            codes.append(dimension << 1)
+        if n > len(window) and n > _NGRAM_LENGTHS[0]:
+            break
+        h = stable_hash(window[:n])
+        codes.append(((h >> 1) % dimension, 1 if h & 1 else -1))
+    return tuple(codes)
+
+
+def _stored_codes(table: dict, window: str, dimension: int) -> tuple[tuple[int, int], ...]:
+    """Hash a window the table lacks, and store it while the table is below the cap."""
+    codes = _window_codes(window, dimension)
+    with _window_store_lock:
+        if len(table) < _SLOT_TABLE_CAP:
+            table[window] = codes
     return codes
 
 
-def _window_table(dimension: int) -> _WindowTable:
-    table = _window_tables.get(dimension)
-    if table is None:  # setdefault is atomic, so racing threads share one table
-        table = _window_tables.setdefault(dimension, _WindowTable(dimension))
-    return table
-
-
-def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> np.ndarray:
+def _hashed_ngram_vector(text: str, cfg: EmbedConfig) -> tuple[float, ...]:
     folded = text.casefold()
-    # every 3-, 4- and 5-gram is a prefix of exactly one window
-    windows = [folded[i : i + _WINDOW] for i in range(len(folded) - _NGRAM_LENGTHS[0] + 1)] or [folded]
     dim = cfg.dimension
-    table = _window_table(dim)
-    rows = table.rows(windows)
-    if rows is not None:
-        packed = table.codes.take(rows, axis=0).ravel()  # read the array after the keys
-    else:
-        packed = np.array([table.codes_of(w) for w in windows], dtype=np.int64).ravel()
-    # code 2b + 1 counts bucket b's +1 grams and 2b its -1 grams; bucket
-    # ``dim`` holds the padding.  Integer counts are exact in float64.
-    counts = np.bincount(packed, minlength=2 * dim + 2)
-    vec = (counts[1::2] - counts[0::2])[:dim].astype(np.float64)
-    norm = float(np.linalg.norm(vec))
+    table = _window_tables.get(dim)
+    if table is None:  # setdefault is atomic, so racing threads share one table
+        table = _window_tables.setdefault(dim, {})
+    counts = [0] * dim
+    # every 3-, 4- and 5-gram is a prefix of exactly one window; few windows
+    # of a text repeat, so counting them first costs more than it saves
+    for window in [folded[i : i + _WINDOW] for i in range(len(folded) - _NGRAM_LENGTHS[0] + 1)] or [folded]:
+        codes = table.get(window) or _stored_codes(table, window, dim)
+        for bucket, sign in codes:
+            counts[bucket] += sign
+    # the counts are integers and their sum of squares is exact, so the norm
+    # and each quotient are the correctly rounded doubles of the exact values
+    norm = math.sqrt(sum(map(mul, counts, counts)))
     if norm == 0.0:
         # signed counts cancelled out completely; fall back to a one-hot
-        vec[stable_hash(folded) % dim] = 1.0
+        counts[stable_hash(folded) % dim] = 1
         norm = 1.0
-    return vec / norm
+    return tuple([count / norm for count in counts])
 
 
 def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]:
@@ -179,10 +126,17 @@ def _http_embed_batch(texts: Sequence[str], cfg: EmbedConfig) -> list[Embedding]
 
     body = transport.post_json(payload, cfg.endpoint, transport.EMBED_TIMEOUT_S)
     try:
-        # a row that is not a list of numbers is a malformed reply, not a crash
-        vectors = [tuple(float(x) for x in row["embedding"]) for row in body["data"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [row["embedding"] for row in body["data"]]
+    except (KeyError, TypeError) as exc:
         raise RemoteError(None, f"unexpected response shape: {exc}") from exc
+    # a row that is not a list of numbers is a malformed reply, not a crash:
+    # a string, an object or a list of JSON booleans would convert item by item
+    if not all(type(row) is list and all(type(x) in (int, float) for x in row) for row in rows):
+        raise RemoteError(None, "an embedding is not a list of numbers")
+    try:
+        vectors = [tuple(map(float, row)) for row in rows]
+    except OverflowError as exc:  # an integer no double can hold
+        raise RemoteError(None, f"an embedding holds a number out of range: {exc}") from exc
     # JSON's NaN and Infinity read as floats, but no distance can be taken from them
     if not all(math.isfinite(x) for vec in vectors for x in vec):
         raise RemoteError(None, "an embedding holds a non-finite value")
@@ -206,7 +160,7 @@ def embed_texts(texts: Sequence[str], cfg: EmbedConfig = EmbedConfig()) -> list[
         if not text or not text.strip():
             raise EmptyText("cannot embed empty text")
     if cfg.provider == "hashed-ngram":
-        return [Embedding(tuple(_hashed_ngram_vector(t, cfg).tolist())) for t in texts]
+        return [Embedding(_hashed_ngram_vector(t, cfg)) for t in texts]
     return [emb for i in range(0, len(texts), _HTTP_BATCH) for emb in _http_embed_batch(texts[i : i + _HTTP_BATCH], cfg)]
 
 
@@ -217,15 +171,15 @@ def pairwise_distance(a: Embedding, b: Embedding) -> float:
     return math.dist(a.values, b.values)
 
 
-def distance_matrix(embeddings: Sequence[Embedding]) -> np.ndarray:
+def distance_matrix(embeddings: Sequence[Embedding]) -> list[list[float]]:
     """Symmetric matrix of pairwise Euclidean distances.
 
     Computed pairwise with :func:`pairwise_distance` so results are
     bit-identical to naive per-pair evaluation; candidate sets are small.
     """
     n = len(embeddings)
-    out = np.zeros((n, n), dtype=np.float64)
+    out = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = pairwise_distance(embeddings[i], embeddings[j])
+            out[i][j] = out[j][i] = pairwise_distance(embeddings[i], embeddings[j])
     return out

@@ -1,4 +1,9 @@
-"""The HTTP stack is loaded only where a remote provider is configured, and OpenSSL only with it."""
+"""What a process loads follows what it is configured to do.
+
+The HTTP stack is loaded only where a remote provider is configured, and
+OpenSSL only with it.  numpy is loaded only by ``dpo-check``'s toy policy:
+no offline or remote run, stage or config loads it.
+"""
 
 from __future__ import annotations
 
@@ -39,15 +44,15 @@ def test_importing_the_package_leaves_the_http_stack_unloaded(tmp_path):
 
 
 # An offline run through the library, through `run` and through the five stage
-# subcommands, in one interpreter; prints whether OpenSSL's `_hashlib` or any
-# module of the HTTP stack was loaded after each step.
+# subcommands, in one interpreter; prints whether OpenSSL's `_hashlib`, numpy or
+# any module of the HTTP stack was loaded after each step.
 _OFFLINE_PROCESS = f"""
 import sys
 import scenealign, scenealign.pipeline, scenealign.cli
 from scenealign.pipeline import PipelineConfig, run_pipeline
 
 def loaded():
-    return [name for name in ("_hashlib", *{HTTP_STACK!r}) if name in sys.modules]
+    return [name for name in ("_hashlib", "numpy", *{HTTP_STACK!r}) if name in sys.modules]
 
 steps = [loaded()]
 run_pipeline(PipelineConfig(input_path="corpus.jsonl", output_path="library.jsonl"))
@@ -108,3 +113,29 @@ def test_a_remote_provider_config_loads_requests(tmp_path, module, config, args)
     proc = _fresh_python(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_remote_provider_configs_leave_numpy_unloaded(tmp_path):
+    code = (
+        "import sys; from scenealign.generate import GeneratorConfig; from scenealign.embed import EmbedConfig; "
+        "GeneratorConfig(kind='http-chat', endpoint='http://127.0.0.1:9/v1/chat/completions'); "
+        "EmbedConfig(provider='http', endpoint='http://127.0.0.1:9/v1/embeddings'); "
+        "print('requests' in sys.modules, 'numpy' in sys.modules)"
+    )
+    proc = _fresh_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
+def test_dpo_check_loads_numpy_for_its_toy_policy(tmp_path, case_corpus_line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(case_corpus_line) + "\n", encoding="utf-8")
+    assert main(["run", "--input", str(corpus), "--output", str(tmp_path / "dataset.jsonl")]) == 0
+    code = (
+        "import sys; from scenealign.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    proc = _fresh_python(code, "dpo-check", "--input", "dataset.jsonl", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "dpo-check: PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "True"
