@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, Union
+from typing import Iterable, Protocol, Sequence, Union
 
 from .atomic import loads_object, read_lines, write_lines
 from .errors import (
@@ -27,9 +27,6 @@ from .generate import Instance
 from .perturb import NegativeCandidate
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
-
-if TYPE_CHECKING:  # numpy is imported where the toy policy uses it
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +90,7 @@ def build_preference_records(
         records.append(
             PreferenceRecord(
                 id=f"{inst.id}#{rank}",
-                images=(inst.image_ref,),
+                images=(inst.image_ref,) if inst.image_ref else (),  # "" is no image
                 prompt=prompt,
                 chosen=tau_pos.raw_text,
                 rejected=rejected,
@@ -219,14 +216,7 @@ def dpo_loss(
 # toy policy with analytic gradient
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    import numpy as np
-
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-@dataclass
+@dataclass(frozen=True)
 class ToyPolicy:
     """Unigram softmax language model over a fixed vocabulary.
 
@@ -236,37 +226,31 @@ class ToyPolicy:
     """
 
     vocabulary: tuple[str, ...]
-    weights: np.ndarray
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.vocabulary) != self.weights.shape[0]:
-            raise ConfigError("vocabulary and weights disagree in length")
-        self._index = {token: i for i, token in enumerate(self.vocabulary)}
+        weights = tuple(map(float, self.weights))
+        if not weights or len(self.vocabulary) != len(weights) or not all(map(math.isfinite, weights)):
+            raise ConfigError("a toy policy needs one finite weight per token of a non-empty vocabulary")
+        top = max(weights)  # shifted by the largest weight, no exp overflows
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_log_norm", top + math.log(math.fsum(math.exp(w - top) for w in weights)))
+        object.__setattr__(self, "_index", {token: i for i, token in enumerate(self.vocabulary)})
 
     @classmethod
     def uniform(cls, vocabulary: Sequence[str]) -> "ToyPolicy":
         return cls(tuple(vocabulary), [0.0] * len(vocabulary))
 
-    def token_counts(self, response: str) -> np.ndarray:
-        import numpy as np
-
-        counts = np.zeros(len(self.vocabulary), dtype=np.float64)
-        for token in response.split():
-            idx = self._index.get(token)
-            if idx is None:
-                raise OutOfVocabulary(token)
-            counts[idx] += 1.0
-        return counts
+    def token_indices(self, response: str) -> list[int]:
+        """Each token's vocabulary index, in the response's order."""
+        try:
+            return [self._index[token] for token in response.split()]
+        except KeyError as exc:
+            raise OutOfVocabulary(exc.args[0]) from None
 
     def log_prob(self, context: str, response: str) -> float:
-        import numpy as np
-
-        counts = self.token_counts(response)
-        length = float(np.sum(counts))
-        return float(np.dot(counts, self.weights) - length * _logsumexp(self.weights))
+        indices = self.token_indices(response)
+        return sum(self.weights[i] for i in indices) - len(indices) * self._log_norm
 
 
 def toy_policy_gradient(
@@ -274,7 +258,7 @@ def toy_policy_gradient(
     records: Sequence[PreferenceRecord],
     reference: LogProbProvider,
     cfg: DpoConfig = DpoConfig(),
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Analytic gradient of the mean DPO loss in the toy policy's weights.
 
     The reference provider is treated as a constant.  Like :func:`dpo_loss`,
@@ -282,18 +266,18 @@ def toy_policy_gradient(
     """
     if not records:
         raise ValueError("toy_policy_gradient requires at least one record")
-    import numpy as np
-
-    weight = 1.0 / len(records)
-    probs = np.exp(policy.weights - _logsumexp(policy.weights))
-    grad = np.zeros_like(policy.weights)
+    # d margin / d theta = beta * ((c+ - L+ p) - (c- - L- p)) for token counts c,
+    # lengths L and softmax p; the p terms of all records are summed into one gap
+    weight = cfg.beta / len(records)
+    grad = [0.0] * len(policy.weights)
+    length_gap = 0.0
     for record in records:
-        counts_c = policy.token_counts(record.chosen)
-        counts_r = policy.token_counts(record.rejected)
-        margin = _margin(record, policy, reference, cfg.beta)
-        # d margin / d theta = beta * ((c+ - L+ p) - (c- - L- p))
-        len_c = float(np.sum(counts_c))
-        len_r = float(np.sum(counts_r))
-        dmargin = cfg.beta * ((counts_c - len_c * probs) - (counts_r - len_r * probs))
-        grad += weight * (-_sigmoid(-margin)) * dmargin
-    return grad
+        chosen = policy.token_indices(record.chosen)
+        rejected = policy.token_indices(record.rejected)
+        scale = -weight * _sigmoid(-_margin(record, policy, reference, cfg.beta))
+        for i in chosen:
+            grad[i] += scale
+        for i in rejected:
+            grad[i] -= scale
+        length_gap += scale * (len(chosen) - len(rejected))
+    return tuple(g - length_gap * math.exp(w - policy._log_norm) for g, w in zip(grad, policy.weights))

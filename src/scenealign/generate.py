@@ -97,7 +97,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.kind not in ("template", "http-chat"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if not math.isfinite(self.temperature):  # a chat request cannot carry it as JSON
+        # a chat request cannot carry a non-finite one as JSON, and a bool is no number
+        t = self.temperature
+        if type(t) is not int and not (type(t) is float and math.isfinite(t)):
             raise ConfigError(f"temperature must be a finite number, not {self.temperature!r}")
         if self.kind == "http-chat":
             from . import transport  # loads the HTTP stack during set-up

@@ -71,13 +71,14 @@ class PipelineConfig:
         resolved = [Path(p).resolve() for p in paths]
         if len(set(resolved)) != len(resolved):
             raise ConfigError("input, output, graphs, and report paths must be distinct")
-        if self.candidates < 1:
-            raise ConfigError("candidates must be at least 1")
+        # a bool or a float is no count
+        if type(self.candidates) is not int or self.candidates < 1:
+            raise ConfigError(f"candidates must be an integer of at least 1, got {self.candidates!r}")
         lo, hi = self.edit_range
-        if not 1 <= lo <= hi:
+        if type(lo) is not int or type(hi) is not int or not 1 <= lo <= hi:
             raise ConfigError(f"invalid edit range {self.edit_range!r}")
-        if self.workers < 0:
-            raise ConfigError("workers must be non-negative")
+        if type(self.workers) is not int or self.workers < 0:
+            raise ConfigError(f"workers must be a non-negative integer, got {self.workers!r}")
 
 
 def instance_seed(global_seed: int, instance_id: str) -> int:

@@ -43,8 +43,8 @@ class SelectionConfig:
             raise ConfigError(
                 f"overlap band [{self.gamma_lower}, {self.gamma_upper}] is not ordered within [0, 1]"
             )
-        if self.m < 1:
-            raise ConfigError("m must be at least 1")
+        if type(self.m) is not int or self.m < 1:  # a bool or a float is no count
+            raise ConfigError(f"m must be an integer of at least 1, got {self.m!r}")
         if self.on_shortfall not in ("emit-fewer", "relax-bounds"):
             raise ConfigError(f"unknown shortfall policy {self.on_shortfall!r}")
 

@@ -297,6 +297,21 @@ class TestToyPolicy:
         with pytest.raises(ConfigError):
             ToyPolicy(VOCAB, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "vocabulary, weights",
+        [
+            ((), ()),
+            (("the", "man"), (0.0, float("nan"))),
+            (("the", "man"), (float("inf"), 0.0)),
+            (("the", "man"), (0.0, float("-inf"))),
+        ],
+        ids=["empty-vocabulary", "nan-weight", "inf-weight", "minus-inf-weight"],
+    )
+    def test_no_normalizer_is_a_config_error(self, vocabulary, weights):
+        # the softmax normalizer is computed at construction
+        with pytest.raises(ConfigError):
+            ToyPolicy(vocabulary, weights)
+
 
 class TestGradient:
     def test_analytic_matches_finite_differences(self):
@@ -331,6 +346,6 @@ class TestGradient:
         policy = ToyPolicy(VOCAB, weights)
         grad = toy_policy_gradient(policy, records, reference)
         before, _ = dpo_loss(records, policy, reference)
-        stepped = ToyPolicy(VOCAB, weights - 0.1 * grad)
+        stepped = ToyPolicy(VOCAB, weights - 0.1 * np.asarray(grad))
         after, _ = dpo_loss(records, stepped, reference)
         assert after < before

@@ -121,6 +121,15 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError, match="temperature must be a finite number"):
             GeneratorConfig(kind=kind, endpoint="http://127.0.0.1:9/v1/chat", temperature=temperature)
 
+    @pytest.mark.parametrize("temperature", ["0.5", True, False, None, 1j])
+    def test_temperature_must_be_a_number(self, temperature):
+        with pytest.raises(ConfigError, match="temperature must be a finite number"):
+            GeneratorConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [0, 1, 0.7, 10**400])
+    def test_temperature_may_be_any_finite_int_or_float(self, temperature):
+        assert GeneratorConfig(temperature=temperature).temperature == temperature
+
     def test_http_chat_requires_endpoint(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(kind="http-chat")

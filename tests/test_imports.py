@@ -1,8 +1,8 @@
 """What a process loads follows what it is configured to do.
 
 The HTTP stack is loaded only where a remote provider is configured, and
-OpenSSL only with it.  numpy is loaded only by ``dpo-check``'s toy policy:
-no offline or remote run, stage or config loads it.
+OpenSSL only with it.  No process loads numpy: not an offline or remote
+run, a stage, a config or ``dpo-check``'s toy policy.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def test_remote_provider_configs_leave_numpy_unloaded(tmp_path):
     assert proc.stdout.split() == ["True", "False"]
 
 
-def test_dpo_check_loads_numpy_for_its_toy_policy(tmp_path, case_corpus_line):
+def test_dpo_check_passes_and_leaves_numpy_unloaded(tmp_path, case_corpus_line):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps(case_corpus_line) + "\n", encoding="utf-8")
     assert main(["run", "--input", str(corpus), "--output", str(tmp_path / "dataset.jsonl")]) == 0
@@ -138,4 +138,4 @@ def test_dpo_check_loads_numpy_for_its_toy_policy(tmp_path, case_corpus_line):
     proc = _fresh_python(code, "dpo-check", "--input", "dataset.jsonl", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "dpo-check: PASS" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "True"
+    assert proc.stdout.splitlines()[-1] == "False"

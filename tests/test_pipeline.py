@@ -614,6 +614,16 @@ class TestFullRun:
             parsed = json.loads(graph_json)
             assert parsed["entity"][0] == "man"
 
+    @pytest.mark.parametrize("image", ["absent", None, ""])
+    def test_an_image_less_line_writes_records_with_no_image(self, tmp_path, case_corpus_line, image):
+        line = {key: value for key, value in case_corpus_line.items() if key != "image"}
+        if image != "absent":
+            line["image"] = image
+        run_pipeline(_cfg(tmp_path, [line], seed=7))
+        lines = (tmp_path / "corpus.out.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines
+        assert [json.loads(text)["images"] for text in lines] == [[]] * len(lines)
+
     def test_report_file_written(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
         run_pipeline(cfg)
@@ -968,5 +978,27 @@ class TestConfigValidation:
         cfg = PipelineConfig(
             input_path=str(tmp_path / "a"), output_path=str(tmp_path / "b"), workers=-1
         )
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("candidates", 2.5),
+            ("candidates", 8.0),
+            ("candidates", True),
+            ("candidates", "8"),
+            ("edit_range", (1.5, 2)),
+            ("edit_range", (1, 3.0)),
+            ("edit_range", (True, 2)),
+            ("edit_range", ("1", "3")),
+            ("workers", "2"),
+            ("workers", 2.0),
+            ("workers", False),
+            ("workers", None),
+        ],
+    )
+    def test_a_count_that_is_not_an_integer(self, tmp_path, field, value):
+        cfg = PipelineConfig(input_path=str(tmp_path / "a"), output_path=str(tmp_path / "b"), **{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()

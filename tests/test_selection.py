@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SelectionConfig(m=0)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", True, None])
+    def test_m_that_is_not_an_integer(self, m):
+        with pytest.raises(ConfigError):
+            SelectionConfig(m=m)
+
     def test_unknown_shortfall_policy(self):
         with pytest.raises(ConfigError):
             SelectionConfig(on_shortfall="give-up")
