@@ -149,14 +149,13 @@ def _pipeline_config(args) -> PipelineConfig:
 def _map_stage(
     lines: Iterable[tuple[int, str]], fields: tuple[str, ...], fn, strict: bool, skipped: list[int]
 ) -> Iterator:
-    """``fn(item, obj)`` per line, yielded in order: its work item with ``fields`` decoded, and its JSON object.
+    """``fn(item)`` per line, yielded in order, where ``item`` is the line's work item with ``fields`` decoded.
 
     The number of each line skipped is appended to ``skipped``.
     """
     for line_no, line in lines:
         try:
-            obj = loads_object(line)  # a torn line is skipped like a bad corpus line
-            out = fn(decode_item(obj, fields), obj)
+            out = fn(decode_item(loads_object(line), fields))  # a torn line is skipped like a bad corpus line
         except CorpusError as exc:  # a malformed stage line
             if strict:
                 raise CorpusError(line_no, exc.reason) from exc
@@ -203,7 +202,7 @@ def _cmd_item_stage(args) -> int:
     out = _map_stage(
         read_lines(args.input, "input"),
         STAGE_FIELDS[args.command],
-        lambda item, obj: encode_item(stage(item, cfg), obj, args.command),
+        lambda item: encode_item(stage(item, cfg)),
         args.strict,
         skipped,
     )
@@ -252,7 +251,7 @@ def _parse_element(text: str):
 def _cmd_build(args) -> int:
     _pipeline_config(args)
     lines = read_lines(args.input, "input")
-    built = _map_stage(lines, STAGE_FIELDS["build"], lambda item, obj: stage_build(item), args.strict, [])
+    built = _map_stage(lines, STAGE_FIELDS["build"], stage_build, args.strict, [])
     written = export_jsonl((record for item_records in built for record in item_records), args.output)
     print(f"built {written} record(s) -> {args.output}")
     return EXIT_OK

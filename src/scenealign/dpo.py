@@ -22,6 +22,7 @@ from .errors import (
     MissingRationale,
     NonFiniteLogProb,
     OutOfVocabulary,
+    is_finite_number,
 )
 from .generate import Instance
 from .perturb import NegativeCandidate
@@ -48,8 +49,8 @@ class DpoConfig:
     beta: float = 0.1
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive")
+        if not is_finite_number(self.beta) or self.beta <= 0:
+            raise ConfigError(f"beta must be a finite positive number, got {self.beta!r}")
 
 
 class LogProbProvider(Protocol):
@@ -101,16 +102,8 @@ def build_preference_records(
 
 
 def record_to_json(record: PreferenceRecord) -> str:
-    """The record's dataset line, which :func:`record_from_json` reads back as it was."""
-    payload = {
-        "id": record.id,
-        "images": list(record.images),
-        "prompt": record.prompt,
-        "chosen": record.chosen,
-        "rejected": record.rejected,
-        "meta": record.meta,
-    }
-    return json.dumps(payload, ensure_ascii=False)
+    """The record's dataset line, its fields in their order, which :func:`record_from_json` reads back as it was."""
+    return json.dumps(vars(record), ensure_ascii=False)  # the images tuple is written as an array
 
 
 def record_from_json(line: str) -> PreferenceRecord:

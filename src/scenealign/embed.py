@@ -18,7 +18,7 @@ from typing import Sequence
 # alone keeps OpenSSL, which hashlib loads, out of an offline process
 from _blake2 import blake2b
 
-from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError
+from .errors import ConfigError, DimensionMismatch, EmptyText, RemoteError, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ class EmbedConfig:
     def __post_init__(self):
         if self.provider not in ("hashed-ngram", "http"):
             raise ConfigError(f"unknown embedding provider {self.provider!r}")
-        if type(self.dimension) is not int or self.dimension < 2:  # a bool or a float is no dimension
+        if not is_int(self.dimension, 2):
             raise ConfigError(f"embedding dimension must be an integer of at least 2, got {self.dimension!r}")
         if self.provider == "http":
             from . import transport  # loads the HTTP stack during set-up

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the value checks behind its config errors.
 
 Every error raised by library code derives from :class:`SceneAlignError` so
 callers can catch one base class at pipeline boundaries.  The CLI maps these
@@ -7,6 +7,8 @@ onto process exit codes (config errors -> 1, corpus errors -> 2, I/O -> 3).
 
 from __future__ import annotations
 
+import math
+
 
 class SceneAlignError(Exception):
     """Base class for all library errors."""
@@ -14,6 +16,16 @@ class SceneAlignError(Exception):
 
 class ConfigError(SceneAlignError):
     """Invalid configuration value or inconsistent flag combination."""
+
+
+def is_int(value, least: int | None = None) -> bool:
+    """Whether ``value`` is an int, of at least ``least`` if one is given; a bool or a float is no count."""
+    return type(value) is int and (least is None or value >= least)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or a finite float; a bool is no number."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import atomic_open
-from .errors import ConfigError, MissingAnswer, RemoteError
+from .errors import ConfigError, MissingAnswer, RemoteError, is_finite_number
 from .rationale import Rationale
 from .scene_graph import SceneGraph, serialize_scene_graph
 
@@ -98,8 +97,7 @@ class GeneratorConfig:
         if self.kind not in ("template", "http-chat"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         # a chat request cannot carry a non-finite one as JSON, and a bool is no number
-        t = self.temperature
-        if type(t) is not int and not (type(t) is float and math.isfinite(t)):
+        if not is_finite_number(self.temperature):
             raise ConfigError(f"temperature must be a finite number, not {self.temperature!r}")
         if self.kind == "http-chat":
             from . import transport  # loads the HTTP stack during set-up

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, EditError, NoApplicableOperator, SchemaViolation
+from .errors import ConfigError, EditError, NoApplicableOperator, SchemaViolation, is_int
 from .scene_graph import SceneGraph, clean_elements, referenced_entities
 
 logger = logging.getLogger(__name__)
@@ -457,6 +457,11 @@ def _attempt_candidate(
     return draft, tuple(ops)
 
 
+def is_edit_range(value) -> bool:
+    """Whether ``value`` is a pair of ints ``(lo, hi)`` with ``1 <= lo <= hi``."""
+    return isinstance(value, (tuple, list)) and len(value) == 2 and is_int(value[0], 1) and is_int(value[1], value[0])
+
+
 def generate_negatives(
     sg_pos: SceneGraph,
     sg_c: SceneGraph,
@@ -478,11 +483,11 @@ def generate_negatives(
     attempts the survivors are returned with a shortfall warning.  Every draw
     comes from ``random.Random(seed)``, and each trace records ``seed``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    lo, hi = edit_range
-    if not 1 <= lo <= hi:
+    if not is_int(k, 1):
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    if not is_edit_range(edit_range):
         raise ValueError(f"invalid edit range {edit_range!r}")
+    lo, hi = edit_range
 
     rng = random.Random(seed)
     start = _Draft.of(sg_c)

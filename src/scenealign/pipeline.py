@@ -1,11 +1,12 @@
 """End-to-end dataset construction and its stage-wise decomposition.
 
 A work item is a dict of the instance's strings and the typed values the
-stages add: graphs (the residual pool among them) and candidates.  The full
-run chains the stage functions the CLI subcommands expose, and only the CLI
-turns items into stage-file lines (the codec at the end of this module), so
-piping parse -> ground -> perturb -> select -> build reproduces a full run
-byte for byte.  Determinism comes from per-instance
+stages add: graphs (the residual pool among them) and candidates.  Each stage
+returns a new item less the fields it was the last to read.  The full run
+chains the stage functions the CLI subcommands expose, and only the CLI turns
+items into stage-file lines (the codec at the end of this module), each line
+the item its stage returned, so piping parse -> ground -> perturb -> select ->
+build reproduces a full run byte for byte.  Determinism comes from per-instance
 seeds derived from the global seed and the instance id, with output order
 following corpus order.
 """
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 from .atomic import atomic_open, loads_object, read_lines
 from .dpo import PreferenceRecord, build_preference_records, export_jsonl
 from .embed import EmbedConfig, embed_texts, stable_hash
-from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError
+from .errors import ConfigError, CorpusError, EmptyMatch, SceneAlignError, is_int
 from .generate import (
     GeneratorConfig,
     Instance,
@@ -35,7 +36,7 @@ from .generate import (
     render_positive_cot_prompt,
 )
 from .grounding import extract_grounded_subgraph, residual_pool
-from .perturb import EditTrace, NegativeCandidate, generate_negatives
+from .perturb import EditTrace, NegativeCandidate, generate_negatives, is_edit_range
 from .rationale import Rationale
 from .scene_graph import SceneGraph, encode_scene_graph, parse_pool, parse_scene_graph
 from .selection import SelectionConfig, filter_with_shortfall, forced_choice, select_diverse
@@ -71,13 +72,14 @@ class PipelineConfig:
         resolved = [Path(p).resolve() for p in paths]
         if len(set(resolved)) != len(resolved):
             raise ConfigError("input, output, graphs, and report paths must be distinct")
-        # a bool or a float is no count
-        if type(self.candidates) is not int or self.candidates < 1:
+        # the seed is hashed as its text, so True or 0.0 would seed another run than 1 or 0
+        if not is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not is_int(self.candidates, 1):
             raise ConfigError(f"candidates must be an integer of at least 1, got {self.candidates!r}")
-        lo, hi = self.edit_range
-        if type(lo) is not int or type(hi) is not int or not 1 <= lo <= hi:
+        if not is_edit_range(self.edit_range):
             raise ConfigError(f"invalid edit range {self.edit_range!r}")
-        if type(self.workers) is not int or self.workers < 0:
+        if not is_int(self.workers, 0):
             raise ConfigError(f"workers must be a non-negative integer, got {self.workers!r}")
 
 
@@ -95,7 +97,7 @@ def _line_id(obj: dict, line_no: int | None) -> str:
     if "id" not in obj:
         raise CorpusError(line_no, "missing 'id'")
     ident = obj["id"]
-    if isinstance(ident, int) and not isinstance(ident, bool):
+    if is_int(ident):
         ident = str(ident)
     if not isinstance(ident, str) or not ident.strip():
         raise CorpusError(line_no, "'id' must be a non-empty string or an integer")
@@ -278,9 +280,10 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
 
 
 def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
-    """Sample negative candidates with the instance-specific seed."""
+    """Sample negative candidates with the instance-specific seed, in place of the grounded graph and pool."""
     seed = instance_seed(cfg.seed, item["id"])
     out = dict(item)
+    del out["grounded"], out["pool"]  # no later stage reads them
     out["candidates"] = generate_negatives(
         item["scene_graph"], item["grounded"], item["pool"], k=cfg.candidates, edit_range=cfg.edit_range, seed=seed
     )
@@ -317,7 +320,7 @@ def _fill_rationales(
 
 
 def stage_select(item: dict, cfg: PipelineConfig) -> dict:
-    """Band-filter candidates, generate their rationales, pick a diverse subset."""
+    """Band-filter candidates, generate their rationales, pick a diverse subset in their place."""
     inst = _instance_from_obj(item)
     candidates = item["candidates"]
 
@@ -334,6 +337,7 @@ def stage_select(item: dict, cfg: PipelineConfig) -> dict:
     selected = [in_band[i] for i in chosen]
 
     out = dict(item)
+    del out["candidates"]  # no later stage reads them
     out["selected"] = selected
     out["counts"] = {
         "candidates": len(candidates),
@@ -454,13 +458,6 @@ STAGE_FIELDS = {
     "build": ("scene_graph", "positive_rationale", "selected"),
 }
 
-# the fields a stage read that no later stage reads: its file leaves them out,
-# and the file it read keeps them (perturb: grounded and pool; select: candidates)
-_SPENT_FIELDS = {
-    stage: set(read).difference(*list(STAGE_FIELDS.values())[i + 1 :])
-    for i, (stage, read) in enumerate(STAGE_FIELDS.items())
-}
-
 
 def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandidate:
     graph = parse_scene_graph(obj["graph"]) if decode_graph else obj["graph"]
@@ -513,13 +510,6 @@ def _encode(value):
     raise TypeError(f"a work item holds no {type(value).__name__}")
 
 
-def encode_item(item: dict, original: dict | None = None, stage: str | None = None) -> str:
-    """One stage-file line holding ``item``, as ``stage`` returned it for the line ``original``.
-
-    The fields the stage read go back out as the JSON ``original`` holds,
-    less those that no later stage reads.
-    """
-    if stage is not None:
-        read, spent = STAGE_FIELDS[stage], _SPENT_FIELDS[stage]
-        item = {key: original[key] if key in read else value for key, value in item.items() if key not in spent}
+def encode_item(item: dict) -> str:
+    """The stage-file line holding ``item``, as its stage returned it."""
     return json.dumps(item, ensure_ascii=False, default=_encode)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .embed import Embedding, distance_matrix
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_number, is_int
 from .perturb import NegativeCandidate
 from .scene_graph import SceneGraph, element_universe, universe_overlap
 
@@ -39,11 +39,10 @@ class SelectionConfig:
     on_shortfall: str = "emit-fewer"  # or "relax-bounds"
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma_lower <= self.gamma_upper <= 1.0:
-            raise ConfigError(
-                f"overlap band [{self.gamma_lower}, {self.gamma_upper}] is not ordered within [0, 1]"
-            )
-        if type(self.m) is not int or self.m < 1:  # a bool or a float is no count
+        lo, hi = self.gamma_lower, self.gamma_upper
+        if not (is_finite_number(lo) and is_finite_number(hi) and 0.0 <= lo <= hi <= 1.0):
+            raise ConfigError(f"overlap band [{lo!r}, {hi!r}] must be two numbers ordered within [0, 1]")
+        if not is_int(self.m, 1):
             raise ConfigError(f"m must be an integer of at least 1, got {self.m!r}")
         if self.on_shortfall not in ("emit-fewer", "relax-bounds"):
             raise ConfigError(f"unknown shortfall policy {self.on_shortfall!r}")
@@ -173,8 +172,8 @@ def select_diverse(embeddings: Sequence[Embedding], m: int) -> list[int]:
     come back in ascending order.
     """
     n = len(embeddings)
-    if m < 1:
-        raise ConfigError("m must be at least 1")
+    if not is_int(m, 1):
+        raise ConfigError(f"m must be an integer of at least 1, got {m!r}")
     forced = forced_choice(n, m)
     if forced is not None:
         return forced

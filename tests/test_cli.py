@@ -359,6 +359,15 @@ class TestStagedChain:
             assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest, command
             src = dst
 
+    def test_a_hand_edited_graph_is_written_back_as_the_stage_read_it(self, tmp_path, case_corpus_line, capsys):
+        graph = case_corpus_line["scene_graph"]
+        messy = dict(graph, entity=[f"  {graph['entity'][0]} ", *graph["entity"][1:]])
+        messy["attribute pairs"] = graph["attribute pairs"] + graph["attribute pairs"][:1]
+        src, dst = tmp_path / "parse.jsonl", tmp_path / "ground.jsonl"
+        _write_corpus(src, [dict(case_corpus_line, scene_graph=messy)])
+        assert main(["ground", "--input", str(src), "--output", str(dst)]) == 0
+        assert json.loads(dst.read_text(encoding="utf-8"))["scene_graph"] == graph  # trimmed, deduplicated
+
     def test_an_integer_id_is_written_back_as_parse_writes_it(self, tmp_path, case_corpus_line, capsys):
         corpus, parsed, grounded = tmp_path / "corpus.jsonl", tmp_path / "parse.jsonl", tmp_path / "ground.jsonl"
         _write_corpus(corpus, [dict(case_corpus_line, id=7)])
@@ -1058,10 +1067,15 @@ def _declared_console_script() -> str:
 
 
 def _installed_distribution():
-    try:
-        return importlib.metadata.distribution("scenealign")
-    except importlib.metadata.PackageNotFoundError:
-        return None
+    """The first ``scenealign`` distribution whose metadata lies outside the checkout's ``src/``, or None.
+
+    Metadata inside ``src/``, such as a ``scenealign.egg-info`` a build left there, installed no command.
+    """
+    src = (REPO_ROOT / "src").resolve()
+    for dist in importlib.metadata.distributions(name="scenealign"):
+        if Path(dist.locate_file("")).resolve() != src:
+            return dist
+    return None
 
 
 def test_console_script_is_installed(tmp_path, corpus):

@@ -248,9 +248,10 @@ class TestLoss:
         with pytest.raises(NonFiniteLogProb):
             dpo_loss([_record()], policy, reference)
 
-    def test_beta_must_be_positive(self):
+    @pytest.mark.parametrize("beta", [0.0, -0.1, float("inf"), float("nan"), True, "0.1", None])
+    def test_beta_must_be_positive(self, beta):
         with pytest.raises(ConfigError):
-            DpoConfig(beta=0.0)
+            DpoConfig(beta=beta)
 
 
 VOCAB = ("the", "man", "holds", "paper", "bike", "stands", "red", "ground")

@@ -719,6 +719,11 @@ class TestGenerateNegatives:
             generate_negatives(case_graph, case_subgraph, case_pool, edit_range=(0, 2))
         with pytest.raises(ValueError):
             generate_negatives(case_graph, case_subgraph, case_pool, edit_range=(3, 1))
+        # a bool or a float is no count, and an edit range is a pair of them
+        for bad in ({"k": 2.5}, {"k": True}, {"k": "8"}, {"edit_range": (1,)}, {"edit_range": 3},
+                    {"edit_range": (1.0, 2)}, {"edit_range": (1, True)}):
+            with pytest.raises(ValueError):
+                generate_negatives(case_graph, case_subgraph, case_pool, **bad)
 
     def test_fuzzed_generation_is_always_valid(self):
         rng = random.Random(99)

@@ -456,6 +456,16 @@ class TestPerInstanceStages:
             assert isinstance(cand, NegativeCandidate)
             assert cand.trace.seed == instance_seed(7, "case-1")
 
+    def test_a_stage_returns_its_item_less_the_fields_it_was_the_last_to_read(self, tmp_path, case_corpus_line):
+        cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
+        grounded = stage_ground(stage_parse(cfg)[0][0], cfg)
+        perturbed = stage_perturb(grounded, cfg)
+        assert not {"grounded", "pool"} & set(perturbed)
+        selected = stage_select(perturbed, cfg)
+        assert "candidates" not in selected
+        # each stage built a new item, so the one it was given keeps those fields
+        assert {"grounded", "pool"} <= set(grounded) and "candidates" in perturbed
+
     def test_select_and_build(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
         items, _ = stage_parse(cfg)
@@ -474,8 +484,7 @@ class TestPerInstanceStages:
         items, _ = stage_parse(cfg)
         line = encode_item(items[0])
         for name, stage in (("ground", stage_ground), ("perturb", stage_perturb), ("select", stage_select)):
-            obj = json.loads(line)
-            line = encode_item(stage(decode_item(obj, STAGE_FIELDS[name]), cfg), obj, name)
+            line = encode_item(stage(decode_item(json.loads(line), STAGE_FIELDS[name]), cfg))
         item = decode_item(json.loads(line), STAGE_FIELDS["build"])
         records = stage_build(item)
         assert len(records) == item["counts"]["selected"]
@@ -996,6 +1005,14 @@ class TestConfigValidation:
             ("workers", 2.0),
             ("workers", False),
             ("workers", None),
+            ("seed", True),
+            ("seed", 0.0),
+            ("seed", "0"),
+            ("seed", None),
+            ("edit_range", (1,)),
+            ("edit_range", (1, 2, 3)),
+            ("edit_range", 3),
+            ("edit_range", "13"),
         ],
     )
     def test_a_count_that_is_not_an_integer(self, tmp_path, field, value):

@@ -39,6 +39,18 @@ class TestConfig:
             SelectionConfig(gamma_lower=-0.1)
         with pytest.raises(ConfigError):
             SelectionConfig(gamma_upper=1.5)
+        # a bool, a string, or a non-finite float is no bound
+        for bounds in (
+            {"gamma_upper": True},
+            {"gamma_lower": False},
+            {"gamma_lower": "0.3"},
+            {"gamma_upper": "0.7"},
+            {"gamma_upper": float("nan")},
+            {"gamma_lower": float("-inf")},
+            {"gamma_lower": None},
+        ):
+            with pytest.raises(ConfigError):
+                SelectionConfig(**bounds)
 
     def test_m_positive(self):
         with pytest.raises(ConfigError):
@@ -48,6 +60,8 @@ class TestConfig:
     def test_m_that_is_not_an_integer(self, m):
         with pytest.raises(ConfigError):
             SelectionConfig(m=m)
+        with pytest.raises(ConfigError):
+            select_diverse([Embedding((0.0,)), Embedding((1.0,))], m)
 
     def test_unknown_shortfall_policy(self):
         with pytest.raises(ConfigError):
