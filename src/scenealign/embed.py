@@ -55,6 +55,8 @@ class EmbedConfig:
             from . import transport  # loads the HTTP stack during set-up
 
             transport.check_endpoint(self.endpoint, "http embedding provider")
+        elif self.endpoint is not None or self.model is not None:
+            raise ConfigError("a hashed-ngram embedding takes no endpoint or model")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ class GeneratorConfig:
             from . import transport  # loads the HTTP stack during set-up
 
             transport.check_endpoint(self.endpoint, "http-chat generator")
+        elif any(value is not None for value in (self.endpoint, self.model, self.cache_dir)):
+            raise ConfigError("a template generator takes no endpoint, model or cache_dir")
 
 
 def _require_answer(inst: Instance) -> str:

@@ -1,12 +1,12 @@
 """End-to-end dataset construction and its stage-wise decomposition.
 
 A work item is a dict of the instance's strings and the typed values the
-stages add: graphs (the residual pool among them) and candidates.  Each stage
-returns a new item less the fields it was the last to read.  The full run
-chains the stage functions the CLI subcommands expose, and only the CLI turns
-items into stage-file lines (the codec at the end of this module), each line
-the item its stage returned, so piping parse -> ground -> perturb -> select ->
-build reproduces a full run byte for byte.  Determinism comes from per-instance
+stages add: graphs and candidates.  Each stage returns a new item less the
+fields it was the last to read.  The full run chains the stage functions the
+CLI subcommands expose, and only the CLI turns items into stage-file lines
+(the codec at the end of this module), each line the item its stage
+returned, so piping parse -> ground -> perturb -> select -> build reproduces
+a full run byte for byte.  Determinism comes from per-instance
 seeds derived from the global seed and the instance id, with output order
 following corpus order.
 """
@@ -38,7 +38,7 @@ from .generate import (
 from .grounding import extract_grounded_subgraph, residual_pool
 from .perturb import EditTrace, NegativeCandidate, generate_negatives, is_edit_range
 from .rationale import Rationale
-from .scene_graph import SceneGraph, encode_scene_graph, parse_pool, parse_scene_graph
+from .scene_graph import SceneGraph, encode_scene_graph, parse_scene_graph
 from .selection import SelectionConfig, filter_with_shortfall, forced_choice, select_diverse
 
 logger = logging.getLogger(__name__)
@@ -92,53 +92,54 @@ def instance_seed(global_seed: int, instance_id: str) -> int:
 # corpus loading (the parse stage)
 
 
-def _line_id(obj: dict, line_no: int | None) -> str:
+def _line_id(obj: dict) -> str:
     """A corpus or graphs-file line's id, stripped: a non-empty string or a non-bool integer."""
     if "id" not in obj:
-        raise CorpusError(line_no, "missing 'id'")
+        raise CorpusError(None, "missing 'id'")
     ident = obj["id"]
     if is_int(ident):
         ident = str(ident)
     if not isinstance(ident, str) or not ident.strip():
-        raise CorpusError(line_no, "'id' must be a non-empty string or an integer")
+        raise CorpusError(None, "'id' must be a non-empty string or an integer")
     return ident.strip()
 
 
-def _normalize_line(obj: dict, line_no: int | None) -> dict:
-    ident = _line_id(obj, line_no)
+def _normalize_line(obj: dict) -> dict:
+    ident = _line_id(obj)
     question = obj.get("question")
     if not isinstance(question, str) or not question.strip():
-        raise CorpusError(line_no, "missing or empty 'question'")
+        raise CorpusError(None, "missing or empty 'question'")
     image = "" if obj.get("image") is None else obj["image"]
     if not isinstance(image, str):
-        raise CorpusError(line_no, "'image' must be a string")
+        raise CorpusError(None, "'image' must be a string")
     answer = obj.get("answer")
     if answer is not None and not isinstance(answer, str):
-        raise CorpusError(line_no, "'answer' must be a string")
+        raise CorpusError(None, "'answer' must be a string")
     return {"id": ident, "image": image, "question": question, "answer": answer}
 
 
 def _instance_from_obj(obj: dict) -> Instance:
     """The instance a corpus line or work item holds; its fields pass the corpus line rules or raise CorpusError."""
-    norm = _normalize_line(obj, None)
+    norm = _normalize_line(obj)
     return Instance(norm["id"], norm["image"], norm["question"], norm["answer"])
 
 
 def _read_sidecar_graphs(path: str, strict: bool) -> dict[str, object]:
-    """Graphs by instance id from each id's first line; a malformed or repeated line is skipped unless ``strict``."""
+    """Graphs by instance id, each from its id's first line with one; a bad line is skipped unless ``strict``."""
     graphs: dict[str, object] = {}
     for line_no, line in read_lines(path, "graphs file"):
         try:
             obj = loads_object(line)
-            ident = _line_id(obj, None)
+            ident = _line_id(obj)
             if ident in graphs:
                 raise CorpusError(None, f"duplicate id {ident!r}")
+            if obj.get("scene_graph") is None:  # a null graph is no graph, and claims no id
+                raise CorpusError(None, "missing or null 'scene_graph'")
             graphs[ident] = obj["scene_graph"]
-        except (CorpusError, KeyError) as exc:
-            reason = exc.reason if isinstance(exc, CorpusError) else f"no {exc} key"
+        except CorpusError as exc:
             if strict:
-                raise CorpusError(None, f"graphs file line {line_no}: {reason}") from exc
-            logger.warning("graphs file line %d skipped: %s", line_no, reason)
+                raise CorpusError(None, f"graphs file line {line_no}: {exc.reason}") from exc
+            logger.warning("graphs file line %d skipped: %s", line_no, exc.reason)
     return graphs
 
 
@@ -158,57 +159,36 @@ def _map_in_flight(fn, items: Sequence, in_flight: int) -> Iterator:
         yield from pool.map(fn, items)
 
 
-@dataclass
-class _CorpusLine:
-    """One non-blank corpus line: its normalized fields, then its graph or its drop reason."""
+def _read_line(line: str, kept: dict, sidecar: dict, cfg: PipelineConfig) -> dict:
+    """A corpus line's normalized item, its inline or sidecar graph parsed (``None`` while it must be asked for).
 
-    line_no: int
-    norm: dict | None = None  # the normalized line, None when it is not one
-    reason: str | None = None  # why the line is dropped, once that is known
-    graph: SceneGraph | None = None
-
-    @property
-    def id(self) -> str | None:
-        return self.norm["id"] if self.norm is not None else None
-
-
-def _read_line(line_no: int, line: str, sidecar: dict, cfg: PipelineConfig) -> _CorpusLine:
-    """Normalize a line and parse its inline or sidecar graph; a graph-less line is left to ask."""
-    try:
-        obj = loads_object(line)
-        norm = _normalize_line(obj, line_no)
-    except CorpusError as exc:
-        return _CorpusLine(line_no, reason=exc.reason)
-    out = _CorpusLine(line_no, norm)
-    graph_value = obj.get("scene_graph")
-    if graph_value is None:
-        graph_value = sidecar.get(norm["id"])
-    if graph_value is not None:
-        try:
-            out.graph = parse_scene_graph(graph_value)
-        except SceneAlignError as exc:
-            out.reason = f"bad scene graph: {exc}"
-    elif cfg.generator.kind != "http-chat":
-        out.reason = "no scene graph available and no endpoint configured"
-    return out
-
-
-def _resolve(group: list[_CorpusLine], cfg: PipelineConfig) -> _CorpusLine | None:
-    """The first of one id's lines to get a graph, asking the endpoint for each line without one.
-
-    Under strict the group stops at its first failure, which the parse raises.
+    A line that is no well-formed instance, or whose id ``kept`` already holds, raises CorpusError.
     """
-    for line in group:
-        if line.graph is None and line.reason is None:
-            try:
-                reply = generate_scene_graph_json(_instance_from_obj(line.norm), cfg.generator)
-                line.graph = parse_scene_graph(reply, on_dangling="add")
-            except SceneAlignError as exc:
-                line.reason = f"bad scene graph: {exc}"
-        if line.graph is not None:
-            return line
-        if cfg.strict:
-            break
+    obj = loads_object(line)
+    item = _normalize_line(obj)
+    if item["id"] in kept:  # before the graph, so a repeat is a duplicate whatever its graph holds
+        raise CorpusError(None, f"duplicate id {item['id']!r}")
+    graph = obj.get("scene_graph")
+    if graph is None:
+        graph = sidecar.get(item["id"])
+    if graph is not None:
+        try:
+            graph = parse_scene_graph(graph)
+        except SceneAlignError as exc:
+            raise CorpusError(None, f"bad scene graph: {exc}") from exc
+    elif cfg.generator.kind != "http-chat":
+        raise CorpusError(None, "no scene graph available and no endpoint configured")
+    item["scene_graph"] = graph
+    return item
+
+
+def _ask_graph(item: dict, cfg: PipelineConfig) -> str | None:
+    """Ask the chat endpoint for the item's graph and set it; why the line drops if the reply fails."""
+    try:
+        reply = generate_scene_graph_json(_instance_from_obj(item), cfg.generator)
+        item["scene_graph"] = parse_scene_graph(reply, on_dangling="add")
+    except SceneAlignError as exc:
+        return f"bad scene graph: {exc}"
     return None
 
 
@@ -217,38 +197,35 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
 
     Returns (work items, diagnostics for dropped lines).  In strict mode the
     first bad line raises :class:`CorpusError`; otherwise bad lines are
-    reported and skipped so adversarial corpora cannot abort a run.  Lines
-    without a graph ask the chat endpoint for one, up to ``workers`` ids at a
-    time.  An id's lines are tried in corpus order until one gets a graph;
-    the later lines of that id are duplicates, and a line dropped before it
-    would ask (bad JSON or shape, a duplicate id) sends no request.
+    reported and skipped so adversarial corpora cannot abort a run.  An id's
+    first well-formed line is its instance, and its later lines drop as
+    duplicates.  Lines without a graph then ask the chat endpoint for one, up
+    to ``workers`` at a time, and a failed reply drops only its own line; a
+    line dropped before it would ask sends no request.
     """
     corpus = read_lines(cfg.input_path, "corpus")
     sidecar = _read_sidecar_graphs(cfg.graphs_path, cfg.strict) if cfg.graphs_path else {}
-    lines: list[_CorpusLine] = []
-    groups: dict[str, list[_CorpusLine]] = {}  # an id's lines, in corpus order
-    for line_no, raw_line in corpus:
-        line = _read_line(line_no, raw_line, sidecar, cfg)
-        lines.append(line)
-        repeat = line.id in groups
-        if line.id is not None:
-            groups.setdefault(line.id, []).append(line)
-        if cfg.strict and (line.reason is not None or repeat):
-            break  # the parse fails at this line or at an earlier one
-    in_flight = _workers(cfg) if any(line.graph is None and line.reason is None for line in lines) else 1
-    winners = dict(zip(groups, _map_in_flight(partial(_resolve, cfg=cfg), list(groups.values()), in_flight)))
     items: list[dict] = []
     drops: list[dict] = []
-    for line in lines:
-        winner = winners.get(line.id)
-        if line is winner:
-            items.append({**line.norm, "scene_graph": line.graph})
+    kept: dict[str, int] = {}  # each kept item's line, by id
+    for line_no, raw_line in corpus:
+        try:
+            item = _read_line(raw_line, kept, sidecar, cfg)
+        except CorpusError as exc:
+            drops.append({"line": line_no, "reason": exc.reason})
+            if cfg.strict:
+                break  # the parse fails at this line or at an earlier one
             continue
-        later = winner is not None and winner.line_no < line.line_no
-        reason = f"duplicate id {line.id!r}" if later else line.reason
-        if cfg.strict:
-            raise CorpusError(line.line_no, reason)
-        drops.append({"line": line.line_no, "reason": reason})
+        kept[item["id"]] = line_no
+        items.append(item)
+    asking = [item for item in items if item["scene_graph"] is None]
+    # a list, so the pool is shut down here and not by whichever thread collects a raised traceback's frame
+    replies = list(_map_in_flight(partial(_ask_graph, cfg=cfg), asking, _workers(cfg)))
+    failed = [{"line": kept[item["id"]], "reason": reason} for item, reason in zip(asking, replies) if reason]
+    items = [item for item in items if item["scene_graph"] is not None]
+    drops = sorted(drops + failed, key=lambda drop: drop["line"])
+    if cfg.strict and drops:
+        raise CorpusError(drops[0]["line"], drops[0]["reason"])
     for drop in drops:
         logger.warning("corpus line %d skipped: %s", drop["line"], drop["reason"])
     return items, drops
@@ -259,7 +236,7 @@ def stage_parse(cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
 
 
 def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
-    """Generate the positive rationale and split the graph against it."""
+    """Generate the positive rationale and find the subgraph it grounds."""
     inst = _instance_from_obj(item)
     sg_pos = item["scene_graph"]
     prompt = render_positive_cot_prompt(sg_pos, inst)  # raises MissingAnswer without an answer
@@ -271,21 +248,24 @@ def stage_ground(item: dict, cfg: PipelineConfig) -> dict:
     except EmptyMatch:
         logger.warning("instance %r: rationale matched nothing; grounding to the full graph", inst.id)
         grounded = sg_pos
-    pool = residual_pool(sg_pos, grounded)
     out = dict(item)
     out["positive_rationale"] = tau_pos.raw_text
     out["grounded"] = grounded
-    out["pool"] = pool
     return out
 
 
 def stage_perturb(item: dict, cfg: PipelineConfig) -> dict:
-    """Sample negative candidates with the instance-specific seed, in place of the grounded graph and pool."""
+    """Sample negative candidates with the instance-specific seed, in place of the grounded graph.
+
+    The residual pool is the graph less the grounded subgraph; a grounded
+    element the graph lacks raises :class:`NotASubgraph`.
+    """
     seed = instance_seed(cfg.seed, item["id"])
+    pool = residual_pool(item["scene_graph"], item["grounded"])
     out = dict(item)
-    del out["grounded"], out["pool"]  # no later stage reads them
+    del out["grounded"]  # no later stage reads it
     out["candidates"] = generate_negatives(
-        item["scene_graph"], item["grounded"], item["pool"], k=cfg.candidates, edit_range=cfg.edit_range, seed=seed
+        item["scene_graph"], item["grounded"], pool, k=cfg.candidates, edit_range=cfg.edit_range, seed=seed
     )
     return out
 
@@ -453,7 +433,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 # the typed fields each per-instance stage reads, by stage name, in chain order
 STAGE_FIELDS = {
     "ground": ("scene_graph",),
-    "perturb": ("scene_graph", "grounded", "pool"),
+    "perturb": ("scene_graph", "grounded"),
     "select": ("scene_graph", "candidates"),
     "build": ("scene_graph", "positive_rationale", "selected"),
 }
@@ -467,11 +447,9 @@ def _candidate_from_obj(obj: dict, decode_graph: bool = True) -> NegativeCandida
     return cand
 
 
-# graphs and pools are checked against one schema; a pool alone need not be closed
 _DECODERS = {
     "scene_graph": parse_scene_graph,
     "grounded": parse_scene_graph,
-    "pool": parse_pool,
     # stays text for stage_build to parse; a non-string or blank value raises
     "positive_rationale": lambda text: text if text.strip() else Rationale.parse(text),
     "candidates": lambda objs: [_candidate_from_obj(obj) for obj in objs],
@@ -486,7 +464,7 @@ def decode_item(obj: dict, fields: Sequence[str]) -> dict:
 
     A bad id, a missing field, or a field a decoder rejects is a CorpusError.
     """
-    item = dict(obj, id=_line_id(obj, None))
+    item = dict(obj, id=_line_id(obj))
     for key in fields:
         if key not in obj:
             raise CorpusError(None, f"instance {item['id']!r} has no {key!r} key")

@@ -346,7 +346,7 @@ class TestStagedChain:
     # sha256 of each stage file the chain writes from the corpus fixture at seed 13
     STAGE_FILE_SHA256 = {
         "parse": "28cb19c2ca1d7d37449d4476050d3e2e4c76237f611a85204a102876ca3ab9f7",
-        "ground": "168062035d16a159235c2df117fedf7f6e54a670e2a3436af7219740ff5a019f",
+        "ground": "7dd6923e38609542903b68382122c5a7e1f739a9268ff31bb2ef07f45b0ff0ff",
         "perturb": "e527b7cc0a17821807e281c9585c5f2a6c48476d0004a9dc0e3da7acb1d6f332",
         "select": "d8f96c853342c291051064d9fd2e2069ab6721b253d3cd5fcce3cf506a28f3a3",
     }
@@ -407,7 +407,7 @@ class TestStagedChain:
             for line_in, line_out in zip(before, keys[stage]):
                 assert line_in & later <= line_out, f"{stage} dropped a field a later stage reads"
                 assert not only_read_here[stage] & line_out, f"{stage} kept a field no later stage reads"
-        assert only_read_here == {"ground": set(), "perturb": {"grounded", "pool"}, "select": {"candidates"}}
+        assert only_read_here == {"ground": set(), "perturb": {"grounded"}, "select": {"candidates"}}
 
 
 def _writing(output) -> bool:
@@ -570,6 +570,22 @@ class TestConfigFlags:
         cfg = _pipeline_config(build_parser().parse_args(["run", "--input", "c", "--output", "d", "--edits", "2"]))
         assert cfg.edit_range == (2, 2)
 
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (["--endpoint", "http://127.0.0.1:9/v1/chat", "--model", "m"], "template generator"),
+            (["--cache-dir", "cache"], "template generator"),
+            (["--embed-endpoint", "http://127.0.0.1:9/e"], "hashed-ngram embedding"),
+            (["--embed-model", "e1"], "hashed-ngram embedding"),
+        ],
+        ids=["endpoint-and-model", "cache-dir", "embed-endpoint", "embed-model"],
+    )
+    def test_an_offline_provider_refuses_remote_settings(self, tmp_path, corpus, capsys, flags, names):
+        out = tmp_path / "d.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(out), *flags]) == 1
+        assert f"config error: a {names} takes no" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStagedWrongInput:
     """A stage fed another stage's output reports the missing key, never a traceback."""
@@ -594,32 +610,23 @@ class TestStagedWrongInput:
     _GRAPH = {"entity": ["man"], "attribute pairs": [], "relationships": []}
     WRONG_TYPES = [
         ("perturb", [1, 2], "line 1"),
-        ("perturb", {"id": "a", "scene_graph": 5, "grounded": {}, "pool": {}}, "'scene_graph'"),
-        (
-            "perturb",
-            {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity=3), "pool": {}},
-            "'grounded'",
-        ),
+        ("perturb", {"id": "a", "scene_graph": 5, "grounded": {}}, "'scene_graph'"),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity=3)}, "'grounded'"),
         (
             "build",
             {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH,
              "positive_rationale": 7, "selected": []},
             "'positive_rationale'",
         ),
-        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": [1]}}, "'pool'"),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity=[1])}, "'grounded'"),
         ("ground", {"id": "a", "question": "Who?", "answer": 5, "scene_graph": _GRAPH}, "'answer'"),
-        (
-            "perturb",
-            {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity={"man": 1}), "pool": {}},
-            "'grounded'",
-        ),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, entity={"man": 1})}, "'grounded'"),
         (
             "ground",
             {"id": "a", "question": "Who?", "answer": "man",
              "scene_graph": dict(_GRAPH, relationships={"man": ["on", "man"]})},
             "'scene_graph'",
         ),
-        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": {"entity": {"dog": 1}}}, "'pool'"),
         (
             "build",
             {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH,
@@ -628,11 +635,10 @@ class TestStagedWrongInput:
         ),
         (
             "perturb",
-            {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH,
-             "pool": {"entity": ["dog"], "attribute pairs": []}},
-            "'pool'",
+            {"id": "a", "scene_graph": _GRAPH, "grounded": {"entity": ["man"], "attribute pairs": []}},
+            "'grounded'",
         ),
-        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": dict(_GRAPH, extra=[])}, "'pool'"),
+        ("perturb", {"id": "a", "scene_graph": _GRAPH, "grounded": dict(_GRAPH, extra=[])}, "'grounded'"),
         (
             "build",
             {"id": "a", "question": "Who?", "answer": "man", "scene_graph": _GRAPH, "positive_rationale": "A man.",
@@ -651,12 +657,12 @@ class TestStagedWrongInput:
         ),
         ("ground", {"id": "a", "question": " ", "answer": "man", "scene_graph": _GRAPH}, "'question'"),
         ("ground", {"id": "a", "image": 0, "question": "Who?", "answer": "man", "scene_graph": _GRAPH}, "'image'"),
-        ("perturb", {"id": "", "scene_graph": _GRAPH, "grounded": _GRAPH, "pool": _GRAPH}, "'id'"),
+        ("perturb", {"id": "", "scene_graph": _GRAPH, "grounded": _GRAPH}, "'id'"),
     ]
     WRONG_TYPE_IDS = [
-        "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-pool-entity", "int-answer",
-        "dict-entity-list", "dict-relation-list", "dict-pool-entity", "blank-rationale",
-        "pool-without-relationships", "pool-with-an-extra-key", "int-trace-tag", "unknown-trace-tag",
+        "non-object-line", "int-scene-graph", "int-entity-list", "int-rationale", "int-grounded-entity", "int-answer",
+        "dict-entity-list", "dict-relation-list", "blank-rationale",
+        "grounded-without-relationships", "grounded-with-an-extra-key", "int-trace-tag", "unknown-trace-tag",
         "blank-question", "int-image", "blank-id",
     ]
 
@@ -677,6 +683,32 @@ class TestStagedWrongInput:
         err = capsys.readouterr().err
         assert "corpus error: corpus line 1:" in err
         assert names in err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_grounded_element_the_graph_lacks_drops_the_instance(self, tmp_path, capsys, caplog, strict):
+        grounded = dict(self._GRAPH, entity=["man", "unicorn"])
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_corpus(src, [{"id": "a", "scene_graph": self._GRAPH, "grounded": grounded}])
+        argv = ["perturb", "--input", str(src), "--output", str(out)] + ["--strict"] * strict
+        assert main(argv) == 0
+        assert "perturbed 0/1 instance(s)" in capsys.readouterr().out
+        assert "line 1 skipped: grounded subgraph is not element-wise contained in the parent" in caplog.text
+        assert out.read_text(encoding="utf-8") == ""
+
+    def test_perturb_derives_the_pool_and_reads_none_from_its_line(self, tmp_path, corpus, capsys):
+        parsed, grounded = tmp_path / "parse.jsonl", tmp_path / "ground.jsonl"
+        assert main(["parse", "--input", str(corpus), "--output", str(parsed)]) == 0
+        assert main(["ground", "--input", str(parsed), "--output", str(grounded)]) == 0
+        line = json.loads(grounded.read_text(encoding="utf-8"))
+        dragon = {"entity": ["dragon"], "attribute pairs": [["dragon", "red"]], "relationships": []}
+        candidates = []
+        for name, edits in (("plain", {}), ("dragon", {"pool": dragon})):
+            src, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.out.jsonl"
+            _write_corpus(src, [dict(line, **edits)])
+            assert main(["perturb", "--input", str(src), "--output", str(out)]) == 0
+            candidates.append(json.loads(out.read_text(encoding="utf-8"))["candidates"])
+        assert candidates[0] and candidates[1] == candidates[0]
+        assert "dragon" not in json.dumps(candidates[0])
 
     TORN = '{"id": "a", "scene_graph": {"entity": ["man"'
 

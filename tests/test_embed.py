@@ -42,6 +42,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EmbedConfig(provider="http")
 
+    @pytest.mark.parametrize(
+        "setting", [{"endpoint": "http://127.0.0.1:9/e"}, {"model": "e1"}], ids=["endpoint", "model"]
+    )
+    def test_the_hashed_provider_takes_no_remote_setting(self, setting):
+        with pytest.raises(ConfigError, match="a hashed-ngram embedding takes no endpoint or model"):
+            EmbedConfig(**setting)
+
 
 class TestHashedProvider:
     def test_deterministic(self):

@@ -134,6 +134,15 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             GeneratorConfig(kind="http-chat")
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"endpoint": "http://127.0.0.1:9/v1/chat"}, {"model": "m"}, {"cache_dir": "cache"}],
+        ids=["endpoint", "model", "cache-dir"],
+    )
+    def test_the_template_generator_takes_no_remote_setting(self, setting):
+        with pytest.raises(ConfigError, match="a template generator takes no endpoint, model or cache_dir"):
+            GeneratorConfig(**setting)
+
     def test_scene_graph_generation_requires_http(self, case_instance):
         with pytest.raises(ConfigError):
             generate_scene_graph_json(case_instance, GeneratorConfig())

@@ -14,7 +14,7 @@ from scenealign.dpo import import_jsonl
 from scenealign.embed import EmbedConfig, embed_texts
 from scenealign.errors import ConfigError, CorpusError
 from scenealign.generate import GeneratorConfig, Instance, generate_rationale, render_scene_graph_prompt
-from scenealign.grounding import ResidualPool
+from scenealign.grounding import residual_pool
 from scenealign.perturb import NegativeCandidate
 from scenealign.pipeline import (
     STAGE_FIELDS,
@@ -144,6 +144,25 @@ class TestStageParse:
         assert main(argv + ["--strict"]) == 2
         assert "graphs file line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first", [{"id": "a", "scene_graph": None}, {"id": "a"}], ids=["null", "no-key"])
+    def test_a_sidecar_line_without_a_graph_claims_no_id(self, tmp_path, case_corpus_line, first, caplog, capsys):
+        line = dict(case_corpus_line, id="a")
+        graph = line.pop("scene_graph")
+        sidecar = tmp_path / "graphs.jsonl"
+        sidecar.write_text(
+            json.dumps(first) + "\n" + json.dumps({"id": "a", "scene_graph": graph}) + "\n", encoding="utf-8"
+        )
+        cfg = _cfg(tmp_path, [line], graphs_path=str(sidecar))
+        items, drops = stage_parse(cfg)
+        assert drops == []
+        assert [item["scene_graph"].entities for item in items] == [tuple(graph["entity"])]
+        assert "graphs file line 1 skipped: missing or null 'scene_graph'" in caplog.text
+        out = tmp_path / "p.jsonl"
+        argv = ["parse", "--input", cfg.input_path, "--output", str(out), "--graphs", str(sidecar)]
+        assert main(argv + ["--strict"]) == 2
+        assert "graphs file line 1: missing or null 'scene_graph'" in capsys.readouterr().err
+        assert not out.exists()
+
     def _repeated_sidecar_id(self, tmp_path, case_corpus_line, **kw):
         """One graph-less line for id "a"; the sidecar holds two graphs for "a", "man" first."""
         line = dict(case_corpus_line, id="a")
@@ -271,7 +290,8 @@ class TestStageParse:
         assert [encode_scene_graph(item["scene_graph"]) for item in items] == [graphs[line["image"]] for line in lines]
         assert 2 <= providers.most_in_flight <= 4
 
-    def test_lines_dropped_before_asking_send_no_request(self, tmp_path, mock_api):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_lines_dropped_before_asking_send_no_request(self, tmp_path, mock_api, workers):
         lines, graphs = graph_less(synthetic_corpus_lines(3, random.Random(106)))
         first, second, third = lines
         graphs[second["image"]] = {"entity": "not a list"}  # its reply is a bad graph
@@ -281,23 +301,25 @@ class TestStageParse:
             json.dumps(dict(third, id=first["id"])),  # a duplicate of a kept line
             json.dumps(dict(first, question="")),
             json.dumps(second),
-            json.dumps(dict(third, id=second["id"])),  # second's id, after its failure
+            json.dumps(dict(third, id=second["id"])),  # a duplicate of a line whose reply fails
         ]
         inp = tmp_path / "corpus.jsonl"
         inp.write_text("\n".join(corpus) + "\n", encoding="utf-8")
         mock_api.handler = MockProviders(graphs)
-        cfg = PipelineConfig(input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), **_remote_cfg(mock_api, workers=4))
+        cfg = PipelineConfig(
+            input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), **_remote_cfg(mock_api, workers=workers)
+        )
         items, drops = stage_parse(cfg)
-        assert [item["id"] for item in items] == [first["id"], second["id"]]
-        assert encode_scene_graph(items[1]["scene_graph"]) == graphs[third["image"]]
+        assert [item["id"] for item in items] == [first["id"]]
         assert [(d["line"], d["reason"].split(":")[0]) for d in drops] == [
             (2, "invalid JSON"),
             (3, f"duplicate id {first['id']!r}"),
             (4, "missing or empty 'question'"),
             (5, "bad scene graph"),
+            (6, f"duplicate id {second['id']!r}"),
         ]
         images = [r["payload"]["messages"][0]["content"][1]["image_url"]["url"] for r in mock_api.requests]
-        assert sorted(images) == sorted([first["image"], second["image"], third["image"]])
+        assert sorted(images) == sorted([first["image"], second["image"]])
 
     @pytest.mark.parametrize(
         "bad_line, bad_at, requests",
@@ -321,18 +343,56 @@ class TestStageParse:
         assert err.value.line_no == bad_at
         assert len(mock_api.requests) == requests
 
+    def test_a_strict_failure_leaves_no_pool_thread_behind(self, tmp_path, mock_api):
+        # A pool still open in the raised traceback's frame is shut down by whichever thread collects
+        # that frame; when the collection runs inside threading's own lock, as a thread starts or stops,
+        # joining the pool's threads deadlocks.
+        lines, graphs = graph_less(synthetic_corpus_lines(3, random.Random(107)))
+        graphs[lines[1]["image"]] = {"entity": "not a list"}
+        inp = tmp_path / "corpus.jsonl"
+        inp.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        mock_api.handler = MockProviders(graphs)
+        cfg = PipelineConfig(
+            input_path=str(inp), output_path=str(tmp_path / "out.jsonl"), strict=True, **_remote_cfg(mock_api, workers=4)
+        )
+
+        def pool_threads():
+            return [t for t in threading.enumerate() if not t.daemon and t is not threading.main_thread()]
+
+        before = pool_threads()
+        with pytest.raises(CorpusError) as err:
+            stage_parse(cfg)
+        assert err.value.line_no == 2 and len(mock_api.requests) == 3
+        assert pool_threads() == before  # while err still holds the traceback
+
     # corpus (as indices into three graph-less lines, with edits), strict,
     # then the kept (id, graph) pairs, drops, raised error and requested images,
-    # each by index; an edit gives a line another line's id, a bad inline
-    # graph, or a reply that is a bad graph
+    # each by index; an edit gives a line another line's id, a bad or good
+    # inline graph, or a reply that is a bad graph
     PARSE_PINS = {
         "failures-then-a-good-reply": (
             [(0, {"reply": "bad"}), (1, {"id": 0, "scene_graph": "bad"}), (2, {"id": 0})],
             False,
-            [(0, 2)],
-            [(1, "bad scene graph"), (2, "bad scene graph")],
+            [],
+            [(1, "bad scene graph"), (2, "duplicate id"), (3, "duplicate id")],
             None,
-            [0, 2],
+            [0],
+        ),
+        "a-failed-reply-then-an-inline-graph": (
+            [(0, {"reply": "bad"}), (1, {"id": 0, "scene_graph": "good"})],
+            False,
+            [],
+            [(1, "bad scene graph"), (2, "duplicate id")],
+            None,
+            [0],
+        ),
+        "a-bad-inline-graph-then-a-good-reply": (
+            [(0, {"scene_graph": "bad"}), (1, {"id": 0})],
+            False,
+            [(0, 1)],
+            [(1, "bad scene graph")],
+            None,
+            [1],
         ),
         "strict-bad-graph-before-a-request": (
             [(0, {"scene_graph": "bad"}), (1, {})],
@@ -364,7 +424,7 @@ class TestStageParse:
             if "id" in edits:
                 line["id"] = lines[edits["id"]]["id"]
             if "scene_graph" in edits:
-                line["scene_graph"] = bad
+                line["scene_graph"] = bad if edits["scene_graph"] == "bad" else graphs[line["image"]]
             if "reply" in edits:
                 graphs[line["image"]] = bad
             out.append(line)
@@ -378,7 +438,7 @@ class TestStageParse:
         assert [(item["id"], encode_scene_graph(item["scene_graph"])) for item in items] == [
             (lines[i]["id"], graphs[lines[g]["image"]]) for i, g in kept
         ]
-        assert [(d["line"], d["reason"].split(":")[0]) for d in drops] == dropped
+        assert [(d["line"], d["reason"].split(" '")[0].split(":")[0]) for d in drops] == dropped
         assert error == raised
         images = [r["payload"]["messages"][0]["content"][1]["image_url"]["url"] for r in mock_api.requests]
         assert sorted(images) == sorted(lines[i]["image"] for i in asked)
@@ -424,9 +484,9 @@ class TestPerInstanceStages:
         items, _ = stage_parse(cfg)
         item = stage_ground(items[0], cfg)
         assert isinstance(item["positive_rationale"], str)
-        grounded, pool = item["grounded"], item["pool"]
-        assert isinstance(grounded, SceneGraph)
-        assert isinstance(pool, ResidualPool)
+        grounded = item["grounded"]
+        assert isinstance(grounded, SceneGraph) and "pool" not in item
+        pool = residual_pool(item["scene_graph"], grounded)
         assert grounded.element_count + pool.element_count == item["scene_graph"].element_count
 
     def test_ground_falls_back_to_full_graph(self, tmp_path, case_corpus_line, mock_api):
@@ -445,7 +505,6 @@ class TestPerInstanceStages:
         items, _ = stage_parse(cfg)
         item = stage_ground(items[0], cfg)
         assert item["grounded"] == item["scene_graph"]
-        assert item["pool"].entities == ()
 
     def test_perturb_attaches_candidates(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
@@ -460,11 +519,11 @@ class TestPerInstanceStages:
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
         grounded = stage_ground(stage_parse(cfg)[0][0], cfg)
         perturbed = stage_perturb(grounded, cfg)
-        assert not {"grounded", "pool"} & set(perturbed)
+        assert "grounded" not in perturbed
         selected = stage_select(perturbed, cfg)
         assert "candidates" not in selected
         # each stage built a new item, so the one it was given keeps those fields
-        assert {"grounded", "pool"} <= set(grounded) and "candidates" in perturbed
+        assert "grounded" in grounded and "candidates" in perturbed
 
     def test_select_and_build(self, tmp_path, case_corpus_line):
         cfg = _cfg(tmp_path, [case_corpus_line], seed=7)
@@ -715,8 +774,7 @@ class TestFullRun:
             raise AssertionError("the stage-file codec ran inside run_pipeline")
 
         monkeypatch.setattr(pipeline, "_DECODERS", dict.fromkeys(pipeline._DECODERS, codec))
-        for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "parse_pool",
-                     "encode_scene_graph"):
+        for name in ("decode_item", "encode_item", "_encode", "_candidate_from_obj", "encode_scene_graph"):
             monkeypatch.setattr(pipeline, name, codec)
         run_pipeline(_cfg(tmp_path, lines, name="guarded", seed=5))
         assert (tmp_path / "plain.out.jsonl").read_bytes() == (tmp_path / "guarded.out.jsonl").read_bytes()
